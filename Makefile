@@ -73,7 +73,7 @@ chaos:
 paper-figures:
 	python -m repro figure table1
 	python -m repro figure table2
-	python -m repro figure fig8
+	python -m repro figure fig8_speedup
 
 # The figure/report pipeline: tiny metrics campaign -> Vega-Lite specs,
 # CSVs, and the self-contained HTML campaign report.

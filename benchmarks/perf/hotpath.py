@@ -165,39 +165,6 @@ def bench_end_to_end(workload, scale, num_wavefronts, repeats):
     }
 
 
-def bench_phase_profile(workload, scale, num_wavefronts):
-    """Where the wall time goes: one profiled run's phase breakdown.
-
-    Informational (no threshold): tells the next optimisation pass
-    whether the event loop, the scheduler's select or the memory model
-    dominates before any code is touched.
-    """
-    config = (
-        baseline_config().with_iommu_buffer(E2E_BUFFER).with_walkers(E2E_WALKERS)
-    )
-    result = run_simulation(
-        workload,
-        config=config,
-        scheduler="simt",
-        num_wavefronts=num_wavefronts,
-        scale=scale,
-        profile=True,
-    )
-    profile = result.detail["profile"]
-    return {
-        "workload": workload,
-        "total_wall_seconds": round(profile["total_wall_seconds"], 4),
-        "phases": {
-            phase: {
-                "seconds": round(data["seconds"], 4),
-                "calls": data["calls"],
-                "fraction": round(data["fraction"], 4),
-            }
-            for phase, data in profile["phases"].items()
-        },
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -222,13 +189,9 @@ def main(argv=None):
 
     select_rows = bench_select(occupancies, selects, repeats)
     end_to_end = bench_end_to_end(**e2e)
-    phase_profile = bench_phase_profile(
-        e2e["workload"], e2e["scale"], e2e["num_wavefronts"]
-    )
     report = {
         "select_throughput": select_rows,
         "end_to_end": end_to_end,
-        "phase_profile": phase_profile,
         "params": {"selects_per_point": selects, "quick": args.quick},
     }
     document = write_bench_report("hotpath", report, args.output)

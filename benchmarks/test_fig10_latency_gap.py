@@ -10,22 +10,14 @@ normalised gap must not explode, and at least half of the workloads must
 see their gap shrink or hold.
 """
 
-from repro.experiments import figures, report
+from repro.stats.metrics import geometric_mean
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig10_latency_gap(benchmark):
-    data = run_once(benchmark, figures.fig10_latency_gap, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "Fig 10: first/last walk latency gap, SIMT normalised to FCFS",
-            data,
-            value_label="ratio",
-        )
-    )
-    per_workload = {k: v for k, v in data.items() if k != "Mean"}
+def test_fig10_latency_gap(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig10_latency_gap", figure_store)
+    per_workload = by_workload(figure, "normalised", scheduler="simt")
     improved_or_held = sum(1 for v in per_workload.values() if v <= 1.2)
     assert improved_or_held >= len(per_workload) // 2
-    assert data["Mean"] < 2.0
+    assert geometric_mean(per_workload.values()) < 2.0

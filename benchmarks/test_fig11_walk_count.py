@@ -5,24 +5,17 @@ average (up to 30%) — deferring translation-heavy instructions keeps
 them from thrashing the TLBs, so low-overhead instructions hit more.
 """
 
-from repro.experiments import figures, report
+from repro.stats.metrics import geometric_mean
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig11_walk_count(benchmark):
-    data = run_once(benchmark, figures.fig11_walk_count, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "Fig 11: page walks, SIMT-aware normalised to FCFS",
-            data,
-            value_label="ratio",
-        )
-    )
+def test_fig11_walk_count(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig11_walk_count", figure_store)
+    data = by_workload(figure, "normalised", scheduler="simt")
     # Walk count must shrink in aggregate and never grow materially.
-    assert data["Mean"] < 1.0
+    assert geometric_mean(data.values()) < 1.0
     for workload, ratio in data.items():
         assert ratio < 1.08, workload
     # At least one workload shows a pronounced thrash reduction.
-    assert min(v for k, v in data.items() if k != "Mean") < 0.85
+    assert min(data.values()) < 0.85

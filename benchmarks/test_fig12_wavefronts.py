@@ -6,21 +6,14 @@ wavefronts accessing the shared L2 TLB within a 1024-access epoch by
 inter-wavefront contention in the TLB).
 """
 
-from repro.experiments import figures, report
+from repro.stats.metrics import geometric_mean
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig12_active_wavefronts(benchmark):
-    data = run_once(benchmark, figures.fig12_active_wavefronts, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "Fig 12: distinct wavefronts per L2-TLB epoch, SIMT over FCFS",
-            data,
-            value_label="ratio",
-        )
-    )
-    assert data["Mean"] < 1.0
+def test_fig12_active_wavefronts(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig12_active_wavefronts", figure_store)
+    data = by_workload(figure, "normalised", scheduler="simt")
+    assert geometric_mean(data.values()) < 1.0
     # The strongest concentration effect should be pronounced.
-    assert min(v for k, v in data.items() if k != "Mean") < 0.9
+    assert min(data.values()) < 0.9

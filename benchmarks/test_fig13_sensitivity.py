@@ -7,9 +7,11 @@ walkers (13b) → 5.3% with both (13c) — but stays positive everywhere.
 
 import pytest
 
-from repro.experiments import figures, report
+from repro.obs.figures import GEOMEAN_LABEL
+from repro.stats.metrics import geometric_mean
+from repro.workloads.registry import IRREGULAR_WORKLOADS
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 #: Collected per-variant means, so the cross-variant ordering assertion
 #: can run after all three variants have been benchmarked.
@@ -20,28 +22,23 @@ _means = {}
     "variant",
     ["a_1024tlb_8walkers", "b_512tlb_16walkers", "c_1024tlb_16walkers"],
 )
-def test_fig13_sensitivity(benchmark, variant):
-    data = run_once(benchmark, figures.fig13_sensitivity, variant, **BENCH)
-    _means[variant] = data["Mean"]
-    print()
-    print(
-        report.render_series(
-            f"Fig 13{variant[0]}: SIMT-aware speedup over FCFS ({variant[2:]})",
-            data,
-            value_label="speedup",
-        )
-    )
+def test_fig13_sensitivity(benchmark, figure_store, variant):
+    figure = paper_figure(benchmark, "fig13_sensitivity", figure_store)
+    mean = by_workload(figure, "speedup", campaign=variant)[GEOMEAN_LABEL]
+    _means[variant] = mean
     # The win survives every resource increase.
-    assert data["Mean"] > 1.0
+    assert mean > 1.0
 
 
-def test_fig13_win_shrinks_with_resources(benchmark):
+def test_fig13_win_shrinks_with_resources(benchmark, figure_store):
     """More translation resources leave less headroom (needs the three
     parametrised benchmarks above to have run first)."""
     if len(_means) < 3:
         pytest.skip("variant benchmarks did not all run")
-    baseline = run_once(
-        benchmark, lambda: figures.fig8_speedup(**BENCH)["Mean(irregular)"]
+    speedups = by_workload(
+        paper_figure(benchmark, "fig8_speedup", figure_store), "speedup",
+        scheduler="simt",
     )
+    baseline = geometric_mean(speedups[w] for w in IRREGULAR_WORKLOADS)
     assert _means["b_512tlb_16walkers"] < baseline
     assert _means["c_1024tlb_16walkers"] < baseline

@@ -5,24 +5,15 @@ Random.  Performance differs by more than 2.1× across schedules; FCFS
 sits between Random and SIMT-aware.
 """
 
-from repro.experiments import figures, report
 from repro.stats.metrics import geometric_mean
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig2_scheduler_impact(benchmark):
-    data = run_once(benchmark, figures.fig2_scheduler_impact, **BENCH)
-    print()
-    print(
-        report.render_grouped(
-            "Fig 2: speedup over the random scheduler",
-            data,
-            columns=("random", "fcfs", "simt"),
-        )
-    )
-    simt = [row["simt"] for row in data.values()]
-    fcfs = [row["fcfs"] for row in data.values()]
+def test_fig2_scheduler_impact(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig2_scheduler_impact", figure_store)
+    simt = list(by_workload(figure, "speedup", scheduler="simt").values())
+    fcfs = list(by_workload(figure, "speedup", scheduler="fcfs").values())
     # SIMT-aware must dominate both baselines on these four workloads.
     assert geometric_mean(simt) > geometric_mean(fcfs) > 1.0
     # The paper reports >2.1× spread between best and worst schedule;

@@ -5,23 +5,17 @@ Paper: 27-61% of walk-generating instructions need 1-16 accesses while
 variance that makes shortest-job-first scheduling worthwhile.
 """
 
-from repro.experiments import figures, report
-
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import paper_figure
 
 LIGHT = "1-16"
 HEAVY = ("49-64", "65-80", "81-256")
 
 
-def test_fig3_work_distribution(benchmark):
-    data = run_once(benchmark, figures.fig3_walk_work_distribution, **BENCH)
-    print()
-    print(
-        report.render_grouped(
-            "Fig 3: fraction of SIMD instructions per page-walk work bucket",
-            data,
-        )
-    )
+def test_fig3_work_distribution(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig3_walk_work_distribution", figure_store)
+    data = {}
+    for row in figure.rows:
+        data.setdefault(row["workload"], {})[row["bucket"]] = row["fraction"]
     for workload, row in data.items():
         light = row[LIGHT]
         heavy = sum(row[bucket] for bucket in HEAVY)

@@ -7,21 +7,12 @@ measured fractions are lower, but interleaving must be present on every
 motivation workload.
 """
 
-from repro.experiments import figures, report
-
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig5_interleaving(benchmark):
-    data = run_once(benchmark, figures.fig5_interleaving, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "Fig 5: fraction of multi-walk instructions interleaved (FCFS)",
-            data,
-            value_label="fraction",
-        )
-    )
+def test_fig5_interleaving(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig5_interleaving", figure_store)
+    data = by_workload(figure, "interleaved_fraction")
     for workload, fraction in data.items():
         assert 0.0 < fraction < 1.0, workload
     assert max(data.values()) > 0.15

@@ -7,23 +7,17 @@ interleaving is milder (see Fig 5 notes in EXPERIMENTS.md), but it must
 be material on every motivation workload.
 """
 
-from repro.experiments import figures, report
-
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import paper_figure
 
 
-def test_fig6_first_last_latency(benchmark):
-    data = run_once(benchmark, figures.fig6_first_last_latency, **BENCH)
-    print()
-    print(
-        report.render_grouped(
-            "Fig 6: normalised latency of first- and last-completed walk (FCFS)",
-            data,
-            columns=("first_completed", "last_completed"),
-        )
-    )
-    for workload, row in data.items():
-        assert row["first_completed"] == 1.0
+def test_fig6_first_last_latency(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig6_first_last_latency", figure_store)
+    # Last-completed latency normalised to the first-completed one.
+    last = {
+        row["workload"]: row["last_walk_latency"] / row["first_walk_latency"]
+        for row in figure.rows
+    }
+    for workload, ratio in last.items():
         # A material gap must exist on every motivation workload.
-        assert row["last_completed"] > 1.2, workload
-    assert max(row["last_completed"] for row in data.values()) > 1.3
+        assert ratio > 1.2, workload
+    assert max(last.values()) > 1.3

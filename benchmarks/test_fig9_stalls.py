@@ -5,24 +5,16 @@ average (up to 29%) for irregular applications; regular applications'
 stalls are essentially unchanged.
 """
 
-from repro.experiments import figures, report
 from repro.stats.metrics import geometric_mean
 from repro.workloads.registry import IRREGULAR_WORKLOADS, REGULAR_WORKLOADS
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_fig9_stall_cycles(benchmark):
-    data = run_once(benchmark, figures.fig9_stall_cycles, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "Fig 9: CU stall cycles, SIMT-aware normalised to FCFS",
-            data,
-            value_label="ratio",
-        )
-    )
-    assert data["Mean(irregular)"] < 0.95
-    assert 0.90 <= data["Mean(regular)"] <= 1.10
+def test_fig9_stall_cycles(benchmark, figure_store):
+    figure = paper_figure(benchmark, "fig9_stalls", figure_store)
+    data = by_workload(figure, "normalised", scheduler="simt")
+    assert geometric_mean(data[w] for w in IRREGULAR_WORKLOADS) < 0.95
+    assert 0.90 <= geometric_mean(data[w] for w in REGULAR_WORKLOADS) <= 1.10
     for workload in IRREGULAR_WORKLOADS:
         assert data[workload] < 1.0, workload

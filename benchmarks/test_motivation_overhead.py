@@ -9,23 +9,15 @@ overheads, the regular group near-none — the asymmetry every other
 result in the paper rests on.
 """
 
-from repro.experiments import figures, report
 from repro.stats.metrics import geometric_mean
 from repro.workloads.registry import IRREGULAR_WORKLOADS, REGULAR_WORKLOADS
 
-from benchmarks.conftest import BENCH, run_once
+from benchmarks.conftest import by_workload, paper_figure
 
 
-def test_motivation_translation_overhead(benchmark):
-    data = run_once(benchmark, figures.translation_overhead, **BENCH)
-    print()
-    print(
-        report.render_series(
-            "§I motivation: slowdown from address translation (FCFS vs oracle MMU)",
-            data,
-            value_label="slowdown",
-        )
-    )
+def test_motivation_translation_overhead(benchmark, figure_store):
+    figure = paper_figure(benchmark, "translation_overhead", figure_store)
+    data = by_workload(figure, "slowdown", campaign="mmu")
     irregular = [data[w] for w in IRREGULAR_WORKLOADS]
     regular = [data[w] for w in REGULAR_WORKLOADS]
     # Irregular applications suffer materially from translation...

@@ -1,14 +1,19 @@
 """Table I: the baseline system configuration."""
 
-from repro.experiments import figures, report
+from repro.config import table1_rows
+from repro.stats.formatting import text_table
 
 from benchmarks.conftest import run_once
 
 
 def test_table1_configuration(benchmark):
-    rows = run_once(benchmark, figures.table1_configuration)
+    table = run_once(benchmark, table1_rows)
     print()
-    print(report.render_table1(rows))
+    print(text_table(
+        "Table I: The baseline system configuration.",
+        ["component", "configuration"], table,
+    ))
+    rows = {row["component"]: row["configuration"] for row in table}
     # The paper's Table I rows, verbatim-checkable fragments.
     assert "2GHz, 8 CUs" in rows["GPU"]
     assert "64 threads per wavefront" in rows["GPU"]

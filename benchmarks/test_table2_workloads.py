@@ -1,15 +1,15 @@
 """Table II: the twelve benchmarks and their memory footprints."""
 
-from repro.experiments import figures, report
-from repro.workloads.registry import IRREGULAR_WORKLOADS, REGULAR_WORKLOADS
+from repro.stats.formatting import text_table
+from repro.workloads.registry import IRREGULAR_WORKLOADS, REGULAR_WORKLOADS, table2_rows
 
 from benchmarks.conftest import run_once
 
 
 def test_table2_workloads(benchmark):
-    rows = run_once(benchmark, figures.table2_workloads)
+    rows = run_once(benchmark, table2_rows)
     print()
-    print(report.render_table2(rows))
+    print(text_table("Table II: GPU benchmarks for our study.", list(rows[0]), rows))
     assert len(rows) == 12
     by_abbrev = {row["abbrev"]: row for row in rows}
     # Irregular group flagged as in the paper.

@@ -54,7 +54,6 @@ from repro.experiments.runner import (
 )
 from repro.obs import (
     MetricsRegistry,
-    PhaseProfiler,
     TraceConfig,
     Tracer,
     build_tracer,
@@ -93,7 +92,6 @@ __all__ = [
     "IRREGULAR_WORKLOADS",
     "MetricsRegistry",
     "PWCConfig",
-    "PhaseProfiler",
     "RandomScheduler",
     "REGULAR_WORKLOADS",
     "RunOutcome",

@@ -57,9 +57,10 @@ Commands
     change results.
 
 ``figure NAME``
-    Regenerate one of the paper's figures/tables (fig2, fig3, fig5,
-    fig6, fig8, fig9, fig10, fig11, fig12, fig13a/b/c, fig14a/b,
-    table1, table2) and print it in the paper's shape.
+    Run one paper figure's sweep and print its rows as a text table:
+    a registry name with a paper sweep (``fig8_speedup``, or just
+    ``fig8``; ``python -m repro figures --list`` names them all), or
+    ``table1`` (of ``--config``) / ``table2`` (paper-size footprints).
 
 ``list``
     List available workloads and schedulers.
@@ -71,7 +72,6 @@ import argparse
 import sys
 
 from repro import available_schedulers, run_simulation
-from repro.experiments import figures, report
 from repro.workloads.registry import workload_names
 
 
@@ -740,72 +740,6 @@ def _cmd_service_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = {
-    "fig2": lambda a: report.render_grouped(
-        "Fig 2: speedup over random",
-        figures.fig2_scheduler_impact(a.scale, a.wavefronts),
-    ),
-    "fig3": lambda a: report.render_grouped(
-        "Fig 3: walk-work distribution",
-        figures.fig3_walk_work_distribution(a.scale, a.wavefronts),
-    ),
-    "fig5": lambda a: report.render_series(
-        "Fig 5: interleaved fraction (FCFS)",
-        figures.fig5_interleaving(a.scale, a.wavefronts),
-    ),
-    "fig6": lambda a: report.render_grouped(
-        "Fig 6: first/last walk latency",
-        figures.fig6_first_last_latency(a.scale, a.wavefronts),
-    ),
-    "fig8": lambda a: report.render_series(
-        "Fig 8: SIMT-aware speedup over FCFS",
-        figures.fig8_speedup(a.scale, a.wavefronts),
-    ),
-    "fig9": lambda a: report.render_series(
-        "Fig 9: normalised CU stall cycles",
-        figures.fig9_stall_cycles(a.scale, a.wavefronts),
-    ),
-    "fig10": lambda a: report.render_series(
-        "Fig 10: normalised latency gap",
-        figures.fig10_latency_gap(a.scale, a.wavefronts),
-    ),
-    "fig11": lambda a: report.render_series(
-        "Fig 11: normalised page-walk count",
-        figures.fig11_walk_count(a.scale, a.wavefronts),
-    ),
-    "fig12": lambda a: report.render_series(
-        "Fig 12: normalised wavefronts per L2-TLB epoch",
-        figures.fig12_active_wavefronts(a.scale, a.wavefronts),
-    ),
-    "fig13a": lambda a: report.render_series(
-        "Fig 13a (1024 TLB, 8 walkers)",
-        figures.fig13_sensitivity("a_1024tlb_8walkers", a.scale, a.wavefronts),
-    ),
-    "fig13b": lambda a: report.render_series(
-        "Fig 13b (512 TLB, 16 walkers)",
-        figures.fig13_sensitivity("b_512tlb_16walkers", a.scale, a.wavefronts),
-    ),
-    "fig13c": lambda a: report.render_series(
-        "Fig 13c (1024 TLB, 16 walkers)",
-        figures.fig13_sensitivity("c_1024tlb_16walkers", a.scale, a.wavefronts),
-    ),
-    "fig14a": lambda a: report.render_series(
-        "Fig 14a (128-entry buffer)",
-        figures.fig14_buffer_size(128, a.scale, a.wavefronts),
-    ),
-    "fig14b": lambda a: report.render_series(
-        "Fig 14b (512-entry buffer)",
-        figures.fig14_buffer_size(512, a.scale, a.wavefronts),
-    ),
-    "overhead": lambda a: report.render_series(
-        "Translation overhead (FCFS vs oracle MMU)",
-        figures.translation_overhead(a.scale, a.wavefronts),
-    ),
-    "table1": lambda a: report.render_table1(figures.table1_configuration()),
-    "table2": lambda a: report.render_table2(figures.table2_workloads()),
-}
-
-
 def _cmd_qos(args: argparse.Namespace) -> int:
     from repro.experiments.multitenancy import qos_comparison
 
@@ -822,15 +756,34 @@ def _cmd_qos(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.config import table1_rows
+    from repro.obs.figures import paper_figure, run_figure
+    from repro.stats.formatting import text_table
+    from repro.workloads.registry import table2_rows
+
+    config = _load_config(args)
+    if args.name == "table1":
+        print(text_table(
+            "Table I: The baseline system configuration.",
+            ["component", "configuration"], table1_rows(config),
+        ))
+        return 0
+    if args.name == "table2":
+        rows = table2_rows()
+        print(text_table(
+            "Table II: GPU benchmarks for our study.", list(rows[0]), rows
+        ))
+        return 0
     try:
-        renderer = _FIGURES[args.name]
-    except KeyError:
-        print(
-            f"unknown figure {args.name!r}; one of: {', '.join(sorted(_FIGURES))}",
-            file=sys.stderr,
-        )
+        definition = paper_figure(args.name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    print(renderer(args))
+    figure = run_figure(
+        definition.name, scale=args.scale, num_wavefronts=args.wavefronts,
+        seed=args.seed, config=config,
+    )
+    print(figure.text())
     return 0
 
 
@@ -1194,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
     blame.set_defaults(func=_cmd_blame)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure/table")
-    figure.add_argument("name", help="e.g. fig8, fig13a, table2")
+    figure.add_argument("name", help="e.g. fig8_speedup, fig13, table2")
     _add_run_args(figure)
     figure.set_defaults(func=_cmd_figure)
 

@@ -25,7 +25,7 @@ mid-simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.faults import FaultPlan
@@ -44,6 +44,14 @@ LINE_SIZE = 64
 
 #: Width of the instruction ID tag attached to walk requests (paper: 20 bits).
 INSTRUCTION_ID_BITS = 20
+
+#: Default workload footprint scale of one run (1.0 = the paper's sizes).
+DEFAULT_SCALE = 1.0
+
+#: Default number of wavefronts simulated per run: 2 waves of the
+#: baseline GPU's 32 resident slots, so slot back-fill is exercised and
+#: no single wavefront's tail dominates total cycles.
+DEFAULT_WAVEFRONTS = 64
 
 
 @dataclass
@@ -318,3 +326,42 @@ class SystemConfig:
 def baseline_config(scheduler: str = "fcfs") -> SystemConfig:
     """The paper's Table I baseline system with the given walk scheduler."""
     return SystemConfig().with_scheduler(scheduler)
+
+
+def table1_rows(config: Optional[SystemConfig] = None) -> List[Dict[str, str]]:
+    """Table I: ``config`` (default: the baseline) as labelled rows."""
+    config = config or baseline_config()
+    gpu, dram, iommu = config.gpu, config.dram, config.iommu
+    rows = {
+        "GPU": (
+            f"{gpu.clock_ghz:g}GHz, {gpu.num_cus} CUs, "
+            f"{gpu.simd_units_per_cu} SIMD per CU, "
+            f"{gpu.simd_width} SIMD width, {gpu.wavefront_size} threads per wavefront"
+        ),
+        "L1 Data Cache": (
+            f"{config.l1_cache.size_bytes // 1024}KB, "
+            f"{config.l1_cache.associativity}-way, {config.l1_cache.line_size}B block"
+        ),
+        "L2 Data Cache": (
+            f"{config.l2_cache.size_bytes // (1024 * 1024)}MB, "
+            f"{config.l2_cache.associativity}-way, {config.l2_cache.line_size}B block"
+        ),
+        "L1 TLB": f"{config.gpu_l1_tlb.entries} entries, Fully-associative",
+        "L2 TLB": (
+            f"{config.gpu_l2_tlb.entries} entries, "
+            f"{config.gpu_l2_tlb.associativity}-way set associative"
+        ),
+        "IOMMU": (
+            f"{iommu.buffer_entries} buffer entries, {iommu.num_walkers} page table "
+            f"walkers, {iommu.l1_tlb.entries}/{iommu.l2_tlb.entries} entries for "
+            f"IOMMU L1/L2 TLB, {iommu.scheduler.upper()} scheduling of page walks"
+        ),
+        "DRAM": (
+            f"DDR3-1600, {dram.channels} channel, {dram.banks_per_rank} banks per "
+            f"rank, {dram.ranks_per_channel} ranks per channel"
+        ),
+    }
+    return [
+        {"component": component, "configuration": value}
+        for component, value in rows.items()
+    ]

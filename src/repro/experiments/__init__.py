@@ -1,4 +1,8 @@
-"""Experiment harness: one entry point per paper figure and table."""
+"""Experiment harness: single runs, sweeps and multi-app co-runs.
+
+The paper's figures are defined in :mod:`repro.obs.figures` and run
+through :func:`repro.obs.figures.run_figure`.
+"""
 
 from repro.experiments.runner import (
     build_system,
@@ -10,16 +14,12 @@ from repro.experiments.multitenancy import (
     qos_comparison,
     run_multi_simulation,
 )
-from repro.experiments import figures
-from repro.experiments import report
 
 __all__ = [
     "MultiAppResult",
     "build_system",
     "compare_schedulers",
-    "figures",
     "qos_comparison",
-    "report",
     "run_multi_simulation",
     "run_simulation",
 ]

@@ -26,7 +26,12 @@ import traceback as traceback_module
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.config import SystemConfig, baseline_config
+from repro.config import (
+    DEFAULT_SCALE,
+    DEFAULT_WAVEFRONTS,
+    SystemConfig,
+    baseline_config,
+)
 from repro.core.schedulers import WalkScheduler, available_schedulers
 from repro.engine.checkpoint import (
     CheckpointError,
@@ -46,7 +51,6 @@ from repro.obs.metrics import (
     finalize_standard_metrics,
     install_standard_metrics,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import TraceConfig, Tracer, build_tracer
 from repro.resilience.faults import build_injector
 from repro.resilience.outcomes import (
@@ -72,11 +76,6 @@ from repro.stats.metrics import (
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
-#: Default number of wavefronts simulated per run: 2 waves of the
-#: baseline GPU's 32 resident slots, so slot back-fill is exercised and
-#: no single wavefront's tail dominates total cycles.
-DEFAULT_WAVEFRONTS = 64
-
 #: Safety valve: a run that exceeds this many cycles has almost certainly
 #: deadlocked (a model bug), so fail loudly instead of spinning.
 MAX_CYCLES = 2_000_000_000
@@ -101,15 +100,12 @@ class System:
     #: Lifecycle tracer when the system was built with a
     #: :class:`~repro.obs.trace.TraceConfig`; None otherwise.
     tracer: Optional[Tracer] = None
-    #: Wall-clock phase profiler when built with ``profile=True``.
-    profiler: Optional[PhaseProfiler] = None
 
 
 def build_system(
     config: Optional[SystemConfig] = None,
     scheduler: Optional[WalkScheduler] = None,
     trace: Optional[TraceConfig] = None,
-    profile: bool = False,
 ) -> System:
     """Construct and wire every hardware model from a configuration.
 
@@ -126,20 +122,15 @@ def build_system(
 
     ``trace`` wires a :class:`~repro.obs.trace.Tracer` through every
     model (same injector pattern: ``trace=None`` keeps every hook None
-    and the hot paths untouched).  ``profile=True`` attaches a
-    :class:`~repro.obs.profiler.PhaseProfiler` that apportions wall
-    time between the scheduler's select and the memory model.
+    and the hot paths untouched).
     """
     config = config or baseline_config()
     geometry = geometry_by_name(config.page_size)
     simulator = Simulator()
     injector = build_injector(config.faults)
     tracer = build_tracer(trace)
-    profiler = PhaseProfiler() if profile else None
     page_table = PageTable(FrameAllocator(), geometry=geometry)
-    memory = MemorySubsystem(
-        simulator, config, injector=injector, tracer=tracer, profiler=profiler
-    )
+    memory = MemorySubsystem(simulator, config, injector=injector, tracer=tracer)
     iommu = IOMMU(
         simulator,
         config.iommu,
@@ -149,7 +140,6 @@ def build_system(
         geometry=geometry,
         injector=injector,
         tracer=tracer,
-        profiler=profiler,
     )
     gpu = GPU(simulator, config, memory, iommu, tracer=tracer)
     gpu.page_table = page_table
@@ -161,7 +151,6 @@ def build_system(
         iommu=iommu,
         gpu=gpu,
         tracer=tracer,
-        profiler=profiler,
     )
     if injector is not None:
         injector.tracer = tracer
@@ -314,7 +303,7 @@ def run_simulation(
     config: Optional[SystemConfig] = None,
     scheduler: Optional[Union[str, WalkScheduler]] = None,
     num_wavefronts: int = DEFAULT_WAVEFRONTS,
-    scale: float = 1.0,
+    scale: float = DEFAULT_SCALE,
     seed: int = 0,
     max_cycles: int = MAX_CYCLES,
     watchdog_cycles: Optional[int] = None,
@@ -324,7 +313,6 @@ def run_simulation(
     trace_jsonl_path: Optional[str] = None,
     metrics: bool = False,
     metrics_interval_events: int = DEFAULT_SAMPLE_INTERVAL_EVENTS,
-    profile: bool = False,
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
 ) -> SimulationResult:
@@ -355,8 +343,6 @@ def run_simulation(
       (pending-walk depth, walker occupancy, scheduler counters, DRAM
       queue depth) every ``metrics_interval_events`` fired events;
       dumped into ``result.detail["metrics"]``.
-    * ``profile=True`` — wall-clock phase profiler; its report lands in
-      ``result.detail["profile"]``.
 
     In-run checkpointing: ``checkpoint_every=N`` dumps the complete
     simulation state to ``checkpoint_path`` every N fired events (and on
@@ -380,11 +366,6 @@ def run_simulation(
                 "in-run checkpointing needs a registry scheduler name "
                 "(a resume rebuilds the scheduler from the config)"
             )
-        if profile:
-            raise ValueError(
-                "in-run checkpointing and profile=True are mutually "
-                "exclusive (wall-clock phase totals cannot be resumed)"
-            )
     config = config or baseline_config()
     scheduler_instance: Optional[WalkScheduler] = None
     if isinstance(scheduler, WalkScheduler):
@@ -392,9 +373,7 @@ def run_simulation(
     elif scheduler is not None:
         config = config.with_scheduler(scheduler, seed=seed)
     bench = _resolve_workload(workload, scale=scale, seed=seed)
-    system = build_system(
-        config, scheduler=scheduler_instance, trace=trace, profile=profile
-    )
+    system = build_system(config, scheduler=scheduler_instance, trace=trace)
 
     watchdog: Optional[Watchdog] = None
     if watchdog_cycles is not None:
@@ -533,8 +512,6 @@ def _finish_run(
     if registry is not None:
         finalize_standard_metrics(system, registry)
         result.detail["metrics"] = registry.as_dict()
-    if system.profiler is not None:
-        result.detail["profile"] = system.profiler.report(wall_seconds)
     return result
 
 
@@ -1190,7 +1167,7 @@ def scheduler_sweep_specs(
     schedulers: Sequence[str],
     config: Optional[SystemConfig] = None,
     num_wavefronts: int = DEFAULT_WAVEFRONTS,
-    scale: float = 1.0,
+    scale: float = DEFAULT_SCALE,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """One :func:`run_simulation` spec per scheduler, identical otherwise."""
@@ -1212,7 +1189,7 @@ def compare_schedulers(
     schedulers: Sequence[str] = ("fcfs", "simt"),
     config: Optional[SystemConfig] = None,
     num_wavefronts: int = DEFAULT_WAVEFRONTS,
-    scale: float = 1.0,
+    scale: float = DEFAULT_SCALE,
     seed: int = 0,
     jobs: Optional[int] = None,
 ) -> Dict[str, SimulationResult]:

@@ -7,7 +7,6 @@ invoked with *physical* addresses, downstream of the MMU.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import LINE_SIZE, SystemConfig
@@ -37,16 +36,11 @@ class MemorySubsystem:
         config: SystemConfig,
         injector=None,
         tracer=None,
-        profiler=None,
     ) -> None:
         self._sim = simulator
         self._config = config
         #: Optional fault injector; supplies DRAM latency spikes.
         self._injector = injector
-        #: Optional :class:`~repro.obs.profiler.PhaseProfiler`; credits
-        #: time spent in the two entry points to the ``memory_model``
-        #: phase when attached.
-        self._profiler = profiler
         padding = injector.dram_padding if injector is not None else None
         self.l1_caches: List[SetAssociativeCache] = [
             SetAssociativeCache(config.l1_cache, name=f"l1d[{cu}]")
@@ -81,12 +75,10 @@ class MemorySubsystem:
         self.pt_pad_cycles = 0
         simulator.register("mem.ctrl_read", self._controller_read)
         simulator.register_batch("mem.ctrl_read", self._controller_read_batch)
-        if profiler is None:
-            # No profiler attached (the common case): bind the entry
-            # points straight to their implementations, skipping the
-            # timing wrapper on every hot-path call.
-            self.data_access = self._data_access  # type: ignore[method-assign]
-            self.page_table_read = self._page_table_read  # type: ignore[method-assign]
+        # Bind the entry points straight to their implementations, so
+        # hot-path calls skip the forwarding frame of the methods below.
+        self.data_access = self._data_access  # type: ignore[method-assign]
+        self.page_table_read = self._page_table_read  # type: ignore[method-assign]
 
     def _controller_read(self, physical_address: int, on_complete: Any) -> None:
         self.controller.read(physical_address, on_complete)
@@ -102,13 +94,6 @@ class MemorySubsystem:
         """Issue one coalesced data access; the ``on_complete`` target
         (an event tuple, or a callable for legacy callers) fires when
         the data returns."""
-        if self._profiler is not None:
-            start = perf_counter()
-            try:
-                self._data_access(cu_id, physical_address, on_complete)
-            finally:
-                self._profiler.add("memory_model", perf_counter() - start)
-            return
         self._data_access(cu_id, physical_address, on_complete)
 
     def _data_access(
@@ -152,11 +137,10 @@ class MemorySubsystem:
         cannot reorder the event stream: a DRAM round trip always
         finishes strictly after any same-call L1/L2 hit, so the two
         groups land in different cycle buckets regardless of sequence
-        numbers.  Queued-controller, fault-injection and profiled
-        configurations keep the exact scalar interleaving instead.
+        numbers.  Queued-controller and fault-injection configurations
+        keep the exact scalar interleaving instead.
         """
-        profiler = self._profiler
-        if profiler is not None or self._injector is not None:
+        if self._injector is not None:
             for physical_address in physical_addresses:
                 self.data_access(cu_id, physical_address, on_complete)
             return
@@ -206,13 +190,6 @@ class MemorySubsystem:
         Walkers chain these: the next level's read is issued only from
         the previous one's completion callback.
         """
-        if self._profiler is not None:
-            start = perf_counter()
-            try:
-                self._page_table_read(physical_address, on_complete)
-            finally:
-                self._profiler.add("memory_model", perf_counter() - start)
-            return
         self._page_table_read(physical_address, on_complete)
 
     def _page_table_read(

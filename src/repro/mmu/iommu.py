@@ -25,7 +25,6 @@ scheduler's lookahead is exactly the buffer capacity (Fig 14 sweeps it).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from time import perf_counter
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.config import IOMMUConfig
@@ -57,7 +56,6 @@ class IOMMU:
         geometry: PageGeometry = BASE_4K,
         injector=None,
         tracer=None,
-        profiler=None,
     ) -> None:
         self._sim = simulator
         self.config = config
@@ -69,9 +67,6 @@ class IOMMU:
         #: Optional :class:`~repro.obs.trace.Tracer`; None keeps every
         #: emitter off the hot path.
         self.tracer = tracer
-        #: Optional :class:`~repro.obs.profiler.PhaseProfiler`; times
-        #: scheduler-select calls when attached.
-        self.profiler = profiler
         self.l1_tlb = TLB(config.l1_tlb, name="iommu_l1_tlb")
         self.l2_tlb = TLB(config.l2_tlb, name="iommu_l2_tlb")
         self.pwc = PageWalkCache(config.pwc, geometry=geometry)
@@ -464,11 +459,7 @@ class IOMMU:
                 self._scan_in_progress = True
                 self._sim.post(scan_latency, "iommu.finish_scan")
                 return
-            entry = (
-                self.scheduler.select(self.buffer)
-                if self.profiler is None
-                else self._timed_select()
-            )
+            entry = self.scheduler.select(self.buffer)
             if entry is None:
                 return
             self.buffer.remove(entry)
@@ -476,26 +467,13 @@ class IOMMU:
             self._dispatch(walker, entry)
             self._drain_overflow()
 
-    def _timed_select(self):
-        """One scheduler selection with its wall time credited to the
-        ``scheduler_select`` profiling phase."""
-        start = perf_counter()
-        try:
-            return self.scheduler.select(self.buffer)
-        finally:
-            self.profiler.add("scheduler_select", perf_counter() - start)
-
     def _finish_scan(self) -> None:
         """Complete one delayed scheduler scan and dispatch its pick."""
         self._scan_in_progress = False
         walker = self._idle_walker()
         if walker is None or self.buffer.is_empty:
             return
-        entry = (
-            self.scheduler.select(self.buffer)
-            if self.profiler is None
-            else self._timed_select()
-        )
+        entry = self.scheduler.select(self.buffer)
         if entry is None:
             return
         self.buffer.remove(entry)

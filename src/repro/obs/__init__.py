@@ -7,8 +7,6 @@ Six cooperating layers, all zero-overhead when disabled:
 * :mod:`repro.obs.metrics` — a live registry of counters/gauges/
   histograms sampled on the simulator monitor hook (mergeable across
   runs for sweep aggregation);
-* :mod:`repro.obs.profiler` — wall-clock phase profiling of the
-  simulator's own hot paths;
 * :mod:`repro.obs.fleet` — live progress telemetry for multi-run
   sweeps (JSONL fleet log, stderr progress, worker heartbeats);
 * :mod:`repro.obs.aggregate` — deterministic cross-run aggregation
@@ -51,7 +49,6 @@ from repro.obs.metrics import (
     finalize_standard_metrics,
     install_standard_metrics,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.regress import (
     DEFAULT_METRICS,
     MetricSpec,
@@ -79,7 +76,6 @@ __all__ = [
     "Gauge",
     "MetricSpec",
     "MetricsRegistry",
-    "PhaseProfiler",
     "STAGES",
     "TRACE_CATEGORIES",
     "TraceConfig",

@@ -29,6 +29,7 @@ import json
 import statistics
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.config import DEFAULT_SCALE, DEFAULT_WAVEFRONTS
 from repro.obs.metrics import MetricsRegistry
 from repro.stats.formatting import format_count, format_number, format_ratio
 from repro.stats.metrics import geometric_mean
@@ -122,17 +123,18 @@ def fleet_report(
         ] = result.total_cycles
         # One tidy row per run.  Beyond the original identity/cycle
         # columns, every quantity a registered figure draws on rides
-        # along (stalls, walk work, latency shape, and the sweep-axis
-        # columns scale/wavefronts), so the figure pipeline can rebuild
-        # the paper's charts from the report alone.
+        # along (stalls, walk work, latency shape, TLB epochs, and the
+        # sweep-axis columns scale/wavefronts — at run_simulation's
+        # defaults when the spec leaves them out), so the figure
+        # pipeline can rebuild the paper's charts from the report alone.
         rows.append(
             {
                 "workload": result.workload,
                 "scheduler": result.scheduler,
                 "seed": seed,
                 "attempts": outcome.attempts,
-                "scale": float(spec.get("scale", 0.0)),
-                "wavefronts": int(spec.get("num_wavefronts", 0)),
+                "scale": float(spec.get("scale", DEFAULT_SCALE)),
+                "wavefronts": int(spec.get("num_wavefronts", DEFAULT_WAVEFRONTS)),
                 "total_cycles": result.total_cycles,
                 "stall_cycles": result.stall_cycles,
                 "walks_dispatched": result.walks_dispatched,
@@ -141,6 +143,10 @@ def fleet_report(
                 "first_walk_latency": round(result.first_walk_latency, 6),
                 "last_walk_latency": round(result.last_walk_latency, 6),
                 "latency_gap": round(result.latency_gap, 6),
+                "wavefronts_per_epoch": round(result.wavefronts_per_epoch, 6),
+                "walk_work_fractions": [
+                    round(fraction, 6) for fraction in result.walk_work_fractions
+                ],
             }
         )
 

@@ -23,7 +23,7 @@ makes the rendered bytes a function of the data alone.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 #: Placeholder for absent values in rendered tables.
 MISSING = "—"
@@ -76,3 +76,40 @@ def format_count(value: Optional[float]) -> str:
     if isinstance(value, float):
         value = int(round(value))
     return format_number(value, thousands=True)
+
+
+def text_table(
+    title: str, columns: Sequence[str], rows: Sequence[Mapping[str, Any]]
+) -> str:
+    """An aligned plain-text table: title, underline, header, one line
+    per row.  Text aligns left; numbers align right, floats at 3 fixed
+    decimals so their points line up."""
+
+    def cell(value: Any) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, float) and math.isfinite(value):
+            return f"{value:.3f}"
+        return format_number(value)
+
+    cells = [[cell(row.get(column)) for column in columns] for row in rows]
+    right = [
+        not any(isinstance(row.get(column), str) for row in rows)
+        for column in columns
+    ]
+    widths = [
+        max([len(column)] + [len(line[index]) for line in cells])
+        for index, column in enumerate(columns)
+    ]
+
+    def line(values: Sequence[str]) -> str:
+        return "  ".join(
+            value.rjust(width) if numeric else value.ljust(width)
+            for value, width, numeric in zip(values, widths, right)
+        ).rstrip()
+
+    lines = [title, "=" * len(title), line(columns)]
+    lines.extend(line(values) for values in cells)
+    if not rows:
+        lines.append("(no data)")
+    return "\n".join(lines)

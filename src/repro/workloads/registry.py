@@ -7,7 +7,7 @@ KMN HOT).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type
+from typing import Dict, List, Tuple, Type, Union
 
 from repro.workloads.base import Workload
 from repro.workloads.pannotia import MIS, SSSP, Color
@@ -58,3 +58,18 @@ def get_workload(abbrev: str, scale: float = 1.0, seed: int = 0) -> Workload:
 def all_workloads(scale: float = 1.0, seed: int = 0) -> List[Workload]:
     """Instantiate every benchmark, in paper order."""
     return [get_workload(name, scale=scale, seed=seed) for name in workload_names()]
+
+
+def table2_rows(scale: float = 1.0) -> List[Dict[str, Union[str, bool, float]]]:
+    """Table II: every benchmark with paper-reported and modelled footprints."""
+    return [
+        {
+            "abbrev": workload.abbrev,
+            "suite": workload.suite,
+            "irregular": workload.irregular,
+            "paper_footprint_mb": workload.nominal_footprint_mb,
+            "modelled_footprint_mb": round(workload.modelled_footprint_mb, 2),
+            "description": workload.description,
+        }
+        for workload in all_workloads(scale=scale)
+    ]

@@ -16,6 +16,9 @@ from repro.config import (
     TLBConfig,
 )
 
+#: Run size for paper-figure sweeps in tests: tiny traces, few wavefronts.
+TINY_RUN = dict(scale=0.05, num_wavefronts=4)
+
 
 def tiny_config(scheduler: str = "fcfs") -> SystemConfig:
     """A scaled-down machine that keeps integration tests fast.
@@ -48,3 +51,28 @@ def config():
 @pytest.fixture
 def simt_config():
     return tiny_config("simt")
+
+
+def figure_from_sweep(name, workloads, **run):
+    """Build paper figure ``name`` from its own sweep, cut down to
+    ``workloads`` (run size ``run``, default :data:`TINY_RUN`)."""
+    from repro.experiments.runner import run_many_resilient
+    from repro.obs.aggregate import fleet_report
+    from repro.obs.figures import FIGURES, CampaignData
+
+    run = dict(TINY_RUN, **run)
+    definition = FIGURES[name]
+    reports = []
+    for campaign in definition.sweep:
+        specs = [
+            spec
+            for spec in campaign.specs(run["scale"], run["num_wavefronts"], 0, None)
+            if spec["workload"] in workloads
+        ]
+        outcomes = run_many_resilient(specs)
+        reports.append(
+            (campaign.label, fleet_report(specs, outcomes, definition.baseline))
+        )
+    return definition.build(
+        CampaignData.from_reports(reports, baseline=definition.baseline)
+    )

@@ -266,13 +266,3 @@ def test_checkpoint_rejects_scheduler_instances():
             checkpoint_every=100,
             checkpoint_path="unused.ckpt",
         )
-
-
-def test_checkpoint_rejects_profiling():
-    with pytest.raises(ValueError, match="profile"):
-        _run(
-            "fcfs",
-            profile=True,
-            checkpoint_every=100,
-            checkpoint_path="unused.ckpt",
-        )

@@ -76,6 +76,40 @@ def test_figure_small_run(capsys):
     assert "Fig 5" in capsys.readouterr().out
 
 
+def test_figure_honours_run_flags(tmp_path, capsys):
+    import json
+
+    from repro.config import SystemConfig
+    from repro.config_io import load_config
+    from repro.obs.figures import run_figure
+
+    tiny = ["--scale", "0.05", "--wavefronts", "4"]
+    run = dict(scale=0.05, num_wavefronts=4)
+    outputs = {}
+    for flags, expected in (
+        ([], run_figure("fig6_first_last_latency", **run)),
+        (["--seed", "1"], run_figure("fig6_first_last_latency", seed=1, **run)),
+        (["--dram-controller", "frfcfs"], run_figure(
+            "fig6_first_last_latency",
+            config=SystemConfig().with_dram_controller("frfcfs"), **run,
+        )),
+    ):
+        assert main(["figure", "fig6", *tiny, *flags]) == 0
+        out = capsys.readouterr().out
+        assert out == expected.text() + "\n"
+        outputs[tuple(flags)] = out
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps({"iommu": {"num_walkers": 2}}))
+    assert main(["figure", "fig6", *tiny, "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == run_figure(
+        "fig6_first_last_latency", config=load_config(str(path)), **run
+    ).text() + "\n"
+    outputs["config"] = out
+    # Every flag changes what is simulated, so every output differs.
+    assert len(set(outputs.values())) == len(outputs)
+
+
 def test_run_with_config_file(tmp_path, capsys):
     import json
 

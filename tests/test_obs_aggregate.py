@@ -197,6 +197,19 @@ def test_fleet_report_shape_and_speedups():
     assert "sweep_seconds" in report["wall"]
 
 
+def test_fleet_report_rows_use_run_simulation_defaults():
+    # A spec that leaves scale and num_wavefronts out runs at
+    # run_simulation's defaults, and its row must say so.
+    from repro.config import DEFAULT_SCALE, DEFAULT_WAVEFRONTS
+
+    specs = [{"workload": "KMN", "config": tiny_config(), "scheduler": "fcfs"}]
+    outcomes = run_many_resilient(specs)
+    (row,) = fleet_report(specs, outcomes)["runs"]
+    assert row["scale"] == DEFAULT_SCALE == 1.0
+    assert row["wavefronts"] == DEFAULT_WAVEFRONTS == 64
+    assert outcomes[0].result.wavefronts == DEFAULT_WAVEFRONTS
+
+
 def test_fleet_report_identical_across_worker_orderings():
     specs = _tiny_sweep()
     serial = fleet_report(specs, run_many_resilient(specs, jobs=1))

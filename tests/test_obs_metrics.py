@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     finalize_standard_metrics,
     install_standard_metrics,
 )
-from repro.obs.profiler import PhaseProfiler
 
 from tests.conftest import tiny_config
 
@@ -161,42 +160,3 @@ class TestStandardMetrics:
         assert system.gpu.finished
         finalize_standard_metrics(system, registry)
         assert registry.counter("iommu.requests").value == system.iommu.requests
-
-
-class TestProfiler:
-    def test_report_shape(self):
-        profiler = PhaseProfiler()
-        profiler.add("scheduler_select", 0.25)
-        profiler.add("scheduler_select", 0.25)
-        profiler.add("memory_model", 0.5)
-        report = profiler.report(2.0)
-        assert report["total_wall_seconds"] == 2.0
-        phases = report["phases"]
-        assert phases["scheduler_select"]["calls"] == 2
-        assert phases["scheduler_select"]["seconds"] == pytest.approx(0.5)
-        assert phases["scheduler_select"]["fraction"] == pytest.approx(0.25)
-        assert phases["event_loop_other"]["seconds"] == pytest.approx(1.0)
-
-    def test_derived_phase_never_negative(self):
-        profiler = PhaseProfiler()
-        profiler.add("memory_model", 5.0)
-        report = profiler.report(1.0)
-        assert report["phases"]["event_loop_other"]["seconds"] == 0
-
-    def test_profiled_run_populates_detail(self):
-        result = run_simulation(
-            "MVT", config=tiny_config(), profile=True, **RUN_KWARGS
-        )
-        phases = result.detail["profile"]["phases"]
-        assert "scheduler_select" in phases
-        assert "memory_model" in phases
-        assert "event_loop_other" in phases
-        assert phases["memory_model"]["calls"] > 0
-
-    def test_profiled_run_same_metrics(self):
-        plain = run_simulation("MVT", config=tiny_config(), **RUN_KWARGS)
-        profiled = run_simulation(
-            "MVT", config=tiny_config(), profile=True, **RUN_KWARGS
-        )
-        assert profiled.total_cycles == plain.total_cycles
-        assert profiled.walks_dispatched == plain.walks_dispatched

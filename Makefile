@@ -1,6 +1,6 @@
 # Developer conveniences for the repro package.
 
-.PHONY: install test bench perf event-core figures figures-bench \
+.PHONY: install test bench perf figures figures-bench \
 	paper-figures quicktest faults trace overhead fleet fleet-bench \
 	bench-check checkpoint service chaos blame attrib-bench zoo clean
 
@@ -18,9 +18,6 @@ bench:
 
 perf:
 	python benchmarks/perf/hotpath.py
-
-event-core:
-	python benchmarks/perf/event_core.py
 
 faults:
 	python -m repro faults --seed 2018 --runs 8 --jobs 2 --timeout 300

@@ -24,11 +24,10 @@ a pending ``"__call__"`` closure event makes the state unpicklable, and
 :func:`save_checkpoint` reports it as such.
 
 The event queue's snapshot is canonical regardless of its internal
-layout: the calendar queue emits its pending events as one
-``(time, seq)``-sorted list under the legacy ``"heap"`` key (plus a
-``"floor"`` marking the last drained cycle), and ``restore`` sorts on
-load — so checkpoints written before the calendar queue restore
-unchanged and the format version stays at 1.
+layout: pending events are one ``(time, seq)``-sorted list under the
+``"heap"`` key (plus a ``"floor"``, the clock at snapshot time), and
+``restore`` sorts on load — so checkpoints written by any engine
+version restore unchanged and the format version stays at 1.
 """
 
 from __future__ import annotations

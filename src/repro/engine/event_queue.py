@@ -1,4 +1,4 @@
-"""A deterministic calendar queue of tagged simulation events.
+"""A deterministic binary heap of tagged simulation events.
 
 Events are plain data: ``(time, sequence, kind, payload)``.  ``kind`` is
 a string naming a handler registered on the simulator and ``payload`` is
@@ -7,29 +7,20 @@ closures) is what makes the queue serialisable: :meth:`snapshot`
 captures the pending events and insertion sequence, and :meth:`restore`
 rebuilds them so a resumed run pops the identical event order.
 
-Structure: a *calendar* of buckets keyed on the absolute integer cycle
-(``dict`` of ``time -> [(sequence, kind, payload), ...]``) plus a small
-binary heap holding each distinct pending timestamp once.  Same-cycle
-events — the common case in a cycle-quantised simulation — append to an
-existing bucket in O(1) with no heap sift; the heap only orders the
-far-future tail of distinct timestamps.  The run loop drains whole
-buckets at a time (:meth:`pop_bucket`), which is what enables the
-simulator's kind-batched dispatch.
-
 Ties at the same timestamp break by insertion order (the monotonically
-increasing sequence number): buckets are appended in sequence order, so
-bucket order *is* (time, sequence) order.  Event ordering — and
+increasing sequence number).  ``(time, sequence)`` is unique, so the
+heap never compares kinds or payloads, and event ordering — and
 therefore every simulation statistic — is reproducible.
 
-The queue also tracks the *floor* — the timestamp of the bucket most
-recently drained.  Pushing below the floor would corrupt pop order
-(that bucket is already gone), so :meth:`push` rejects it; this also
-subsumes the old non-negative-time check.
+The queue also tracks the *floor* — the timestamp of the event most
+recently popped.  Pushing below the floor would schedule into the past,
+so :meth:`push` rejects it; this also subsumes a non-negative-time
+check.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Tuple
 
 #: One scheduled event: ``(time, sequence, kind, payload)``.
@@ -37,32 +28,28 @@ Event = Tuple[int, int, str, tuple]
 
 
 class EventQueue:
-    """Calendar/bucket queue of :data:`Event`s ordered by (time, sequence)."""
+    """Binary min-heap of :data:`Event`s ordered by (time, sequence)."""
 
-    __slots__ = ("_buckets", "_times", "_sequence", "_size", "_floor")
+    __slots__ = ("_heap", "_sequence", "_floor")
 
     def __init__(self) -> None:
-        #: time -> [(sequence, kind, payload), ...] in sequence order.
-        self._buckets: Dict[int, List[Tuple[int, str, tuple]]] = {}
-        #: Min-heap of the distinct pending timestamps (each exactly once).
-        self._times: List[int] = []
+        self._heap: List[Event] = []
         self._sequence = 0
-        self._size = 0
-        #: Timestamp of the most recently drained bucket; pushes below
+        #: Timestamp of the most recently popped event; pushes below
         #: this would schedule into the past.
         self._floor = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)
 
     def push(self, time: int, kind: str, payload: tuple = ()) -> None:
         """Schedule ``kind`` with ``payload`` at absolute cycle ``time``.
 
         ``time`` must be an integer cycle count no earlier than the last
-        drained timestamp; fractional or past timestamps would break the
+        popped timestamp; fractional or past timestamps would break the
         determinism guarantees of the engine.
         """
         if time < self._floor:
@@ -70,65 +57,33 @@ class EventQueue:
                 f"cannot schedule event at {time}: events up to "
                 f"{self._floor} have already fired"
             )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(self._sequence, kind, payload)]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append((self._sequence, kind, payload))
+        heappush(self._heap, (time, self._sequence, kind, payload))
         self._sequence += 1
-        self._size += 1
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        time = self._times[0]
-        bucket = self._buckets[time]
-        sequence, kind, payload = bucket.pop(0)
-        if not bucket:
-            del self._buckets[time]
-            heapq.heappop(self._times)
-        self._size -= 1
-        self._floor = time
-        return (time, sequence, kind, payload)
+        event = heappop(self._heap)
+        self._floor = event[0]
+        return event
 
     def pop_bucket(self) -> Tuple[int, List[Tuple[int, str, tuple]]]:
-        """Remove and return ``(time, events)`` for the earliest cycle.
-
-        The returned list holds every event pending at that cycle, in
-        (time, sequence) pop order.  Events pushed at the same cycle
-        *while the caller processes the batch* open a fresh bucket and
-        are drained by a subsequent call — exactly the order a scalar
-        pop loop would produce.
-        """
-        time = heapq.heappop(self._times)
-        bucket = self._buckets.pop(time)
-        self._size -= len(bucket)
+        """Remove and return ``(time, [(sequence, kind, payload), ...])``
+        for every event pending at the earliest cycle, in pop order."""
+        heap = self._heap
+        time = heap[0][0]
+        events = []
+        while heap and heap[0][0] == time:
+            _, sequence, kind, payload = heappop(heap)
+            events.append((sequence, kind, payload))
         self._floor = time
-        return time, bucket
-
-    def requeue(self, time: int, events: List[Tuple[int, str, tuple]]) -> None:
-        """Return the unprocessed tail of a drained bucket to the queue.
-
-        Used by the run loop when an event budget expires mid-bucket.
-        ``events`` carry older sequence numbers than anything pushed at
-        ``time`` since the drain, so they go back *in front*.
-        """
-        if not events:
-            return
-        existing = self._buckets.get(time)
-        if existing is None:
-            self._buckets[time] = list(events)
-            heapq.heappush(self._times, time)
-        else:
-            self._buckets[time] = list(events) + existing
-        self._size += len(events)
+        return time, events
 
     def peek_time(self) -> int:
         """Timestamp of the earliest pending event.
 
         Raises :class:`IndexError` when the queue is empty.
         """
-        return self._times[0]
+        return self._heap[0][0]
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -138,15 +93,11 @@ class EventQueue:
         """The queue as plain data: (time, sequence)-sorted events + seq.
 
         The event list is emitted in canonical sorted order under the
-        historical ``"heap"`` key — a sorted list is a valid heap, so
-        snapshots stay interchangeable across engine versions.
+        ``"heap"`` key — a sorted list is a valid heap, so snapshots stay
+        interchangeable across engine versions.
         """
-        events: List[Event] = []
-        for time in sorted(self._buckets):
-            for sequence, kind, payload in self._buckets[time]:
-                events.append((time, sequence, kind, payload))
         return {
-            "heap": events,
+            "heap": sorted(self._heap),
             "sequence": self._sequence,
             "floor": self._floor,
         }
@@ -154,19 +105,8 @@ class EventQueue:
     def restore(self, state: Dict[str, Any]) -> None:
         """Adopt a :meth:`snapshot`'s events and sequence wholesale.
 
-        Accepts both canonical (sorted) and legacy heap-ordered event
-        lists: events are re-sorted into buckets either way.
+        Accepts sorted and heap-ordered event lists alike.
         """
-        self._buckets = {}
-        self._times = []
-        for time, sequence, kind, payload in sorted(state["heap"]):
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [(sequence, kind, payload)]
-                self._times.append(time)
-            else:
-                bucket.append((sequence, kind, payload))
-        heapq.heapify(self._times)
+        self._heap = sorted(state["heap"])
         self._sequence = state["sequence"]
-        self._size = len(state["heap"])
         self._floor = state.get("floor", 0)

@@ -3,25 +3,15 @@
 Every hardware model in this package (TLBs, walkers, DRAM banks, compute
 units) advances by posting *tagged events* — ``(kind, payload)`` pairs —
 on a shared :class:`Simulator`.  Components :meth:`register` a handler
-per kind once at construction; the event loop then dispatches
-``handlers[kind](*payload)``.  Because events are plain data, the whole
+per kind once at construction; the event loop then pops the earliest
+``(time, sequence, kind, payload)`` and calls ``handlers[kind](*payload)``,
+one event at a time.  Because events are plain data, the whole
 pending-event set can be checkpointed mid-run and restored later
 (:meth:`snapshot` / :meth:`restore`) with bit-identical replay.
 
-The event loop is *batched*: it drains one calendar bucket (all events
-pending at the current cycle) at a time and dispatches maximal runs of
-consecutive same-kind events in a single call.  Kinds that registered a
-batch handler (:meth:`register_batch`) receive the whole run as
-``handle_batch([payload, ...])``; kinds without one fall back to the
-scalar handler, called once per event.  Because a run is a *consecutive*
-slice of the (time, sequence) order and batch handlers must process
-payloads in list order, batched dispatch is observably identical to the
-scalar loop — same handler invocation order, same results.
-
-Monitor cadence survives batching: a dispatch run is capped at the
-smallest monitor countdown (and the remaining ``max_events`` budget), so
-monitors fire at exactly the same processed-event counts as a scalar
-loop — which keeps checkpoint/watchdog/metrics cadence bit-identical.
+Monitors (watchdog, metrics sampler, periodic checkpoints) count fired
+events and run at event boundaries, after the handler that exhausted
+their countdown.
 
 For convenience (and the unit tests' sake) plain callables still work:
 :meth:`at` / :meth:`after` wrap a callable in the builtin ``"__call__"``
@@ -32,7 +22,7 @@ checkpointable model must schedule only registered kinds.
 from __future__ import annotations
 
 import gc
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.event_queue import EventQueue
@@ -55,8 +45,6 @@ class Simulator:
         self._handlers: Dict[str, Callable[..., Any]] = {
             CALLABLE_KIND: self._run_callable,
         }
-        #: Batch dispatch table: kind -> handler(list_of_payloads).
-        self._batch_handlers: Dict[str, Callable[[list], Any]] = {}
 
     @staticmethod
     def _run_callable(fn: Callable[[], Any]) -> None:
@@ -91,16 +79,13 @@ class Simulator:
     def register_batch(
         self, kind: str, handler: Callable[[list], Any]
     ) -> None:
-        """Bind a *batch* handler to ``kind``.
+        """Bind a handler that takes a *list* of payloads to ``kind``.
 
-        ``handler`` receives the payload tuples of a maximal run of
-        consecutive same-cycle ``kind`` events, in (time, sequence)
-        order, and must process them in that order — the contract that
-        keeps batched dispatch equivalent to the scalar loop.  A kind
-        with only a scalar handler simply never batches; a batch
-        handler without the scalar registration is an error, because
-        :meth:`step`, run-length-1 dispatch and :meth:`dispatch` all go
-        through the scalar table.
+        The loop fires one event at a time, so ``handler`` receives each
+        payload as a one-element list, in (time, sequence) order.  The
+        binding replaces the scalar one, which must exist first.  No
+        model component uses this form; it stays for callers written
+        against it (perfbench wraps it).
         """
         if not kind:
             raise ValueError("event kind must be a non-empty string")
@@ -109,17 +94,16 @@ class Simulator:
                 f"register a scalar handler for {kind!r} before its "
                 f"batch handler"
             )
-        self._batch_handlers[kind] = handler
+        self._handlers[kind] = lambda *payload: handler([payload])
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
-    # The four scheduling entry points inline the calendar-bucket insert
+    # The four scheduling entry points inline the heap push
     # (EventQueue.push) — they run once per event, and the extra call
-    # frames are measurable on the hot path.  The queue's past-time
-    # floor check is subsumed here: the clock can never sit below the
-    # floor, so ``time >= self._now`` implies ``time >= floor``.
+    # frame is measurable on the hot path.  The clock stands in for the
+    # queue's floor check: nothing may be scheduled before ``now``.
 
     def post_at(self, time: int, kind: str, *payload: Any) -> None:
         """Schedule event ``kind`` at absolute cycle ``time``.
@@ -132,29 +116,18 @@ class Simulator:
                 f"cannot schedule event at {time}, current time is {self._now}"
             )
         queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
-        else:
-            bucket.append((queue._sequence, kind, payload))
+        heappush(queue._heap, (time, queue._sequence, kind, payload))
         queue._sequence += 1
-        queue._size += 1
 
     def post(self, delay: int, kind: str, *payload: Any) -> None:
         """Schedule event ``kind`` ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        time = self._now + delay
         queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
-        else:
-            bucket.append((queue._sequence, kind, payload))
+        heappush(
+            queue._heap, (self._now + delay, queue._sequence, kind, payload)
+        )
         queue._sequence += 1
-        queue._size += 1
 
     def at(self, time: int, callback: Any) -> None:
         """Schedule a completion target at absolute cycle ``time``.
@@ -163,46 +136,30 @@ class Simulator:
         ``"__call__"`` kind — convenient, but *not* checkpointable) or a
         ``(kind, *payload)`` event tuple, which is.
         """
-        if callable(callback):
-            kind = CALLABLE_KIND
-            payload: tuple = (callback,)
-        else:
-            kind = callback[0]
-            payload = callback[1:]
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event at {time}, current time is {self._now}"
             )
         queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
+        if callable(callback):
+            event = (time, queue._sequence, CALLABLE_KIND, (callback,))
         else:
-            bucket.append((queue._sequence, kind, payload))
+            event = (time, queue._sequence, callback[0], callback[1:])
+        heappush(queue._heap, event)
         queue._sequence += 1
-        queue._size += 1
 
     def after(self, delay: int, callback: Any) -> None:
         """Schedule a completion target ``delay`` cycles from now."""
-        if callable(callback):
-            kind = CALLABLE_KIND
-            payload: tuple = (callback,)
-        else:
-            kind = callback[0]
-            payload = callback[1:]
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        time = self._now + delay
         queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
+        time = self._now + delay
+        if callable(callback):
+            event = (time, queue._sequence, CALLABLE_KIND, (callback,))
         else:
-            bucket.append((queue._sequence, kind, payload))
+            event = (time, queue._sequence, callback[0], callback[1:])
+        heappush(queue._heap, event)
         queue._sequence += 1
-        queue._size += 1
 
     def dispatch(self, target: Any) -> None:
         """Invoke a completion target immediately (same cycle).
@@ -276,10 +233,15 @@ class Simulator:
         final simulation time.  When the queue empties before ``until``
         the clock stays at the last fired event (callers discover
         premature drains by inspecting their own completion state).
+        ``until`` before the current time is an error: the clock never
+        moves backwards.
         """
-        queue = self._queue
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run until {until}, current time is {self._now}"
+            )
+        heap = self._queue._heap
         handlers = self._handlers
-        batch_handlers = self._batch_handlers
         monitors = self._monitors
         limit = float("inf") if max_events is None else max_events
         fired = 0
@@ -292,106 +254,41 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            self._run_loop(queue, handlers, batch_handlers, monitors, until, limit)
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    self._now = until
+                    break
+                if fired >= limit:
+                    break
+                # An event whose handler raises is consumed but not
+                # counted; the events after it stay queued.
+                time, _, kind, payload = heappop(heap)
+                self._now = time
+                handlers[kind](*payload)
+                fired += 1
+                self._events_processed += 1
+                if monitors:
+                    due = False
+                    for slot in monitors:
+                        slot[2] -= 1
+                        if slot[2] <= 0:
+                            due = True
+                    if due:
+                        for slot in monitors:
+                            if slot[2] <= 0:
+                                slot[2] = slot[1]
+                                slot[0]()
         finally:
             if gc_was_enabled:
                 gc.enable()
         return self._now
 
-    def _run_loop(self, queue, handlers, batch_handlers, monitors, until, limit):
-        fired = 0
-        while queue._times:
-            if until is not None and queue._times[0] > until:
-                self._now = until
-                break
-            if fired >= limit:
-                break
-            time, bucket = queue.pop_bucket()
-            self._now = time
-            i = 0
-            n = len(bucket)
-            try:
-                while i < n:
-                    event = bucket[i]
-                    kind = event[1]
-                    j = i + 1
-                    while j < n and bucket[j][1] == kind:
-                        j += 1
-                    take = j - i
-                    # Cap the dispatch run at the max-events budget and
-                    # at the nearest monitor due point, so monitors fire
-                    # at exactly the scalar loop's event counts.
-                    if fired + take > limit:
-                        take = limit - fired
-                        j = i + take
-                    if monitors:
-                        due = min(slot[2] for slot in monitors)
-                        if due < 1:
-                            due = 1
-                        if take > due:
-                            take = due
-                            j = i + take
-                    if take == 1:
-                        # An event whose handler raises is consumed (the
-                        # index advances first), matching the scalar pop
-                        # loop; siblings after it stay queued.
-                        i = j
-                        handlers[kind](*event[2])
-                        fired += 1
-                        self._events_processed += 1
-                    else:
-                        batch = batch_handlers.get(kind)
-                        if batch is None:
-                            handler = handlers[kind]
-                            while i < j:
-                                event = bucket[i]
-                                i += 1
-                                handler(*event[2])
-                                fired += 1
-                                self._events_processed += 1
-                        else:
-                            payloads = [event[2] for event in bucket[i:j]]
-                            i = j
-                            batch(payloads)
-                            fired += take
-                            self._events_processed += take
-                    if monitors:
-                        due = False
-                        for slot in monitors:
-                            slot[2] -= take
-                            if slot[2] <= 0:
-                                due = True
-                        if due:
-                            if i < n:
-                                # Monitors may checkpoint (or inspect)
-                                # the queue, so the unprocessed tail of
-                                # this bucket must be back in it before
-                                # any monitor runs; the outer loop then
-                                # re-pops the same cycle.
-                                queue.requeue(time, bucket[i:])
-                                n = i
-                            for slot in monitors:
-                                if slot[2] <= 0:
-                                    slot[2] = slot[1]
-                                    slot[0]()
-                    if fired >= limit:
-                        break
-            finally:
-                if i < n:
-                    # Aborted mid-bucket (budget exhausted, or a handler
-                    # or monitor raised): the unprocessed tail goes back
-                    # so the queue stays consistent.
-                    queue.requeue(time, bucket[i:])
-        return self._now
-
     def step(self) -> bool:
-        """Fire a single event.  Returns False when the queue is empty."""
+        """Fire a single event through :meth:`run`, monitors included.
+        Returns False when the queue is empty."""
         if not self._queue:
             return False
-        time, _, kind, payload = self._queue.pop()
-        self._now = time
-        self._handlers[kind](*payload)
-        self._events_processed += 1
+        self.run(max_events=1)
         return True
 
     # ------------------------------------------------------------------
@@ -406,10 +303,13 @@ class Simulator:
         countdowns are stored positionally, so a resume must re-install
         its monitors in the same order before calling :meth:`restore`.
         """
+        queue = self._queue.snapshot()
+        # The run loop pops the heap directly, so the clock is the floor.
+        queue["floor"] = self._now
         return {
             "now": self._now,
             "events_processed": self._events_processed,
-            "queue": self._queue.snapshot(),
+            "queue": queue,
             "monitors": [(slot[1], slot[2]) for slot in self._monitors],
         }
 

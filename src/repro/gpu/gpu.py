@@ -100,15 +100,6 @@ class GPU:
         simulator.register("wf.install", self._wf_install)
         simulator.register("wf.line", self._wf_line)
         simulator.register("iommu.xlate", self._iommu_translate)
-        # Batch handlers for the hottest wavefront kinds: one engine call
-        # per same-cycle run, payloads processed strictly in order.
-        simulator.register_batch("wf.issue", self._wf_issue_batch)
-        simulator.register_batch("wf.xlate", self._wf_translate_batch)
-        simulator.register_batch("wf.l2", self._wf_l2_lookup_batch)
-        simulator.register_batch("wf.data", self._wf_data_batch)
-        simulator.register_batch("wf.install", self._wf_install_batch)
-        simulator.register_batch("wf.line", self._wf_line_batch)
-        simulator.register_batch("iommu.xlate", self._iommu_translate_batch)
         # Translations without a per-request callback come back here.
         iommu.reply_to = self._translation_done
 
@@ -151,52 +142,6 @@ class GPU:
 
     def _iommu_translate(self, request: TranslationRequest) -> None:
         self.iommu.translate(request)
-
-    # Batch twins of the routing trampolines above.  Each processes its
-    # payload list in order, hoisting the registry lookup out of the
-    # engine loop; ``wf.line`` — the single hottest kind — additionally
-    # inlines ``Wavefront._line_complete``'s fast path (decrement, still
-    # outstanding, done).
-
-    def _wf_issue_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for (wavefront_id,) in payloads:
-            wavefronts[wavefront_id]._issue_now()
-
-    def _wf_translate_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for wavefront_id, vpn, lines, inflight in payloads:
-            wavefronts[wavefront_id]._translate_page(vpn, lines, inflight)
-
-    def _wf_l2_lookup_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for wavefront_id, vpn, lines, inflight in payloads:
-            wavefronts[wavefront_id]._l2_tlb_lookup(vpn, lines, inflight)
-
-    def _wf_data_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for wavefront_id, pfn, lines, inflight in payloads:
-            wavefronts[wavefront_id]._data_phase(pfn, lines, inflight)
-
-    def _wf_install_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for wavefront_id, vpn, pfn, lines, inflight in payloads:
-            wavefronts[wavefront_id]._install_and_access(
-                vpn, pfn, lines, inflight
-            )
-
-    def _wf_line_batch(self, payloads) -> None:
-        wavefronts = self._wavefronts
-        for wavefront_id, inflight in payloads:
-            remaining = inflight.outstanding_lines - 1
-            inflight.outstanding_lines = remaining
-            if remaining <= 0:
-                wavefronts[wavefront_id]._instruction_complete(inflight)
-
-    def _iommu_translate_batch(self, payloads) -> None:
-        translate = self.iommu.translate
-        for (request,) in payloads:
-            translate(request)
 
     def _translation_done(self, request: TranslationRequest, pfn: int) -> None:
         """IOMMU reply sink for requests carrying plain-data context."""

@@ -304,17 +304,10 @@ class Wavefront:
         geometry = gpu.geometry
         frame_base = geometry.frame_base(pfn)
         offset = geometry.offset
+        data_access = gpu.memory.data_access
         target = ("wf.line", self.wavefront_id, inflight)
-        if len(lines) == 1:
-            gpu.memory.data_access(
-                self.cu_id, frame_base + offset(lines[0]), target
-            )
-            return
-        gpu.memory.data_access_batch(
-            self.cu_id,
-            [frame_base + offset(line_va) for line_va in lines],
-            target,
-        )
+        for line_va in lines:
+            data_access(self.cu_id, frame_base + offset(line_va), target)
 
     def _line_complete(self, inflight: _InflightInstruction) -> None:
         inflight.outstanding_lines -= 1

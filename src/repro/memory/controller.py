@@ -118,8 +118,6 @@ class QueuedMemoryController:
         self.peak_queue_depth = 0
         simulator.register("dram.complete", self._complete)
         simulator.register("dram.release", self._release)
-        simulator.register_batch("dram.complete", self._complete_batch)
-        simulator.register_batch("dram.release", self._release_batch)
 
     def _map(self, address: int) -> Tuple[int, int]:
         line = address // LINE_SIZE
@@ -254,17 +252,6 @@ class QueuedMemoryController:
     def _release(self, bank_index: int) -> None:
         self._banks[bank_index].busy = False
         self._try_issue(bank_index)
-
-    def _complete_batch(self, payloads) -> None:
-        """Same-cycle completions from distinct banks, in issue order."""
-        complete = self._complete
-        for (bank_index,) in payloads:
-            complete(bank_index)
-
-    def _release_batch(self, payloads) -> None:
-        release = self._release
-        for (bank_index,) in payloads:
-            release(bank_index)
 
     @property
     def row_hit_rate(self) -> float:

@@ -74,7 +74,6 @@ class MemorySubsystem:
         self.pt_queue_cycles = 0
         self.pt_pad_cycles = 0
         simulator.register("mem.ctrl_read", self._controller_read)
-        simulator.register_batch("mem.ctrl_read", self._controller_read_batch)
         # Bind the entry points straight to their implementations, so
         # hot-path calls skip the forwarding frame of the methods below.
         self.data_access = self._data_access  # type: ignore[method-assign]
@@ -82,11 +81,6 @@ class MemorySubsystem:
 
     def _controller_read(self, physical_address: int, on_complete: Any) -> None:
         self.controller.read(physical_address, on_complete)
-
-    def _controller_read_batch(self, payloads) -> None:
-        read = self.controller.read
-        for physical_address, on_complete in payloads:
-            read(physical_address, on_complete)
 
     def data_access(
         self, cu_id: int, physical_address: int, on_complete: Any
@@ -127,60 +121,13 @@ class MemorySubsystem:
     def data_access_batch(
         self, cu_id: int, physical_addresses: Sequence[int], on_complete: Any
     ) -> None:
-        """Issue a batch of same-cycle coalesced accesses for one CU,
-        firing ``on_complete`` once per address.
+        """Issue one :meth:`data_access` per address, in list order.
 
-        Equivalent to calling :meth:`data_access` per address in list
-        order, but with the cache lookups done in one pass and the
-        DRAM-bound misses timed through :meth:`DRAM.access_batch`.
-        Deferring the DRAM completions behind the cache-hit completions
-        cannot reorder the event stream: a DRAM round trip always
-        finishes strictly after any same-call L1/L2 hit, so the two
-        groups land in different cycle buckets regardless of sequence
-        numbers.  Queued-controller and fault-injection configurations
-        keep the exact scalar interleaving instead.
+        No model component calls this; it stays for callers written
+        against it (perfbench wraps it).
         """
-        if self._injector is not None:
-            for physical_address in physical_addresses:
-                self.data_access(cu_id, physical_address, on_complete)
-            return
-        self.data_accesses += len(physical_addresses)
-        l1 = self.l1_caches[cu_id]
-        l1_access = l1.access
-        l2_access = self.l2_cache.access
-        l2_fill = self.l2_cache.fill
-        l1_fill = l1.fill
-        sim = self._sim
-        after = sim.after
-        l1_latency = self._config.l1_cache.hit_latency
-        l2_latency = l1_latency + self._config.l2_cache.hit_latency
-        dram = self.dram
-        misses: List[int] = []
         for physical_address in physical_addresses:
-            line = physical_address // LINE_SIZE
-            if l1_access(line):
-                after(l1_latency, on_complete)
-                continue
-            if l2_access(line):
-                l1_fill(line)
-                after(l2_latency, on_complete)
-                continue
-            l2_fill(line)
-            l1_fill(line)
-            if dram is not None:
-                misses.append(physical_address)
-            else:
-                # The queued controller's arrival order is visible to
-                # its scheduling policy, so controller reads post inline
-                # (same cycle bucket as the L2-hit completions above).
-                sim.post(
-                    l2_latency, "mem.ctrl_read", physical_address, on_complete
-                )
-        if misses:
-            at = sim.at
-            start = sim._now + l2_latency
-            for done in dram.access_batch(misses, start):
-                at(done, on_complete)
+            self._data_access(cu_id, physical_address, on_complete)
 
     def page_table_read(
         self, physical_address: int, on_complete: Any

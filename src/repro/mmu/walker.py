@@ -97,7 +97,6 @@ class PageTableWalker:
         #: walker issues (the payload never varies).
         self._step_event = (self._step_kind,)
         simulator.register(self._step_kind, self._issue_next)
-        simulator.register_batch(self._step_kind, self._issue_next_batch)
         simulator.register(self._deliver_kind, self._deliver_pending)
 
     @property
@@ -185,13 +184,6 @@ class PageTableWalker:
             self._read_level, self._read_address, bank, bank_queue,
             row_access, fault_pad, bool(row_hit),
         )
-
-    def _issue_next_batch(self, payloads) -> None:
-        # A walker services one walk at a time, so same-cycle step runs
-        # are length 1 in practice; the batch form exists so the engine
-        # can treat every hot kind uniformly.
-        for _ in payloads:
-            self._issue_next()
 
     def _finish(self) -> None:
         entry = self._current

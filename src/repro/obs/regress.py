@@ -2,10 +2,10 @@
 
 The perf story of this repo lives in the ``BENCH_*.json`` files —
 the scheduler hot path (``hotpath``), the tracing overhead guard
-(``tracing_overhead``), the fleet sweep bench (``fleet``), the
-event-core bench (``event_core``), the figure pipeline (``figures``)
-and the walk-latency attribution bench (``attrib``) — all written in
-the unified envelope from :mod:`repro.stats.export`.  This
+(``tracing_overhead``), the fleet sweep bench (``fleet``), the figure
+pipeline (``figures``), the walk-latency attribution bench (``attrib``)
+and the scheduler zoo (``zoo``) — all written in the unified envelope
+from :mod:`repro.stats.export`.  This
 module turns them into a *gate*: load the committed baseline, load the
 current numbers, compare each watched metric under a configurable
 relative threshold, and fail loudly (nonzero exit via ``python -m
@@ -41,7 +41,6 @@ BENCH_FILES: Dict[str, str] = {
     "hotpath": "BENCH_hotpath.json",
     "tracing_overhead": "BENCH_tracing_overhead.json",
     "fleet": "BENCH_fleet.json",
-    "event_core": "BENCH_event_core.json",
     "figures": "BENCH_figures.json",
     "attrib": "BENCH_attrib.json",
     "zoo": "BENCH_zoo.json",
@@ -104,11 +103,6 @@ DEFAULT_METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("fleet", "overhead.identical_results", "exact"),
     MetricSpec("fleet", "sweep.speedup_vs_fcfs.simt.geomean", "higher", 0.02),
     MetricSpec("fleet", "sweep.total_cycles_by_group", "exact"),
-    # Event core: the calendar queue must keep beating the heap on the
-    # tie-heavy regime, and batch dispatch must keep beating the scalar
-    # loop on a same-cycle-heavy stream.
-    MetricSpec("event_core", "queue_ops.dense.speedup", "higher", 0.30),
-    MetricSpec("event_core", "dispatch.batch_speedup", "higher", 0.30),
     # Figure pipeline: specs/CSVs/HTML must stay byte-identical across
     # worker counts, and the registry must not silently shrink.
     MetricSpec("figures", "determinism.identical_figures_across_jobs", "exact"),

@@ -3,8 +3,8 @@
 ``SimulationResult`` objects flatten to plain dictionaries / JSON so
 experiment campaigns can be archived and post-processed outside Python
 (the benchmark harness stores one JSON per regenerated figure when asked
-to).  ``percentiles`` summarises latency distributions without pulling
-in numpy for the common case.
+to).  ``percentiles`` summarises latency distributions in plain
+Python.
 
 This module also owns the **unified benchmark report schema** every
 ``BENCH_*.json`` file shares.  Each benchmark harness used to capture

@@ -162,6 +162,19 @@ def test_chained_interruptions_compose(baselines, tmp_path):
     assert _fingerprint(resumed) == want
 
 
+def test_resume_before_checkpoint_cycle_is_refused(baselines, tmp_path):
+    # The clock never moves backwards: a max_cycles below the cycle the
+    # checkpoint was taken at is refused before any crash dump can
+    # overwrite the file with a rewound clock.
+    cycle = baselines("fcfs")["total_cycles"] // 2
+    path = tmp_path / "crash.ckpt"
+    _interrupt_at("fcfs", cycle, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        resume_simulation(str(path), max_cycles=cycle // 2)
+    assert path.read_bytes() == before
+
+
 # ----------------------------------------------------------------------
 # Orthogonal subsystems survive the round trip
 # ----------------------------------------------------------------------

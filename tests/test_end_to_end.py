@@ -6,6 +6,11 @@ regression in the model or the scheduler shows up here before the full
 benchmark harness runs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import baseline_config
@@ -138,3 +143,21 @@ class TestSensitivityDirections:
             return results["simt"].speedup_over(results["fcfs"])
 
         assert win(64) < win(8)
+
+
+def test_simulation_imports_no_third_party_package():
+    # README promises pure Python with no runtime dependencies; numpy is
+    # the one that once crept in, so pin its absence after a real run.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "repro.run_simulation('MVT', num_wavefronts=2, scale=0.02)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,9 +1,8 @@
 """Unit tests for the event queue: ordering, stability, snapshots.
 
-The calendar/bucket queue must be observably identical to the binary
-heap it replaced, so alongside the unit tests there is a differential
-fuzz section popping it against a ``heapq`` reference twin — same-cycle
-ties, interleaved push/pop, and snapshot/restore mid-stream included.
+Alongside the unit tests there is a differential fuzz section popping
+the queue against a bare ``heapq`` reference twin — same-cycle ties,
+interleaved push/pop, and snapshot/restore mid-stream included.
 """
 
 import random
@@ -121,12 +120,12 @@ def test_snapshot_is_independent_copy():
 
 def test_push_below_drained_time_raises():
     # The floor guard lives in the queue itself (not just the
-    # simulator's post_at): once a bucket has been drained, a direct
-    # push into the past would corrupt pop order, so it is rejected.
+    # simulator's post_at): once an event has fired, a direct push into
+    # the past would break pop order, so it is rejected.
     queue = EventQueue()
     queue.push(10, "a")
     queue.push(20, "b")
-    queue.pop()  # drains the cycle-10 bucket; floor is now 10
+    queue.pop()  # fires the cycle-10 event; floor is now 10
     with pytest.raises(ValueError):
         queue.push(9, "late")
     queue.push(10, "same-cycle-ok")  # the floor itself stays legal
@@ -158,12 +157,12 @@ def test_restore_accepts_legacy_heap_ordered_snapshot():
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: calendar queue vs heapq reference twin
+# Differential fuzz: EventQueue vs heapq reference twin
 # ----------------------------------------------------------------------
 
 
 class _HeapTwin:
-    """The pre-calendar reference implementation: one binary heap."""
+    """The reference implementation: one bare binary heap."""
 
     def __init__(self):
         self._heap = []

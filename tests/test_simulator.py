@@ -121,6 +121,23 @@ def test_until_and_max_events_whichever_first():
     assert sim.pending_events == 1
 
 
+def test_run_until_never_moves_the_clock_backwards():
+    sim = Simulator()
+    fired = []
+    sim.after(10, lambda: fired.append(10))
+    sim.after(20, lambda: fired.append(20))
+    sim.run(until=15)
+    assert (fired, sim.now) == ([10], 15)
+    with pytest.raises(ValueError):
+        sim.run(until=5)
+    assert sim.now == 15
+    with pytest.raises(ValueError):
+        sim.at(7, lambda: None)
+    assert sim.run(until=15) == 15  # the current time itself is legal
+    sim.run()
+    assert fired == [10, 20]
+
+
 def test_clock_stays_at_last_event_when_drained_before_until():
     # Deliberate semantics: a queue that empties before `until` leaves
     # the clock at the last fired event, not at the horizon — a deadlock
@@ -243,53 +260,26 @@ def test_batch_dispatch_equivalent_to_scalar():
     assert batch_sim.events_processed == scalar_sim.events_processed
 
 
-def test_batch_handler_receives_same_cycle_run_in_order():
-    sim = Simulator()
-    runs = []
-    sim.register("k", lambda *p: runs.append([p]))
-    sim.register_batch("k", lambda payloads: runs.append(payloads))
-    for i in range(5):
-        sim.post(3, "k", i)
-    sim.run()
-    # One batched call with all five payloads, in post order.
-    assert runs == [[(0,), (1,), (2,), (3,), (4,)]]
-
-
-def test_batch_runs_break_on_kind_change():
-    sim = Simulator()
-    log = []
-    sim.register("a", lambda *p: log.append(("a", p)))
-    sim.register("b", lambda *p: log.append(("b", p)))
-    sim.register_batch("a", lambda ps: log.append(("a-batch", list(ps))))
-    sim.post(1, "a", 0)
-    sim.post(1, "a", 1)
-    sim.post(1, "b", 2)
-    sim.post(1, "a", 3)
-    sim.run()
-    # The interleaved "b" splits the "a" events into a run of two (batch)
-    # and a singleton (scalar fast path).
-    assert log == [
-        ("a-batch", [(0,), (1,)]),
-        ("b", (2,)),
-        ("a", (3,)),
-    ]
-
-
 def test_monitor_cadence_identical_under_batching():
-    def fire_points(batched):
+    def fire_points(mode):
         sim = Simulator()
         system = _ToySystem(
-            sim, batched_kinds=("tick", "tock") if batched else ()
+            sim, batched_kinds=("tick", "tock") if mode == "batched" else ()
         )
         ticks = []
         sim.set_monitor(lambda: ticks.append(sim.events_processed), 7)
         system.post_script(rng_seed=3, events=100)
-        sim.run()
+        if mode == "stepped":
+            while sim.step():
+                pass
+        else:
+            sim.run()
         return ticks
 
-    scalar_points = fire_points(batched=False)
+    scalar_points = fire_points("scalar")
     assert scalar_points  # the monitor did fire
-    assert fire_points(batched=True) == scalar_points
+    assert fire_points("batched") == scalar_points
+    assert fire_points("stepped") == scalar_points
 
 
 def test_register_batch_requires_scalar_handler_first():

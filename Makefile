@@ -1,8 +1,8 @@
 # Developer conveniences for the repro package.
 
-.PHONY: install test bench perf figures figures-bench \
+.PHONY: install test bench perf figures \
 	paper-figures quicktest faults trace overhead fleet fleet-bench \
-	bench-check checkpoint service chaos blame attrib-bench zoo clean
+	checkpoint service chaos blame attrib-bench clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -35,15 +35,6 @@ fleet:
 
 fleet-bench:
 	python benchmarks/perf/fleet_overhead.py
-
-bench-check:
-	python -m repro bench-check
-
-# Scheduler-zoo comparison: WaSP/IRU/Mosaic vs the paper's policies
-# plus the SMS DRAM controller, written to BENCH_zoo.json for the
-# regression gate.
-zoo:
-	python benchmarks/perf/zoo.py
 
 # Checkpoint/resume round trip: run with periodic state dumps, then
 # resume the leftover mid-run checkpoint — both prints must agree.
@@ -81,9 +72,6 @@ figures:
 	python -m repro service run figures-campaign --workers 2
 	python -m repro figures figures-campaign
 	@echo "open figures-campaign/report/campaign_report.html"
-
-figures-bench:
-	python benchmarks/perf/figures_pipeline.py
 
 # Walk-latency blame: trace a small sweep, attribute every walk's
 # cycles to pipeline stages, and write the merged report.  Exits

@@ -1,55 +1,46 @@
-"""Attribution bench: blame reports must stay deterministic and cheap.
+"""Attribution bench: the single-pass walk matcher must stay cheap.
 
-The attribution layer (:mod:`repro.obs.attrib`) makes three promises
-this bench pins into ``BENCH_attrib.json``:
+Attributing a trace (:func:`repro.obs.attrib.attribute_walks`) is a
+post-processing pass over a traced sweep's events.  This bench times
+that pass over a fixed sweep and writes the events-per-CPU-second rate
+into ``BENCH_attrib.json`` (unified envelope from
+:mod:`repro.stats.export`).
 
-* **Determinism** — the rendered blame report of a fixed sweep is
-  byte-identical between ``jobs=1`` and ``jobs=2`` workers, and the
-  attributed walk count is an exact, committed number.
-* **Reconciliation** — every attributed walk's stage breakdown sums
-  exactly to its end-to-end latency: zero failures, always.
-* **Analysis cost** — attributing a trace is a cheap post-processing
-  pass; the events-per-CPU-second rate is recorded with a loose
-  ``higher`` gate so a pathological slowdown of the single-pass matcher
-  fails CI.
+The rate is a wall-clock number on a shared host, so the floor warns
+rather than fails: below :data:`MIN_EVENTS_PER_CPU_SEC` the bench
+prints a ``WARN:`` line and still exits 0.  The sweep's deterministic
+facts — the attributed walk count, zero reconciliation failures, zero
+dropped events and a blame report byte-identical across worker counts —
+are tier-1 tests in ``tests/test_obs_attrib.py``.
 
 The *hot-path* cost of the stage-boundary emitters when tracing is off
-is deliberately NOT re-measured here: those emitters sit behind the
-same ``tracer is None`` / category guards as every other emitter, so
-the existing ``tracing_overhead`` bench's ≤3% inert gate already covers
-them.
-
-The sweep spec is identical for ``--quick`` and full runs (it is tiny
-either way) so the exact-valued metrics compare cleanly against the
-committed baseline; only the timing-loop round count differs.
+is deliberately NOT measured here: those emitters sit behind the same
+``tracer is None`` / category guards as every other emitter, so the
+``tracing_overhead`` bench's ≤3% inert bound already covers them.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/attrib_overhead.py [--quick]
-        [--output F] [--no-check]
+        [--output F]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
 from repro.config import baseline_config
 from repro.experiments.runner import run_many
-from repro.obs.attrib import (
-    attribute_walks,
-    blame_sweep_report,
-    blame_sweep_specs,
-    render_blame_report,
-)
+from repro.obs.attrib import attribute_walks, blame_sweep_specs
 from repro.stats.export import write_bench_report
 
-#: Minimum attribution throughput guard is applied via the regress
-#: gate's relative threshold, not an absolute floor here — shared CI
-#: machines are too variable for absolute rates.
+#: Warn below this many trace events attributed per CPU-second: half
+#: the 487,213 measured on a 1-CPU host when the bench was introduced.
+MIN_EVENTS_PER_CPU_SEC = 243_607
 
 SWEEP = dict(
     workloads=["MVT"],
@@ -60,60 +51,27 @@ SWEEP = dict(
 )
 
 
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def measure(rounds):
+    """Median events-per-CPU-second of the matcher over the sweep's
+    combined event stream (one untimed pass warms the interpreter)."""
     specs = blame_sweep_specs(config=baseline_config(), **SWEEP)
-
-    rendered = {}
-    for jobs in (1, 2):
-        results = run_many(specs, jobs=jobs)
-        rendered[jobs] = render_blame_report(
-            blame_sweep_report(specs, results)
-        )
-    report = json.loads(rendered[1])
-
-    # Throughput of the single-pass matcher over the sweep's combined
-    # event stream, median of per-round rates (interpreter warmed by
-    # the identity runs above).
     events = []
-    results = run_many(specs, jobs=1)
-    for result in results:
+    for result in run_many(specs, jobs=1):
         events.extend(result.detail["trace"]["events"])
+    walks = len(attribute_walks(events).walks)
     rates = []
-    walks = 0
     for _ in range(rounds):
         cpu_start = time.process_time()
-        attribution = attribute_walks(events)
+        attribute_walks(events)
         elapsed = time.process_time() - cpu_start
-        walks = len(attribution.walks)
         rates.append(len(events) / elapsed if elapsed > 0 else float("inf"))
-
     return {
         "sweep": {**SWEEP, "specs": len(specs)},
         "rounds": rounds,
-        "determinism": {
-            "identical_blame_across_jobs": rendered[1] == rendered[2],
-        },
-        "attribution": {
-            "walks_attributed": report["reconciliation"]["checked"],
-            "reconciliation_failures": report["reconciliation"]["failures"],
-            "events_dropped": report["events_dropped"],
-            "jobs_analyzed": sum(
-                run["critical_path"]["jobs_analyzed"]
-                for run in report["runs"]
-            ),
-        },
         "analysis": {
             "trace_events": len(events),
             "walks_per_pass": walks,
-            "events_per_cpu_sec": round(_median(rates)),
+            "events_per_cpu_sec": round(statistics.median(rates)),
         },
     }
 
@@ -130,35 +88,28 @@ def main(argv=None):
         ),
         help="where to write the JSON report",
     )
-    parser.add_argument(
-        "--no-check", action="store_true",
-        help="record without asserting invariants",
-    )
     args = parser.parse_args(argv)
 
     report = {
+        "min_events_per_cpu_sec": MIN_EVENTS_PER_CPU_SEC,
         "measurement": measure(rounds=3 if args.quick else 5),
         "params": {"quick": args.quick},
     }
     document = write_bench_report("attrib", report, args.output)
     print(json.dumps(document, indent=2))
 
-    if args.no_check:
-        return 0
-    failures = []
-    measurement = report["measurement"]
-    if not measurement["determinism"]["identical_blame_across_jobs"]:
-        failures.append("blame report differs between jobs=1 and jobs=2")
-    if measurement["attribution"]["reconciliation_failures"]:
-        failures.append(
-            f"{measurement['attribution']['reconciliation_failures']} "
-            "walk(s) failed stage reconciliation"
+    rate = report["measurement"]["analysis"]["events_per_cpu_sec"]
+    print(
+        f"attribution: {rate} events/CPU-s "
+        f"(floor {MIN_EVENTS_PER_CPU_SEC})"
+    )
+    if rate < MIN_EVENTS_PER_CPU_SEC:
+        print(
+            f"WARN: attribution rate {rate} events/CPU-s is below the "
+            f"{MIN_EVENTS_PER_CPU_SEC} floor",
+            file=sys.stderr,
         )
-    if measurement["attribution"]["events_dropped"]:
-        failures.append("blame sweep overflowed its trace ring")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

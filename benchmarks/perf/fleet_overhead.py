@@ -1,23 +1,18 @@
-"""Fleet bench: telemetry must stay (nearly) free, sweep numbers fixed.
+"""Fleet bench: telemetry must stay (nearly) free on the sweep path.
 
-Two measurements, written to ``BENCH_fleet.json`` in the unified
-envelope (:func:`repro.stats.export.write_bench_report`):
+One measurement, written to ``BENCH_fleet.json`` in the unified
+envelope (:func:`repro.stats.export.write_bench_report`): the same
+:func:`~repro.experiments.runner.run_many` sweep run with and without a
+:class:`~repro.obs.fleet.FleetTelemetry` collector (JSONL log enabled,
+so the realistic cost is paid).  The guard asserts the telemetry-on
+sweep is at most 3% slower and that both sides produce bit-identical
+simulation results, and exits 1 otherwise.  Telemetry events are
+per-spec, never per-cycle, so anything above noise here means an
+emitter leaked into the simulation hot path.
 
-* **overhead** — the same :func:`~repro.experiments.runner.run_many`
-  sweep run with and without a :class:`~repro.obs.fleet.FleetTelemetry`
-  collector (JSONL log enabled, so the realistic cost is paid).  The
-  guard asserts the telemetry-on sweep is at most 3% slower (median of
-  per-round paired CPU-time ratios — the same machine-drift-proof
-  protocol as ``tracing_overhead.py``) and that both sides produce
-  bit-identical simulation results.  Telemetry events are per-spec,
-  never per-cycle, so anything above noise here means an emitter leaked
-  into the simulation hot path.
-* **sweep** — a fixed workload × scheduler × seed sweep aggregated by
-  :func:`~repro.obs.aggregate.fleet_report`.  Its geomean speedups and
-  per-group cycle counts are *deterministic* — ``--quick`` shrinks only
-  the overhead rounds, never this sweep — so the regression gate
-  (``python -m repro bench-check``) holds them to exact/tight
-  thresholds: any drift is a real behaviour change, not noise.
+The sweep's own numbers (per-group cycles, the simt geomean speedup)
+are deterministic; ``tests/test_zoo.py`` pins them exactly, as the
+fcfs/simt slice of the zoo comparison goldens.
 
 Usage::
 
@@ -36,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.runner import run_many
-from repro.obs.aggregate import fleet_report, sweep_specs
+from repro.obs.aggregate import sweep_specs
 from repro.obs.fleet import FleetTelemetry
 from repro.stats.export import write_bench_report
 
@@ -44,7 +39,7 @@ from repro.stats.export import write_bench_report
 #: telemetry-off sweep (1.03 == 3%).
 MAX_TELEMETRY_OVERHEAD = 1.03
 
-#: The fixed sweep both measurements run.  Small enough for CI, large
+#: The fixed sweep the measurement runs.  Small enough for CI, large
 #: enough that per-spec telemetry cost would register if it scaled with
 #: anything but the spec count.
 SWEEP_WORKLOADS = ("MVT", "XSB")
@@ -172,7 +167,7 @@ def measure_overhead(rounds):
         "emit_microseconds": round(emit_seconds * 1e6, 2),
         # The guarded number: telemetry cost as a fraction of the
         # fastest observed per-spec run time, expressed as a slowdown
-        # ratio so the gate reads it like the tracing guard.
+        # ratio so it reads like the tracing guard's.
         "slowdown_with_telemetry": round(1.0 + implied, 4),
         "slowdown_end_to_end": round(
             min(cpu_seconds["on"]) / min(cpu_seconds["off"]), 4
@@ -183,31 +178,11 @@ def measure_overhead(rounds):
     }
 
 
-def measure_sweep():
-    """The deterministic sweep aggregate the gate pins exactly."""
-    specs = _sweep()
-    outcomes = run_many(specs, return_outcomes=True)
-    report = fleet_report(specs, outcomes, baseline_scheduler="fcfs")
-    return {
-        "workloads": list(SWEEP_WORKLOADS),
-        "schedulers": list(SWEEP_SCHEDULERS),
-        "seeds": len(SWEEP_SEEDS),
-        "scale": SWEEP_SCALE,
-        "num_wavefronts": SWEEP_WAVEFRONTS,
-        "speedup_vs_fcfs": report["speedup_vs_baseline"],
-        "total_cycles_by_group": {
-            group: entry["total_cycles"]["mean"]
-            for group, entry in sorted(report["groups"].items())
-        },
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="fewer overhead rounds for CI smoke testing "
-             "(the sweep measurement never changes)",
+        help="fewer overhead rounds for CI smoke testing",
     )
     parser.add_argument(
         "--output",
@@ -224,7 +199,6 @@ def main(argv=None):
     report = {
         "max_telemetry_overhead": MAX_TELEMETRY_OVERHEAD,
         "overhead": measure_overhead(rounds),
-        "sweep": measure_sweep(),
         "params": {"quick": args.quick},
     }
     document = write_bench_report("fleet", report, args.output)

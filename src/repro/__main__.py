@@ -41,11 +41,6 @@ Commands
     write the deterministic aggregated report (per-group distributions,
     geomean speedups vs the baseline scheduler) as JSON and markdown.
 
-``bench-check``
-    Compare the current ``BENCH_*.json`` numbers against the committed
-    baselines in ``benchmarks/baselines/`` and exit nonzero when a
-    watched metric regressed beyond its threshold.
-
 ``service SUBCOMMAND``
     The durable work-queue sweep service (:mod:`repro.service`):
     ``init`` shards a campaign into a manifest + filesystem queue,
@@ -410,45 +405,6 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.regress import (
-        EXIT_OK,
-        EXIT_REGRESSION,
-        check_benches,
-        render_check,
-    )
-
-    report = check_benches(
-        baseline_dir=args.baseline_dir, current_dir=args.current_dir
-    )
-    # The exit-code contract (see repro.obs.regress): 0 = gate passed
-    # (missing benches included), 1 = at least one regression.
-    # --warn-only forces 0 but the JSON keeps the honest verdict.
-    exit_code = EXIT_OK if report["ok"] else EXIT_REGRESSION
-    report["exit_code"] = exit_code
-    report["warn_only"] = bool(args.warn_only)
-    if args.json:
-        rendered_json = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            print(rendered_json, end="")
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(rendered_json)
-    rendered = render_check(report)
-    if not args.quiet and args.json != "-":
-        print(rendered)
-    if not report["ok"]:
-        if args.quiet:
-            print(rendered, file=sys.stderr)
-        if args.warn_only:
-            print("bench-check: regressions found (warn-only)", file=sys.stderr)
-            return EXIT_OK
-        return exit_code
-    return EXIT_OK
-
-
 def _gather_campaign_inputs(paths):
     """Resolve CLI inputs into labelled reports + manifests (unique labels)."""
     from repro.obs.figures import load_campaign_input
@@ -489,8 +445,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    reports, manifests = _gather_campaign_inputs(args.inputs)
-    data = CampaignData.from_reports(reports, baseline=args.baseline)
     if args.out:
         out_dir = Path(args.out)
     else:
@@ -499,14 +453,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             first / "report" / "figures" if first.is_dir() else Path("figures")
         )
     names = args.only.split(",") if args.only else None
-    manifest = emit_figures(data, out_dir, names=names)
-    gate = None
-    if not args.no_gate:
-        from repro.obs.regress import check_benches
-
-        gate = check_benches(
-            baseline_dir=args.baseline_dir, current_dir=args.current_dir
-        )
+    try:
+        reports, manifests = _gather_campaign_inputs(args.inputs)
+        data = CampaignData.from_reports(reports, baseline=args.baseline)
+        manifest = emit_figures(data, out_dir, names=names)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"figures: {exc}", file=sys.stderr)
+        return 2
     html_path = None
     if not args.no_html:
         figures, skipped = build_figures(data, names)
@@ -514,9 +467,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             Path(args.html) if args.html else out_dir / "campaign_report.html"
         )
         html_path.write_text(
-            build_report_html(
-                reports, figures, skipped, gate=gate, manifests=manifests
-            )
+            build_report_html(reports, figures, skipped, manifests=manifests)
         )
     if not args.quiet:
         written = manifest["figures"]
@@ -530,12 +481,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print(f"  skipped {name}: {reason}")
         if html_path is not None:
             print(f"wrote {html_path}")
-        if gate is not None and not gate["ok"]:
-            print(
-                f"bench gate FAILED inside the report "
-                f"({gate['regressions']} regression(s))",
-                file=sys.stderr,
-            )
     return 0
 
 
@@ -577,17 +522,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     from repro.obs.report import render_campaign_report
 
-    reports, manifests = _gather_campaign_inputs(args.inputs)
-    gate = None
-    if not args.no_gate:
-        from repro.obs.regress import check_benches
-
-        gate = check_benches(
-            baseline_dir=args.baseline_dir, current_dir=args.current_dir
+    try:
+        reports, manifests = _gather_campaign_inputs(args.inputs)
+        html = render_campaign_report(
+            reports, manifests=manifests, baseline=args.baseline
         )
-    html = render_campaign_report(
-        reports, gate=gate, manifests=manifests, baseline=args.baseline
-    )
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"report: {exc}", file=sys.stderr)
+        return 2
     out_path = Path(args.out)
     out_path.write_text(html)
     if not args.quiet:
@@ -1021,33 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verbosity_args(fleet)
     fleet.set_defaults(func=_cmd_fleet_report)
 
-    bench_check = sub.add_parser(
-        "bench-check",
-        help="gate current BENCH_*.json numbers against committed baselines",
-    )
-    bench_check.add_argument(
-        "--baseline-dir", default="benchmarks/baselines",
-        help="directory holding the committed baseline BENCH_*.json files",
-    )
-    bench_check.add_argument(
-        "--current-dir", default=".",
-        help="directory holding the current BENCH_*.json files",
-    )
-    bench_check.add_argument(
-        "--json", default=None,
-        help="also write the gate report as JSON here ('-' for stdout); "
-        "the report carries the exit_code the process returns",
-    )
-    bench_check.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (for gate tuning)",
-    )
-    bench_check.add_argument(
-        "--quiet", action="store_true",
-        help="print nothing unless the gate fails",
-    )
-    bench_check.set_defaults(func=_cmd_bench_check)
-
     trace = sub.add_parser(
         "trace", help="simulate with lifecycle tracing; write a Perfetto trace"
     )
@@ -1180,15 +1095,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit only the specs/CSVs, skip the HTML report",
     )
     figures.add_argument(
-        "--no-gate", action="store_true",
-        help="skip the bench-check verdict section in the HTML report",
-    )
-    figures.add_argument(
         "--baseline", default=None,
         help="override the baseline scheduler (default: the report's)",
     )
-    figures.add_argument("--baseline-dir", default="benchmarks/baselines")
-    figures.add_argument("--current-dir", default=".")
     figures.add_argument("--quiet", action="store_true")
     figures.set_defaults(func=_cmd_figures)
 
@@ -1213,13 +1122,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--port", type=int, default=8377, help="dashboard port (0 = ephemeral)"
     )
-    report.add_argument("--no-gate", action="store_true")
     report.add_argument(
         "--baseline", default=None,
         help="override the baseline scheduler (default: the report's)",
     )
-    report.add_argument("--baseline-dir", default="benchmarks/baselines")
-    report.add_argument("--current-dir", default=".")
     report.add_argument("--quiet", action="store_true")
     report.set_defaults(func=_cmd_report)
 

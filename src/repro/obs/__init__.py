@@ -1,6 +1,6 @@
 """repro.obs — observability for the translation pipeline and its fleets.
 
-Six cooperating layers, all zero-overhead when disabled:
+Five cooperating layers, all zero-overhead when disabled:
 
 * :mod:`repro.obs.trace` — ring-buffered lifecycle tracing with
   Chrome/Perfetto and JSONL export;
@@ -13,9 +13,7 @@ Six cooperating layers, all zero-overhead when disabled:
   into a fleet report (distributions, geomean speedups);
 * :mod:`repro.obs.attrib` — walk-latency attribution: per-walk stage
   breakdowns reconciled to end-to-end latency, per-job critical paths,
-  aggregated blame reports;
-* :mod:`repro.obs.regress` — benchmark regression gating against
-  committed ``BENCH_*.json`` baselines.
+  aggregated blame reports.
 
 See ``docs/OBSERVABILITY.md`` for the event schema and how-tos.
 """
@@ -49,13 +47,6 @@ from repro.obs.metrics import (
     finalize_standard_metrics,
     install_standard_metrics,
 )
-from repro.obs.regress import (
-    DEFAULT_METRICS,
-    MetricSpec,
-    check_benches,
-    compare_metric,
-    render_check,
-)
 from repro.obs.trace import (
     DEFAULT_RING_SIZE,
     TRACE_CATEGORIES,
@@ -69,12 +60,10 @@ __all__ = [
     "BLAME_CATEGORIES",
     "Counter",
     "DEFAULT_HEARTBEAT_SECONDS",
-    "DEFAULT_METRICS",
     "DEFAULT_RING_SIZE",
     "DEFAULT_SAMPLE_INTERVAL_EVENTS",
     "FleetTelemetry",
     "Gauge",
-    "MetricSpec",
     "MetricsRegistry",
     "STAGES",
     "TRACE_CATEGORIES",
@@ -85,8 +74,6 @@ __all__ = [
     "blame_sweep_report",
     "blame_sweep_specs",
     "build_tracer",
-    "check_benches",
-    "compare_metric",
     "critical_paths",
     "deterministic_view",
     "distribution",
@@ -96,7 +83,6 @@ __all__ = [
     "install_standard_metrics",
     "iter_trace_events",
     "render_blame_report",
-    "render_check",
     "render_fleet_report",
     "stage_summary",
     "sweep_specs",

@@ -34,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.stats.formatting import format_count, format_number, format_ratio
 from repro.stats.metrics import geometric_mean
 
-#: Report identity, mirrored by the loader and the regression gate.
+#: Report identity, checked by the figure pipeline's loader.
 FLEET_REPORT_FORMAT = "repro-fleet-report"
 FLEET_REPORT_VERSION = 1
 
@@ -288,8 +288,8 @@ def deterministic_view(report: Dict[str, Any]) -> Dict[str, Any]:
     """The report minus wall-clock and delivery-layer fields.
 
     Two sweeps of identical specs + seeds must agree on this view
-    exactly — the fleet determinism tests, the regression gate and the
-    sweep-service chaos gate all compare it.  ``telemetry`` is dropped
+    exactly — the fleet determinism tests and the sweep-service chaos
+    gate both compare it.  ``telemetry`` is dropped
     alongside ``wall`` because it reflects whether a collector was
     attached, not what was simulated.  ``retried`` and the per-row
     ``attempts`` counts are dropped for the same reason: how many times

@@ -2,11 +2,10 @@
 
 One page per campaign, built from the same deterministic inputs as the
 figure registry: every registered figure (Vega-Lite spec with its data
-values inlined, plus an accessible data table), the bench-gate verdicts
-from :mod:`repro.obs.regress`, the retry/timeout audit from the
-campaign manifest, and the failure list.  The page is a single file
-with zero required network access — the tables and summaries *are* the
-report; the inlined specs progressively enhance into charts when a
+values inlined, plus an accessible data table), the retry/timeout audit
+from the campaign manifest, and the failure list.  The page is a single
+file with zero required network access — the tables and summaries *are*
+the report; the inlined specs progressively enhance into charts when a
 Vega-Lite runtime is reachable (the standard CDN script tags are
 included but optional).
 
@@ -15,7 +14,7 @@ alone.  No timestamps, no hostnames, no wall-clock numbers; every
 iteration is sorted; all numbers render through
 :mod:`repro.stats.formatting`.  ``jobs=1`` and ``jobs=16`` clean runs
 of the same specs produce the identical page, which the figure
-determinism tests and the CI figures job both diff byte-for-byte.
+determinism tests diff byte-for-byte.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ if (window.vegaEmbed) {
 
 
 def _status_class(status: str) -> str:
-    if status in ("ok", "improved"):
+    if status == "ok":
         return "status-ok"
-    if status in ("regression", "failed", "timeout"):
+    if status in ("failed", "timeout"):
         return "status-bad"
     return "status-warn"
 
@@ -211,51 +210,6 @@ def _skipped_section(skipped: Mapping[str, str]) -> str:
         for name, reason in sorted(skipped.items())
     )
     return f"<h2>Figures skipped</h2><ul>{items}</ul>"
-
-
-def _gate_section(gate: Optional[Mapping[str, Any]]) -> str:
-    if gate is None:
-        return (
-            "<h2>Bench gate</h2><p class='desc'>Not run for this report "
-            "(generate with <code>python -m repro figures --gate</code> "
-            "to include verdicts).</p>"
-        )
-    verdict = (
-        '<p><strong class="status-ok">PASS</strong> — no regressions '
-        f"({format_count(gate.get('missing'))} metric(s) missing).</p>"
-        if gate.get("ok")
-        else '<p><strong class="status-bad">FAIL</strong> — '
-        f"{format_count(gate.get('regressions'))} regression(s), "
-        f"{format_count(gate.get('missing'))} missing.</p>"
-    )
-    rows = [
-        {
-            "metric": row.get("metric"),
-            "baseline": _gate_value(row.get("baseline")),
-            "current": _gate_value(row.get("current")),
-            "drift": format_ratio(row.get("relative_change"))
-            if row.get("relative_change") is not None else "—",
-            "status": row.get("status"),
-        }
-        for row in gate.get("rows", [])
-    ]
-    return (
-        "<h2>Bench gate</h2>"
-        + verdict
-        + _table(
-            ["metric", "baseline", "current", "drift", "status"],
-            rows,
-            numeric=("baseline", "current", "drift"),
-            status_column="status",
-        )
-    )
-
-
-def _gate_value(value: Any) -> str:
-    """Gate cells can hold non-scalars (exact dict comparisons)."""
-    if isinstance(value, dict):
-        return f"<{len(value)} keys>"
-    return format_number(value)
 
 
 def audit_from_manifest(
@@ -415,7 +369,6 @@ def build_report_html(
     reports: Sequence[Tuple[str, Mapping[str, Any]]],
     figures: Sequence[Figure],
     skipped: Mapping[str, str],
-    gate: Optional[Mapping[str, Any]] = None,
     manifests: Optional[Mapping[str, Optional[Mapping[str, Any]]]] = None,
     title: str = REPORT_TITLE,
 ) -> str:
@@ -436,7 +389,6 @@ def build_report_html(
         *[_figure_section(figure) for figure in figures],
         _blame_section(reports),
         _skipped_section(skipped),
-        _gate_section(gate),
         _audit_section(reports, audits),
         _failures_section(reports),
     ]
@@ -453,7 +405,6 @@ def build_report_html(
 
 def render_campaign_report(
     reports: Sequence[Tuple[str, Mapping[str, Any]]],
-    gate: Optional[Mapping[str, Any]] = None,
     manifests: Optional[Mapping[str, Optional[Mapping[str, Any]]]] = None,
     names: Optional[Sequence[str]] = None,
     baseline: Optional[str] = None,
@@ -463,5 +414,5 @@ def render_campaign_report(
     data = CampaignData.from_reports(reports, baseline=baseline)
     figures, skipped = build_figures(data, names)
     return build_report_html(
-        reports, figures, skipped, gate=gate, manifests=manifests, title=title
+        reports, figures, skipped, manifests=manifests, title=title
     )

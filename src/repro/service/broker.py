@@ -369,9 +369,7 @@ def merge_campaign(
 
     # The figure pipeline and the HTML campaign report ride every merge:
     # both are pure functions of the deterministic report + manifest, so
-    # they inherit the byte-identity guarantee for free.  (The bench
-    # gate is NOT run here — its verdicts depend on the invoking
-    # machine; `python -m repro figures --gate` adds them explicitly.)
+    # they inherit the byte-identity guarantee for free.
     from repro.obs.figures import CampaignData, build_figures, emit_figures
     from repro.obs.report import build_report_html
 

@@ -7,9 +7,8 @@ to).  ``percentiles`` summarises latency distributions in plain
 Python.
 
 This module also owns the **unified benchmark report schema** every
-``BENCH_*.json`` file shares.  Each benchmark harness used to capture
-its own ad-hoc environment block (or none); :func:`write_bench_report`
-wraps a benchmark's payload in one envelope —
+``BENCH_*.json`` file shares: :func:`write_bench_report` wraps a guard
+script's payload in one envelope —
 
 .. code-block:: json
 
@@ -18,8 +17,7 @@ wraps a benchmark's payload in one envelope —
      "environment": {"python": "...", "platform": "...", ...},
      "data": { ... benchmark-specific ... }}
 
-— so the regression gate (:mod:`repro.obs.regress`) can load any bench
-file the same way and diff ``data`` without guessing at its provenance.
+— so every committed bench file records its provenance the same way.
 """
 
 from __future__ import annotations
@@ -116,9 +114,7 @@ def save_results(
 def bench_environment() -> Dict[str, Any]:
     """The machine/interpreter block every bench report carries.
 
-    Informational provenance, never part of result identity: the
-    regression gate compares ``data`` only and reports environment
-    drift as context.
+    Informational provenance, never part of result identity.
     """
     return {
         "python": platform.python_version(),
@@ -151,28 +147,6 @@ def write_bench_report(
     }
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
     return document
-
-
-def load_bench_report(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a ``BENCH_*.json`` file, tolerating the pre-envelope shape.
-
-    Legacy files (raw payload, no envelope) come back wrapped in a
-    minimal envelope with ``bench=None`` so downstream code always sees
-    one schema.
-    """
-    document = json.loads(Path(path).read_text())
-    if document.get("format") == BENCH_FORMAT:
-        if "data" not in document:
-            raise ValueError(f"{path} has the bench envelope but no data")
-        return document
-    return {
-        "format": BENCH_FORMAT,
-        "version": 0,
-        "bench": None,
-        "generated_at": None,
-        "environment": {},
-        "data": document,
-    }
 
 
 def load_results(path: Union[str, Path]) -> List[Dict[str, object]]:

@@ -1,7 +1,7 @@
 """One stable number formatter for every rendered report surface.
 
-Markdown fleet reports, figure CSVs, the HTML campaign report and the
-bench-gate text all used to format numbers with ad-hoc f-strings
+Markdown fleet reports, figure CSVs and the HTML campaign report all
+used to format numbers with ad-hoc f-strings
 (``:.3f`` here, ``:.4g`` there).  ``%g``-style formats switch to
 scientific notation for tiny magnitudes — a sweep whose geomean stdev
 is ``3e-07`` rendered as ``3e-07`` in one table and ``0.000`` in the

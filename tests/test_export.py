@@ -1,15 +1,21 @@
-"""Tests for result export and percentile helpers."""
+"""Tests for result export, the bench envelope and percentile helpers."""
+
+import json
 
 import pytest
 
 from repro.gpu.wavefront import InstructionRecord
 from repro.stats.export import (
+    BENCH_FORMAT,
+    bench_environment,
     load_results,
     percentiles,
     result_to_dict,
     save_results,
     walk_latency_percentiles,
+    write_bench_report,
 )
+from repro.stats.formatting import format_number
 from repro.stats.metrics import SimulationResult
 
 
@@ -120,3 +126,28 @@ class TestResultExport:
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError):
             load_results(path)
+
+
+class TestBenchReport:
+    def test_write_and_load_round_trip(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        document = write_bench_report("x", {"metric": 1.5}, path)
+        loaded = json.loads(path.read_text())
+        assert loaded == document
+        assert loaded["format"] == BENCH_FORMAT and loaded["bench"] == "x"
+        assert loaded["data"] == {"metric": 1.5}
+        assert loaded["environment"]["python"]
+
+    def test_bench_environment_keys(self):
+        env = bench_environment()
+        assert {"python", "platform", "machine", "cpu_count"} <= set(env)
+
+
+class TestFormatNumber:
+    def test_tiny_floats_never_use_scientific_notation(self):
+        for value in (3e-07, 2.5e-07, -1.6667e-05):
+            for decimals in (1, 4, 6, 8):
+                text = format_number(value, decimals=decimals)
+                assert "e" not in text.lower(), text
+        assert format_number(3e-07) == "0"
+        assert format_number(3e-07, decimals=7) == "0.0000003"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import tiny_config
+from repro.config import baseline_config
 from repro.experiments.runner import run_many, run_simulation
 from repro.obs.attrib import (
     BLAME_CATEGORIES,
@@ -402,6 +403,19 @@ def test_blame_sweep_byte_identical_across_jobs():
     for run in document["runs"]:
         shares = run["stage_shares"]
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_blame_sweep_attributes_every_walk_of_the_baseline_sweep():
+    """MVT under fcfs and simt on the baseline machine: every walk of
+    the sweep is attributed and reconciles, and the ring drops nothing.
+    The walk count is an exact committed fact of the model."""
+    specs = blame_sweep_specs(
+        ["MVT"], ["fcfs", "simt"], [1],
+        config=baseline_config(), num_wavefronts=8, scale=0.1,
+    )
+    document = blame_sweep_report(specs, run_many(specs))
+    assert document["reconciliation"] == {"checked": 2056, "failures": 0}
+    assert document["events_dropped"] == 0
 
 
 def test_blame_sweep_report_requires_embedded_events():

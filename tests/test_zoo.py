@@ -1,7 +1,7 @@
 """Scheduler-zoo tests: WaSP / IRU / Mosaic policies and the
 stale-batch-pointer regression.
 
-Three groups:
+Four groups:
 
 * **Registry and knobs** — the zoo self-registers; per-family knob
   overrides flow through ``make_scheduler`` and invalid knobs raise.
@@ -15,15 +15,19 @@ Three groups:
   observable on a real run (prefetch walks, pending coalesces, region
   promotions), and every registered policy survives a mid-stream
   snapshot/restore with bit-identical subsequent selections.
+* **Comparison goldens** — the zoo-vs-paper sweep's comparison charts
+  and the SMS controller's runs, pinned exactly to committed CSVs.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.buffer import PendingWalkBuffer
 from repro.core.reference import (
     NaiveBatchScheduler,
@@ -41,7 +45,9 @@ from repro.core.zoo import (
     MosaicScheduler,
     WaSPScheduler,
 )
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import run_many, run_simulation
+from repro.obs.aggregate import fleet_report, sweep_specs
+from repro.obs.figures import CampaignData, build_figures
 from tests.conftest import tiny_config
 
 RUN_KWARGS = dict(num_wavefronts=8, scale=0.05, seed=0)
@@ -307,3 +313,88 @@ def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
     twin.restore(state["scheduler"])
 
     assert _drive(scheduler, buffer, tail) == _drive(twin, twin_buffer, tail)
+
+
+# ----------------------------------------------------------------------
+# Comparison goldens: the zoo against the paper's ladder, pinned exactly
+# ----------------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden_figures"
+
+#: The comparison sweep: MVT and XSB, two seeds, at a tier-1 size.
+COMPARISON = dict(
+    workloads=("MVT", "XSB"), seeds=range(2), scale=0.1, num_wavefronts=8,
+)
+
+#: Comparison chart -> its golden CSV.
+ZOO_GOLDENS = {
+    "fig8_speedup": "zoo_fig8_speedup.csv",
+    "scheduler_comparison": "zoo_scheduler_comparison.csv",
+    "zoo_walk_traffic": "zoo_walk_traffic.csv",
+}
+
+
+def zoo_figures():
+    """The comparison charts of the paper's four policies and the zoo."""
+    specs = sweep_specs(
+        schedulers=("fcfs", "sjf", "batch", "simt", "wasp", "iru", "mosaic"),
+        **COMPARISON,
+    )
+    report = fleet_report(
+        specs, run_many(specs, return_outcomes=True), baseline_scheduler="fcfs"
+    )
+    data = CampaignData.from_reports([("zoo", report)])
+    figures, skipped = build_figures(data, list(ZOO_GOLDENS))
+    assert not skipped, skipped
+    return figures
+
+
+def sms_csv():
+    """One row per ``simt`` run under the SMS DRAM controller, in the
+    layout of :meth:`~repro.obs.figures.Figure.csv`."""
+    specs = sweep_specs(
+        schedulers=("simt",),
+        config=SystemConfig().with_dram_controller("sms"),
+        **COMPARISON,
+    )
+    lines = ["workload,seed,total_cycles,walk_reads"]
+    for spec, result in zip(specs, run_many(specs)):
+        walk_reads = result.detail["memory"]["dram"]["walk_reads"]
+        lines.append(
+            f"{spec['workload']},{spec['seed']},"
+            f"{result.total_cycles},{walk_reads}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def comparison():
+    return {figure.name: figure for figure in zoo_figures()}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_GOLDENS))
+def test_zoo_comparison_matches_golden(comparison, name):
+    """Golden pin: per-workload and geomean speedups over fcfs, mean
+    cycles and mean walk traffic for every policy, exactly.
+
+    Regenerate after an intentional policy or timing change:
+
+        PYTHONPATH=src:. python -c "import tests.test_zoo as t; \
+            [(t.GOLDEN_DIR / t.ZOO_GOLDENS[f.name]).write_text(f.csv()) \
+            for f in t.zoo_figures()]"
+    """
+    golden = (GOLDEN_DIR / ZOO_GOLDENS[name]).read_text()
+    assert comparison[name].csv() == golden
+
+
+def test_sms_controller_matches_golden():
+    """Golden pin: total cycles and DRAM walk reads of each ``simt`` run
+    under the SMS controller.  (The same runs under the default
+    reservation model are the ``simt`` rows of the comparison goldens.)
+
+    Regenerate after an intentional controller or timing change:
+
+        PYTHONPATH=src:. python -c "import tests.test_zoo as t; \
+            (t.GOLDEN_DIR / 'zoo_sms.csv').write_text(t.sms_csv())"
+    """
+    assert sms_csv() == (GOLDEN_DIR / "zoo_sms.csv").read_text()

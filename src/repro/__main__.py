@@ -66,7 +66,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import available_schedulers, run_simulation
+from repro import CheckpointError, available_schedulers, run_simulation
 from repro.workloads.registry import workload_names
 
 
@@ -84,16 +84,20 @@ def _print_result(result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_simulation(
-        args.workload.upper(),
-        config=_load_config(args),
-        scheduler=args.scheduler,
-        num_wavefronts=args.wavefronts,
-        scale=args.scale,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint_path,
-    )
+    try:
+        result = run_simulation(
+            args.workload.upper(),
+            config=_load_config(args),
+            scheduler=args.scheduler,
+            num_wavefronts=args.wavefronts,
+            scale=args.scale,
+            seed=args.seed,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_path=args.checkpoint_path,
+        )
+    except (FileNotFoundError, CheckpointError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     _print_result(result)
     return 0
 
@@ -101,11 +105,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.experiments.runner import resume_simulation
 
-    result = resume_simulation(
-        args.checkpoint,
-        max_cycles=args.max_cycles,
-        checkpoint_every=args.checkpoint_every,
-    )
+    try:
+        result = resume_simulation(
+            args.checkpoint,
+            max_cycles=args.max_cycles,
+            checkpoint_every=args.checkpoint_every,
+        )
+    except (FileNotFoundError, CheckpointError) as exc:
+        print(f"resume: {exc}", file=sys.stderr)
+        return 2
     _print_result(result)
     return 0
 
@@ -1282,7 +1290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "run"
+        and args.checkpoint_every is not None
+        and not args.checkpoint_path
+    ):
+        parser.error("run: --checkpoint-every requires --checkpoint-path")
     return args.func(args)
 
 

@@ -86,17 +86,6 @@ class AgingPolicy:
                 entry.bypass_count += 1
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {"promotions": self.promotions, "records": self._records}
-
-    def restore(self, state: dict) -> None:
-        self.promotions = state["promotions"]
-        self._records = state["records"]
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 

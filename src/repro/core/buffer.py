@@ -353,90 +353,6 @@ class PendingWalkBuffer:
             return None
         return self._oldest_of_app_instruction(app_id, key[2])
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Entries, every index (stale keys included) and counters.
-
-        Indexes are captured verbatim — including lazily-pruned stale
-        deque members and stale score-index keys — so a restored buffer
-        answers every query identically to the original, stale-pruning
-        side effects and all.  Entry objects appear in several indexes;
-        the enclosing single-pickle checkpoint preserves their identity.
-        """
-        return {
-            "capacity": self.capacity,
-            "track_scores": self.track_scores,
-            "entries": dict(self._entries),
-            "by_vpn": {
-                vpn: dict(entries) for vpn, entries in self._by_vpn.items()
-            },
-            "scores": self._scores.snapshot(),
-            "arrival_seq": self._arrival_seq,
-            "arrival": list(self._arrival),
-            "by_instruction": {
-                iid: list(queue) for iid, queue in self._by_instruction.items()
-            },
-            "by_app": {
-                app: list(queue) for app, queue in self._by_app.items()
-            },
-            "per_app": {
-                app: {iid: list(queue) for iid, queue in per.items()}
-                for app, per in self._per_app.items()
-            },
-            "instruction_apps": {
-                iid: dict(apps) for iid, apps in self._instruction_apps.items()
-            },
-            "score_index": self._score_index.snapshot(),
-            "app_score_index": {
-                app: index.snapshot()
-                for app, index in self._app_score_index.items()
-            },
-            "peak_occupancy": self.peak_occupancy,
-            "total_insertions": self.total_insertions,
-            "total_coalesced": self.total_coalesced,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        if state["capacity"] != self.capacity or (
-            state["track_scores"] != self.track_scores
-        ):
-            raise ValueError(
-                "checkpoint buffer shape mismatch: capacity/track_scores "
-                "differ from this buffer's configuration"
-            )
-        self._entries = dict(state["entries"])
-        self._by_vpn = {
-            vpn: dict(entries) for vpn, entries in state["by_vpn"].items()
-        }
-        self._scores.restore(state["scores"])
-        self._arrival_seq = state["arrival_seq"]
-        self._arrival = deque(state["arrival"])
-        self._by_instruction = {
-            iid: deque(queue) for iid, queue in state["by_instruction"].items()
-        }
-        self._by_app = {
-            app: deque(queue) for app, queue in state["by_app"].items()
-        }
-        self._per_app = {
-            app: {iid: deque(queue) for iid, queue in per.items()}
-            for app, per in state["per_app"].items()
-        }
-        self._instruction_apps = {
-            iid: dict(apps) for iid, apps in state["instruction_apps"].items()
-        }
-        self._score_index.restore(state["score_index"])
-        self._app_score_index = {}
-        for app, dump in state["app_score_index"].items():
-            index = ScoreIndex()
-            index.restore(dump)
-            self._app_score_index[app] = index
-        self.peak_occupancy = state["peak_occupancy"]
-        self.total_insertions = state["total_insertions"]
-        self.total_coalesced = state["total_coalesced"]
-
     def pending_apps(self) -> List[int]:
         """Applications with pending entries, ordered by oldest entry.
 

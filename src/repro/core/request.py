@@ -64,8 +64,8 @@ class TranslationRequest:
         #: Called as ``on_complete(request, pfn)`` when the translation is
         #: available at the requester.  When ``None``, the IOMMU routes
         #: the reply through its ``reply_to`` sink instead — the
-        #: serialisable path, since the sink is rebuilt with the system
-        #: while a stored closure cannot be checkpointed.
+        #: serialisable path, since the sink is a bound method that
+        #: pickles with the system while a stored closure cannot.
         self.on_complete = on_complete
         #: Opaque requester-owned data carried through the translation
         #: round trip (the GPU stores ``(lines, inflight key)`` here).

@@ -96,13 +96,6 @@ class WalkScheduler(ABC):
         instruction tag would inherit batch priority it never earned.
         """
 
-    def snapshot(self) -> dict:
-        """Checkpointable policy state.  Stateless policies return {}."""
-        return {}
-
-    def restore(self, state: dict) -> None:
-        """Adopt a snapshot produced by :meth:`snapshot`."""
-
 
 class FCFSScheduler(WalkScheduler):
     """First-come-first-serve: the paper's baseline policy."""
@@ -137,12 +130,6 @@ class RandomScheduler(WalkScheduler):
             raise AssertionError("unreachable: index within len(buffer)")
         return entry
 
-    def snapshot(self) -> dict:
-        return {"rng": self._rng.getstate()}
-
-    def restore(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
-
 
 class SJFScheduler(WalkScheduler):
     """Shortest-job-first on instruction scores only (key idea 1, ablation).
@@ -168,12 +155,6 @@ class SJFScheduler(WalkScheduler):
             choice = buffer.min_score_entry()
         self.aging.record_dispatch(choice)
         return choice
-
-    def snapshot(self) -> dict:
-        return {"aging": self.aging.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        self.aging.restore(state["aging"])
 
 
 class BatchScheduler(WalkScheduler):
@@ -213,12 +194,6 @@ class BatchScheduler(WalkScheduler):
         assert choice is not None
         self.note_dispatch(choice)
         return choice
-
-    def snapshot(self) -> dict:
-        return {"last_instruction": self._last_instruction}
-
-    def restore(self, state: dict) -> None:
-        self._last_instruction = state["last_instruction"]
 
 
 class SIMTAwareScheduler(WalkScheduler):
@@ -270,20 +245,6 @@ class SIMTAwareScheduler(WalkScheduler):
         self.aging.record_dispatch(choice)
         self.note_dispatch(choice)
         return choice
-
-    def snapshot(self) -> dict:
-        return {
-            "aging": self.aging.snapshot(),
-            "last_instruction": self._last_instruction,
-            "batch_hits": self.batch_hits,
-            "sjf_picks": self.sjf_picks,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.aging.restore(state["aging"])
-        self._last_instruction = state["last_instruction"]
-        self.batch_hits = state["batch_hits"]
-        self.sjf_picks = state["sjf_picks"]
 
 
 class FairShareScheduler(WalkScheduler):
@@ -342,18 +303,6 @@ class FairShareScheduler(WalkScheduler):
         self.aging.record_dispatch(choice)
         self.note_dispatch(choice)
         return choice
-
-    def snapshot(self) -> dict:
-        return {
-            "aging": self.aging.snapshot(),
-            "last_instruction": self._last_instruction,
-            "attained_service": dict(self.attained_service),
-        }
-
-    def restore(self, state: dict) -> None:
-        self.aging.restore(state["aging"])
-        self._last_instruction = state["last_instruction"]
-        self.attained_service = dict(state["attained_service"])
 
 
 _FACTORIES: Dict[str, Callable[..., WalkScheduler]] = {

@@ -80,12 +80,6 @@ class ScoreIndex:
         self._heap = list(keys)
         heapq.heapify(self._heap)
 
-    def snapshot(self) -> list:
-        return list(self._heap)
-
-    def restore(self, state: list) -> None:
-        self._heap = list(state)
-
 
 class ScoreTable:
     """Tracks the aggregate walk-work score of each SIMD instruction."""
@@ -129,10 +123,3 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self._scores)
-
-    def snapshot(self) -> dict:
-        return {"scores": dict(self._scores), "active": dict(self._active)}
-
-    def restore(self, state: dict) -> None:
-        self._scores = dict(state["scores"])
-        self._active = dict(state["active"])

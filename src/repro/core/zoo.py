@@ -36,8 +36,8 @@ not the walk buffer, so it lives in :mod:`repro.memory.controller` as
 memory-controller policy ``"sms"`` (``DRAMConfig.controller``).
 
 All knobs are class attributes read by the IOMMU at construction
-(see ``mmu/iommu.py``); they are configuration, not run state, so the
-inherited ``snapshot``/``restore`` remain complete.
+(see ``mmu/iommu.py``); they are configuration, not run state, and a
+checkpoint carries them with the pickled scheduler instance.
 """
 
 from __future__ import annotations

@@ -1,45 +1,41 @@
 """In-run simulation checkpoints with deterministic resume.
 
-A checkpoint is ONE pickle over a combined plain-data state dict
-gathered from every stateful component.  Using a single ``pickle.dumps``
-matters: the pending-walk buffer, the walkers, the event queue's
-payloads and the GPU's instruction records *share* request/entry objects
-by identity, and pickle's memo preserves that sharing — restoring piece
-by piece would clone the shared objects and silently fork their state.
+A checkpoint is ONE pickle of the live objects of a run: the wired
+system (simulator and pending events included), its watchdog and its
+metrics registry.  Using a single ``pickle.dumps`` matters: the
+pending-walk buffer, the walkers, the event queue's payloads and the
+GPU's instruction records *share* request/entry objects by identity, and
+pickle's memo preserves that sharing.  Handlers are bound methods, which
+pickle as references to their components; monitor callbacks are code,
+so :class:`~repro.engine.simulator.Simulator` keeps only their
+cadences and the resume re-attaches them.
 
-What a checkpoint contains:
+The envelope around the pickled objects:
 
-* ``version`` — the checkpoint format version (mismatches are refused);
-* ``config`` — the run's fully-resolved :class:`SystemConfig` (itself a
-  picklable dataclass, fault plan included), so a resume can rebuild an
-  identical system without any side-channel;
-* ``meta`` — workload/scheduler/seed/run arguments needed to rebuild the
-  harness around the system (number of wavefronts, scale, max cycles);
-* ``state`` — the combined component state dict.
+* ``format`` — identifies a repro checkpoint;
+* ``code`` — :func:`code_fingerprint` of the code that wrote it.  Pickle
+  names classes and handler methods, so only that code can resume the
+  file; :func:`load_checkpoint` refuses any other;
+* ``meta`` — workload and run arguments the harness needs around the
+  system (maximum cycles, metrics cadence) plus the cycle and event
+  count at the dump;
+* ``state`` — the pickled objects.
 
-Components themselves are never pickled (they hold simulator/handler
-references); each contributes a ``snapshot()`` dict of plain data and
-accepts it back via ``restore()``.  Events must be tagged data events —
-a pending ``"__call__"`` closure event makes the state unpicklable, and
-:func:`save_checkpoint` reports it as such.
-
-The event queue's snapshot is canonical regardless of its internal
-layout: pending events are one ``(time, seq)``-sorted list under the
-``"heap"`` key (plus a ``"floor"``, the clock at snapshot time), and
-``restore`` sorts on load — so checkpoints written by any engine
-version restore unchanged and the format version stays at 1.
+Events must be tagged data events — a pending ``"__call__"`` closure
+event makes the state unpicklable, and :func:`save_checkpoint_file`
+reports it as such.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import io
 import os
 import pickle
 import uuid
+from pathlib import Path
 from typing import Any, Dict, Optional
-
-#: Bump when the combined state layout changes incompatibly.
-CHECKPOINT_VERSION = 1
 
 #: Identifies a repro checkpoint blob (first dict key checked on load).
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -49,16 +45,26 @@ class CheckpointError(RuntimeError):
     """A checkpoint could not be produced, read or applied."""
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """The first 16 hex digits of one SHA-256 over the ``repro``
+    package's ``.py`` sources (paths and contents), computed once per
+    process."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def dump_checkpoint(
-    config: Any,
-    state: Dict[str, Any],
-    meta: Optional[Dict[str, Any]] = None,
+    state: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
 ) -> bytes:
     """Serialise one checkpoint into a bytes blob (single pickle)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": config,
+        "code": code_fingerprint(),
         "meta": dict(meta or {}),
         "state": state,
     }
@@ -81,18 +87,18 @@ def load_checkpoint(blob: bytes) -> Dict[str, Any]:
         raise CheckpointError(f"not a readable checkpoint: {exc!r}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a repro checkpoint blob")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
+    code = payload.get("code")
+    if code != code_fingerprint():
         raise CheckpointError(
-            f"checkpoint version {version} unsupported "
-            f"(this build reads version {CHECKPOINT_VERSION})"
+            f"checkpoint was written by code {code}, this is code "
+            f"{code_fingerprint()}; only the code that wrote a checkpoint "
+            "can resume it"
         )
     return payload
 
 
 def save_checkpoint_file(
     path: str,
-    config: Any,
     state: Dict[str, Any],
     meta: Optional[Dict[str, Any]] = None,
 ) -> None:
@@ -106,7 +112,7 @@ def save_checkpoint_file(
     *previous* checkpoint intact rather than a torn file that would
     poison every later resume.
     """
-    blob = dump_checkpoint(config, state, meta)
+    blob = dump_checkpoint(state, meta)
     tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "wb") as handle:

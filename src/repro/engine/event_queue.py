@@ -3,9 +3,9 @@
 Events are plain data: ``(time, sequence, kind, payload)``.  ``kind`` is
 a string naming a handler registered on the simulator and ``payload`` is
 a tuple of arguments for it.  Keeping events as data (instead of bound
-closures) is what makes the queue serialisable: :meth:`snapshot`
-captures the pending events and insertion sequence, and :meth:`restore`
-rebuilds them so a resumed run pops the identical event order.
+closures) is what makes the queue serialisable: a pickled queue keeps
+its pending events and insertion sequence, so a resumed run pops the
+identical event order.
 
 Ties at the same timestamp break by insertion order (the monotonically
 increasing sequence number).  ``(time, sequence)`` is unique, so the
@@ -21,7 +21,7 @@ check.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 #: One scheduled event: ``(time, sequence, kind, payload)``.
 Event = Tuple[int, int, str, tuple]
@@ -84,29 +84,3 @@ class EventQueue:
         Raises :class:`IndexError` when the queue is empty.
         """
         return self._heap[0][0]
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The queue as plain data: (time, sequence)-sorted events + seq.
-
-        The event list is emitted in canonical sorted order under the
-        ``"heap"`` key — a sorted list is a valid heap, so snapshots stay
-        interchangeable across engine versions.
-        """
-        return {
-            "heap": sorted(self._heap),
-            "sequence": self._sequence,
-            "floor": self._floor,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`snapshot`'s events and sequence wholesale.
-
-        Accepts sorted and heap-ordered event lists alike.
-        """
-        self._heap = sorted(state["heap"])
-        self._sequence = state["sequence"]
-        self._floor = state.get("floor", 0)

@@ -5,9 +5,9 @@ units) advances by posting *tagged events* — ``(kind, payload)`` pairs —
 on a shared :class:`Simulator`.  Components :meth:`register` a handler
 per kind once at construction; the event loop then pops the earliest
 ``(time, sequence, kind, payload)`` and calls ``handlers[kind](*payload)``,
-one event at a time.  Because events are plain data, the whole
-pending-event set can be checkpointed mid-run and restored later
-(:meth:`snapshot` / :meth:`restore`) with bit-identical replay.
+one event at a time.  Because events are plain data and handlers are
+bound methods, a mid-run simulator pickles together with the system it
+drives, and the unpickled copy replays bit-identically.
 
 Monitors (watchdog, metrics sampler, periodic checkpoints) count fired
 events and run at event boundaries, after the handler that exhausted
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.event_queue import EventQueue
 
@@ -41,6 +41,9 @@ class Simulator:
         #: Installed monitors: mutable ``[callback, interval, countdown]``
         #: slots, so the run loop decrements in place.
         self._monitors: List[list] = []
+        #: ``(interval, countdown)`` of each monitor slot a checkpoint
+        #: carried, taken in order by the next :meth:`add_monitor` calls.
+        self._cadences: List[Tuple[int, int]] = []
         #: Event dispatch table: kind -> handler(*payload).
         self._handlers: Dict[str, Callable[..., Any]] = {
             CALLABLE_KIND: self._run_callable,
@@ -213,13 +216,19 @@ class Simulator:
         """Attach one more periodic monitor, each with its own cadence.
 
         Monitors fire in installation order when their countdowns expire
-        on the same event.
+        on the same event.  On a simulator loaded from a checkpoint, the
+        first monitors attached take the saved slots' intervals and
+        countdowns, in order, so a resumed run keeps the original
+        cadence.
         """
         if interval_events <= 0:
             raise ValueError(
                 f"interval_events must be positive, got {interval_events}"
             )
-        self._monitors.append([callback, interval_events, interval_events])
+        countdown = interval_events
+        if self._cadences:
+            interval_events, countdown = self._cadences.pop(0)
+        self._monitors.append([callback, interval_events, countdown])
 
     # ------------------------------------------------------------------
     # Event loop
@@ -291,33 +300,11 @@ class Simulator:
         self.run(max_events=1)
         return True
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Clock, counters, pending events and monitor cadences.
-
-        Handlers and monitor callbacks are *not* captured — they are
-        code, re-registered when the system is rebuilt.  Monitor
-        countdowns are stored positionally, so a resume must re-install
-        its monitors in the same order before calling :meth:`restore`.
-        """
-        queue = self._queue.snapshot()
-        # The run loop pops the heap directly, so the clock is the floor.
-        queue["floor"] = self._now
-        return {
-            "now": self._now,
-            "events_processed": self._events_processed,
-            "queue": queue,
-            "monitors": [(slot[1], slot[2]) for slot in self._monitors],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._now = state["now"]
-        self._events_processed = state["events_processed"]
-        self._queue.restore(state["queue"])
-        counts = state.get("monitors", [])
-        for slot, (interval, countdown) in zip(self._monitors, counts):
-            slot[1] = interval
-            slot[2] = countdown
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle everything but the monitor callbacks, which are code:
+        each slot's ``(interval, countdown)`` is kept for the monitors a
+        resumed run re-attaches (see :meth:`add_monitor`)."""
+        state = self.__dict__.copy()
+        state["_monitors"] = []
+        state["_cadences"] = [(slot[1], slot[2]) for slot in self._monitors]
+        return state

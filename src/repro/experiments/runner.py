@@ -215,70 +215,6 @@ def _validate_run_args(
 # ----------------------------------------------------------------------
 
 
-def snapshot_system(system: System) -> Dict[str, Any]:
-    """Gather every component's plain-data state into one dict.
-
-    The dict must be pickled in a *single* pass (see
-    :mod:`repro.engine.checkpoint`): walk-buffer entries, in-flight
-    requests and instruction records are shared by identity between the
-    component states and the event-queue payloads.
-    """
-    state: Dict[str, Any] = {
-        "simulator": system.simulator.snapshot(),
-        "page_table": system.page_table.snapshot(),
-        "memory": system.memory.snapshot(),
-        "iommu": system.iommu.snapshot(),
-        "gpu": system.gpu.snapshot(),
-    }
-    if system.iommu.injector is not None:
-        state["injector"] = system.iommu.injector.snapshot()
-    if system.tracer is not None:
-        state["tracer"] = system.tracer.snapshot()
-    return state
-
-
-def restore_system(system: System, state: Dict[str, Any]) -> None:
-    """Adopt a :func:`snapshot_system` dict into a freshly built system.
-
-    The system must have been built from the checkpoint's own config
-    (same component shapes); monitors must already be installed in the
-    same order as the checkpointing run, because the simulator restores
-    their countdowns positionally.
-    """
-    system.simulator.restore(state["simulator"])
-    system.page_table.restore(state["page_table"])
-    system.memory.restore(state["memory"])
-    system.iommu.restore(state["iommu"])
-    system.gpu.restore(state["gpu"])
-    if "injector" in state:
-        if system.iommu.injector is None:
-            raise CheckpointError(
-                "checkpoint carries fault-injector state but the rebuilt "
-                "system has no injector (config mismatch)"
-            )
-        system.iommu.injector.restore(state["injector"])
-    if "tracer" in state:
-        if system.tracer is None:
-            raise CheckpointError(
-                "checkpoint carries tracer state but the rebuilt system "
-                "has no tracer (pass the same trace configuration)"
-            )
-        system.tracer.restore(state["tracer"])
-
-
-def _checkpoint_state(
-    system: System,
-    watchdog: Optional[Watchdog],
-    registry: Optional[MetricsRegistry],
-) -> Dict[str, Any]:
-    state = {"system": snapshot_system(system)}
-    if watchdog is not None:
-        state["watchdog"] = watchdog.snapshot()
-    if registry is not None:
-        state["metrics"] = registry.snapshot()
-    return state
-
-
 def _write_run_checkpoint(
     path: str,
     system: System,
@@ -288,14 +224,40 @@ def _write_run_checkpoint(
 ) -> None:
     save_checkpoint_file(
         path,
-        system.config,
-        _checkpoint_state(system, watchdog, registry),
+        {"system": system, "watchdog": watchdog, "metrics": registry},
         meta=dict(
             meta,
             cycle=system.simulator.now,
             events_processed=system.simulator.events_processed,
         ),
     )
+
+
+def _install_monitors(
+    system: System,
+    watchdog: Optional[Watchdog],
+    registry: Optional[MetricsRegistry],
+    meta: Dict[str, Any],
+    checkpoint_every: Optional[int],
+    checkpoint_path: Optional[str],
+) -> None:
+    """Attach the watchdog, the metrics sampler and the periodic
+    checkpoint, always in this order: a simulator loaded from a
+    checkpoint hands the saved countdowns to its monitors by position."""
+    if watchdog is not None:
+        watchdog.install()
+    if registry is not None:
+        system.simulator.add_monitor(
+            install_standard_metrics(system, registry),
+            meta["metrics_interval_events"],
+        )
+    if checkpoint_every is not None:
+        system.simulator.add_monitor(
+            lambda: _write_run_checkpoint(
+                checkpoint_path, system, watchdog, registry, meta
+            ),
+            checkpoint_every,
+        )
 
 
 def run_simulation(
@@ -361,11 +323,6 @@ def run_simulation(
             )
         if not checkpoint_path:
             raise ValueError("checkpoint_every needs a checkpoint_path")
-        if isinstance(scheduler, WalkScheduler):
-            raise ValueError(
-                "in-run checkpointing needs a registry scheduler name "
-                "(a resume rebuilds the scheduler from the config)"
-            )
     config = config or baseline_config()
     scheduler_instance: Optional[WalkScheduler] = None
     if isinstance(scheduler, WalkScheduler):
@@ -382,51 +339,28 @@ def run_simulation(
             stall_cycles=watchdog_cycles,
             check_interval_events=watchdog_interval_events,
         )
-        watchdog.install()
-
-    registry: Optional[MetricsRegistry] = None
-    if metrics:
-        registry = MetricsRegistry()
-        system.simulator.add_monitor(
-            install_standard_metrics(system, registry), metrics_interval_events
-        )
-
+    registry = MetricsRegistry() if metrics else None
     meta: Dict[str, Any] = {
         "workload": bench.abbrev,
         "num_wavefronts": num_wavefronts,
         "scale": scale,
         "seed": seed,
         "max_cycles": max_cycles,
-        "watchdog_cycles": watchdog_cycles,
-        "watchdog_interval_events": watchdog_interval_events,
-        "metrics": metrics,
         "metrics_interval_events": metrics_interval_events,
-        "trace": trace,
     }
-    if checkpoint_every is not None:
-        system.simulator.add_monitor(
-            lambda: _write_run_checkpoint(
-                checkpoint_path, system, watchdog, registry, meta
-            ),
-            checkpoint_every,
-        )
+    _install_monitors(
+        system, watchdog, registry, meta, checkpoint_every, checkpoint_path
+    )
 
     traces = bench.build_trace(
         num_wavefronts=num_wavefronts,
         wavefront_size=config.gpu.wavefront_size,
     )
     system.gpu.dispatch(traces)
-    wall_start = time.perf_counter()
-    try:
-        system.simulator.run(until=max_cycles)
-    except WatchdogError:
-        _dump_crash_checkpoint(checkpoint_path, system, watchdog, registry, meta)
-        raise
-    wall_seconds = time.perf_counter() - wall_start
-    return _finish_run(
-        system, bench.abbrev, watchdog, registry, wall_seconds, max_cycles,
-        trace=trace, trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
-        checkpoint_path=checkpoint_path, checkpoint_meta=meta,
+    return _run_to_end(
+        system, watchdog, registry, meta, max_cycles,
+        trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -450,20 +384,26 @@ def _dump_crash_checkpoint(
         pass
 
 
-def _finish_run(
+def _run_to_end(
     system: System,
-    abbrev: str,
     watchdog: Optional[Watchdog],
     registry: Optional[MetricsRegistry],
-    wall_seconds: float,
+    meta: Dict[str, Any],
     max_cycles: int,
-    trace: Optional[TraceConfig] = None,
     trace_path: Optional[str] = None,
     trace_jsonl_path: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_meta: Optional[Dict[str, Any]] = None,
 ) -> SimulationResult:
-    """Shared post-run path: completion checks, result assembly, exports."""
+    """Shared run path: the event loop, completion checks, result
+    assembly and exports.  A watchdog trip leaves a crash checkpoint
+    behind when the run checkpoints."""
+    wall_start = time.perf_counter()
+    try:
+        system.simulator.run(until=max_cycles)
+    except WatchdogError:
+        _dump_crash_checkpoint(checkpoint_path, system, watchdog, registry, meta)
+        raise
+    wall_seconds = time.perf_counter() - wall_start
     if not system.gpu.finished:
         drained = system.simulator.pending_events == 0
         reason = (
@@ -475,12 +415,11 @@ def _finish_run(
         if watchdog is not None:
             diagnosis = watchdog.diagnose(reason)
             _dump_crash_checkpoint(
-                checkpoint_path, system, watchdog, registry,
-                checkpoint_meta or {},
+                checkpoint_path, system, watchdog, registry, meta
             )
             raise WatchdogError(diagnosis)
         raise RuntimeError(
-            f"simulation of {abbrev} did not finish: {reason} "
+            f"simulation of {meta['workload']} did not finish: {reason} "
             f"({system.simulator.pending_events} events pending; pass "
             f"watchdog_cycles= for a structured diagnosis)"
         )
@@ -488,7 +427,7 @@ def _finish_run(
         # Success path: one last conservation sweep so silent model bugs
         # cannot hide behind a run that happened to terminate.
         watchdog.final_check()
-    result = collect_result(system, abbrev)
+    result = collect_result(system, meta["workload"])
     events = system.simulator.events_processed
     result.detail["engine"] = {
         "events_processed": events,
@@ -506,7 +445,7 @@ def _finish_run(
         if trace_jsonl_path:
             tracer.write_jsonl(trace_jsonl_path)
             trace_detail["jsonl_path"] = trace_jsonl_path
-        if trace is not None and trace.embed_events:
+        if tracer.config.embed_events:
             trace_detail["events"] = tracer.events()
         result.detail["trace"] = trace_detail
     if registry is not None:
@@ -524,77 +463,36 @@ def resume_simulation(
 ) -> SimulationResult:
     """Continue an interrupted run from an in-run checkpoint.
 
-    Rebuilds the system from the checkpoint's own config, re-installs
-    the same monitors in the same order, restores every component's
-    state — including the pending event queue — and runs to completion.
-    The returned result is bit-identical (up to wall-clock fields) to
-    the result the uninterrupted run would have produced.
+    Loads the pickled system, watchdog and metrics registry, re-attaches
+    the same monitors in the same order (each takes its saved countdown)
+    and runs to completion.  The returned result is bit-identical (up to
+    wall-clock fields) to the result the uninterrupted run would have
+    produced.  Only the code that wrote a checkpoint can resume it
+    (:func:`~repro.engine.checkpoint.load_checkpoint` checks).
 
     ``checkpoint_every`` re-arms periodic checkpointing on the resumed
     run, overwriting ``checkpoint_path`` — the resumed run checkpoints
     on the *same* event cadence as the original (the monitor's countdown
     is part of the checkpoint), so chains of interruptions compose.
     """
+    if checkpoint_every is not None and checkpoint_every <= 0:
+        raise ValueError(
+            f"checkpoint_every must be positive, got {checkpoint_every}"
+        )
     payload = load_checkpoint_file(checkpoint_path)
-    config: SystemConfig = payload["config"]
     meta: Dict[str, Any] = payload["meta"]
     state: Dict[str, Any] = payload["state"]
-
-    system = build_system(config, trace=meta.get("trace"))
-
-    watchdog: Optional[Watchdog] = None
-    if meta.get("watchdog_cycles") is not None:
-        watchdog = Watchdog(
-            system,
-            stall_cycles=meta["watchdog_cycles"],
-            check_interval_events=meta.get(
-                "watchdog_interval_events", DEFAULT_CHECK_INTERVAL_EVENTS
-            ),
-        )
-        watchdog.install()
-
-    registry: Optional[MetricsRegistry] = None
-    if meta.get("metrics"):
-        registry = MetricsRegistry()
-        system.simulator.add_monitor(
-            install_standard_metrics(system, registry),
-            meta.get("metrics_interval_events", DEFAULT_SAMPLE_INTERVAL_EVENTS),
-        )
-
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        system.simulator.add_monitor(
-            lambda: _write_run_checkpoint(
-                checkpoint_path, system, watchdog, registry, meta
-            ),
-            checkpoint_every,
-        )
-
-    # Restore AFTER the monitors exist: the simulator re-applies their
-    # saved countdowns positionally.
-    restore_system(system, state["system"])
-    if watchdog is not None and "watchdog" in state:
-        watchdog.restore(state["watchdog"])
-    if registry is not None and "metrics" in state:
-        registry.restore(state["metrics"])
-
-    run_until = max_cycles if max_cycles is not None else meta["max_cycles"]
-    wall_start = time.perf_counter()
-    try:
-        system.simulator.run(until=run_until)
-    except WatchdogError:
-        _dump_crash_checkpoint(checkpoint_path, system, watchdog, registry, meta)
-        raise
-    wall_seconds = time.perf_counter() - wall_start
-    trace_cfg = meta.get("trace")
-    return _finish_run(
-        system, meta["workload"], watchdog, registry, wall_seconds, run_until,
-        trace=trace_cfg, trace_path=trace_path,
-        trace_jsonl_path=trace_jsonl_path,
-        checkpoint_path=checkpoint_path, checkpoint_meta=meta,
+    system: System = state["system"]
+    watchdog: Optional[Watchdog] = state["watchdog"]
+    registry: Optional[MetricsRegistry] = state["metrics"]
+    _install_monitors(
+        system, watchdog, registry, meta, checkpoint_every, checkpoint_path
+    )
+    return _run_to_end(
+        system, watchdog, registry, meta,
+        max_cycles if max_cycles is not None else meta["max_cycles"],
+        trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -643,9 +541,9 @@ def _run_one_spec(spec: Mapping[str, Any]) -> SimulationResult:
     checkpoint file when one exists (a previous attempt died mid-run);
     otherwise it starts from the beginning.  An unreadable checkpoint —
     e.g. the previous owner was SIGKILLed mid-dump on a filesystem
-    where the dump wasn't yet atomic-renamed, or the file predates the
-    current format — is discarded and the run restarts from scratch:
-    losing progress beats wedging the spec forever.
+    where the dump wasn't yet atomic-renamed, or the file was written by
+    other code — is discarded and the run restarts from scratch: losing
+    progress beats wedging the spec forever.
     """
     path = spec.get("checkpoint_path")
     if path and spec.get("checkpoint_every") and os.path.exists(path):

@@ -58,10 +58,9 @@ class GPU:
         ]
         self.l2_tlb = TLB(config.gpu_l2_tlb, name="gpu_l2_tlb")
         if tracer is not None:
-            now = lambda: simulator.now  # noqa: E731 - tiny clock closure
-            self.l2_tlb.attach_tracer(tracer, now)
+            self.l2_tlb.attach_tracer(tracer, simulator)
             for cu in self.cus:
-                cu.l1_tlb.attach_tracer(tracer, now)
+                cu.l1_tlb.attach_tracer(tracer, simulator)
 
         self.instruction_records: List[InstructionRecord] = []
         #: Dynamic instructions retired so far — the watchdog's
@@ -277,68 +276,6 @@ class GPU:
                 "a page table to the GPU"
             )
         return self.page_table.translate(vpn)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Full compute-side state.
-
-        Instruction records and in-flight contexts are pickled as the
-        objects themselves (they are plain slotted data); the combined
-        checkpoint pickle keeps their identity shared with the event
-        payloads that reference them.
-        """
-        return {
-            "instruction_records": list(self.instruction_records),
-            "instructions_retired": self.instructions_retired,
-            "instruction_counter": self._instruction_counter,
-            "wavefront_counter": self._wavefront_counter,
-            "pending_traces": list(self._pending_traces),
-            "running_wavefronts": self._running_wavefronts,
-            "wavefront_cu": dict(self._wavefront_cu),
-            "app_remaining": dict(self._app_remaining),
-            "app_completion_time": dict(self.app_completion_time),
-            "epoch_accesses": self._epoch_accesses,
-            "epoch_wavefronts": list(self._epoch_wavefronts),
-            "wavefronts_per_epoch": list(self.wavefronts_per_epoch),
-            "l2_tlb_next_free": self._l2_tlb_next_free,
-            "completion_time": self.completion_time,
-            "l2_tlb": self.l2_tlb.snapshot(),
-            "cus": [cu.snapshot() for cu in self.cus],
-            "wavefronts": [wf.snapshot() for wf in self._wavefronts.values()],
-        }
-
-    def restore(self, state: dict) -> None:
-        self.instruction_records = list(state["instruction_records"])
-        self.instructions_retired = state["instructions_retired"]
-        self._instruction_counter = state["instruction_counter"]
-        self._wavefront_counter = state["wavefront_counter"]
-        self._pending_traces = deque(state["pending_traces"])
-        self._running_wavefronts = state["running_wavefronts"]
-        self._wavefront_cu = dict(state["wavefront_cu"])
-        self._app_remaining = dict(state["app_remaining"])
-        self.app_completion_time = dict(state["app_completion_time"])
-        self._epoch_accesses = state["epoch_accesses"]
-        self._epoch_wavefronts = set(state["epoch_wavefronts"])
-        self.wavefronts_per_epoch = list(state["wavefronts_per_epoch"])
-        self._l2_tlb_next_free = state["l2_tlb_next_free"]
-        self.completion_time = state["completion_time"]
-        self.l2_tlb.restore(state["l2_tlb"])
-        for cu, dump in zip(self.cus, state["cus"]):
-            cu.restore(dump)
-        self._wavefronts = {}
-        for dump in state["wavefronts"]:
-            wavefront = Wavefront(
-                dump["wavefront_id"],
-                dump["cu_id"],
-                dump["trace"],
-                self,
-                app_id=dump["app_id"],
-            )
-            wavefront.restore(dump)
-            self._wavefronts[wavefront.wavefront_id] = wavefront
 
     # ------------------------------------------------------------------
     # Aggregate statistics

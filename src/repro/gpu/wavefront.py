@@ -72,9 +72,10 @@ class InstructionRecord:
 class _InflightInstruction:
     """Execution context of one issued-but-unretired memory instruction.
 
-    Instances travel inside event payloads; pickling the combined
-    checkpoint state in one pass preserves their shared identity across
-    the several events that reference the same in-flight instruction.
+    Instances travel inside event payloads; a checkpoint pickles the
+    whole system in one pass, which preserves their shared identity
+    across the several events that reference the same in-flight
+    instruction.
     """
 
     __slots__ = ("record", "outstanding_lines")
@@ -344,30 +345,3 @@ class Wavefront:
         self.done = True
         self._set_blocked(False)
         self._gpu.wavefront_finished(self)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Plain-data execution state; the GPU rebuilds the object."""
-        return {
-            "wavefront_id": self.wavefront_id,
-            "cu_id": self.cu_id,
-            "app_id": self.app_id,
-            "trace": self._trace,
-            "pc": self._pc,
-            "outstanding": self._outstanding,
-            "issue_pending": self._issue_pending,
-            "done": self.done,
-            "blocked": self.blocked,
-        }
-
-    def restore(self, state: dict) -> None:
-        self._pc = state["pc"]
-        self._outstanding = state["outstanding"]
-        self._issue_pending = state["issue_pending"]
-        self.done = state["done"]
-        # Set directly, not via _set_blocked: the CU's active/resident
-        # counters are restored separately from its own snapshot.
-        self.blocked = state["blocked"]

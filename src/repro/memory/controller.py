@@ -269,52 +269,3 @@ class QueuedMemoryController:
         if self.policy == "sms":
             data["walk_reads"] = self.walk_reads
         return data
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Bank state, queued and in-service requests, counters.
-
-        ``_Request`` objects are serialised as-is (slotted plain data;
-        their completion targets must be event tuples, which all
-        engine-integrated callers use).
-        """
-        return {
-            "banks": [(bank.busy, bank.open_row) for bank in self._banks],
-            "queues": {
-                bank: list(queue) for bank, queue in self._queues.items()
-            },
-            "in_service": dict(self._in_service),
-            "arrival_seq": self._arrival_seq,
-            "sms_batch": {
-                bank: list(batch) for bank, batch in self._sms_batch.items()
-            },
-            "walk_reads": self.walk_reads,
-            "reads": self.reads,
-            "row_hits": self.row_hits,
-            "row_conflicts": self.row_conflicts,
-            "peak_queue_depth": self.peak_queue_depth,
-            "padded_accesses": self.padded_accesses,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for bank, (busy, open_row) in zip(self._banks, state["banks"]):
-            bank.busy = busy
-            bank.open_row = open_row
-        self._queues = {
-            bank: list(queue) for bank, queue in state["queues"].items()
-        }
-        self._in_service = dict(state["in_service"])
-        self._arrival_seq = state["arrival_seq"]
-        self._sms_batch = {
-            bank: list(batch)
-            for bank, batch in state.get("sms_batch", {}).items()
-        }
-        self.walk_reads = state.get("walk_reads", 0)
-        self.reads = state["reads"]
-        self.row_hits = state["row_hits"]
-        self.row_conflicts = state["row_conflicts"]
-        self.peak_queue_depth = state["peak_queue_depth"]
-        self.padded_accesses = state["padded_accesses"]

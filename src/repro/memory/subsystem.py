@@ -163,40 +163,6 @@ class MemorySubsystem:
                 physical_address, on_complete, source=SOURCE_WALK
             )
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        state: Dict[str, object] = {
-            "data_accesses": self.data_accesses,
-            "page_table_reads": self.page_table_reads,
-            "pt_read_cycles": self.pt_read_cycles,
-            "pt_queue_cycles": self.pt_queue_cycles,
-            "pt_pad_cycles": self.pt_pad_cycles,
-            "l1_caches": [cache.snapshot() for cache in self.l1_caches],
-            "l2_cache": self.l2_cache.snapshot(),
-        }
-        if self.dram is not None:
-            state["dram"] = self.dram.snapshot()
-        if self.controller is not None:
-            state["controller"] = self.controller.snapshot()
-        return state
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self.data_accesses = state["data_accesses"]
-        self.page_table_reads = state["page_table_reads"]
-        self.pt_read_cycles = state.get("pt_read_cycles", 0)
-        self.pt_queue_cycles = state.get("pt_queue_cycles", 0)
-        self.pt_pad_cycles = state.get("pt_pad_cycles", 0)
-        for cache, dump in zip(self.l1_caches, state["l1_caches"]):
-            cache.restore(dump)
-        self.l2_cache.restore(state["l2_cache"])
-        if self.dram is not None:
-            self.dram.restore(state["dram"])
-        if self.controller is not None:
-            self.controller.restore(state["controller"])
-
     def stats(self) -> Dict[str, object]:
         dram_stats = (
             self.dram.stats() if self.dram is not None else self.controller.stats()

@@ -25,7 +25,7 @@ scheduler's lookahead is exactly the buffer capacity (Fig 14 sweeps it).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.config import IOMMUConfig
 from repro.core.buffer import PendingWalkBuffer
@@ -71,10 +71,9 @@ class IOMMU:
         self.l2_tlb = TLB(config.l2_tlb, name="iommu_l2_tlb")
         self.pwc = PageWalkCache(config.pwc, geometry=geometry)
         if tracer is not None:
-            now = lambda: simulator.now  # noqa: E731 - tiny clock closure
-            self.l1_tlb.attach_tracer(tracer, now)
-            self.l2_tlb.attach_tracer(tracer, now)
-            self.pwc.attach_tracer(tracer, now)
+            self.l1_tlb.attach_tracer(tracer, simulator)
+            self.l2_tlb.attach_tracer(tracer, simulator)
+            self.pwc.attach_tracer(tracer, simulator)
         self.scheduler = scheduler or make_scheduler(
             config.scheduler,
             seed=config.scheduler_seed,
@@ -165,8 +164,8 @@ class IOMMU:
 
         #: Reply sink used when a request carries no ``on_complete``
         #: closure: called as ``reply_to(request, pfn)``.  The GPU sets
-        #: this once at construction — being re-wired with the system,
-        #: it survives checkpoint/restore where a stored closure cannot.
+        #: this once at construction — a bound method, it pickles with
+        #: the system where a stored closure cannot.
         self.reply_to: Optional[Callable[[TranslationRequest, int], None]] = None
 
         simulator.register("iommu.reply", self._reply)
@@ -586,100 +585,6 @@ class IOMMU:
             request.on_complete(request, pfn)
         elif self.reply_to is not None:
             self.reply_to(request, pfn)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Every piece of translation-pipeline state, as plain data.
-
-        Shared objects (entries referenced by the buffer, the walkers
-        and queued events alike) keep their identity because the whole
-        checkpoint is serialised in one pickle.
-        """
-        return {
-            "l1_tlb": self.l1_tlb.snapshot(),
-            "l2_tlb": self.l2_tlb.snapshot(),
-            "pwc": self.pwc.snapshot(),
-            "buffer": self.buffer.snapshot(),
-            "scheduler": self.scheduler.snapshot(),
-            "walkers": [walker.snapshot() for walker in self.walkers],
-            "overflow": list(self._overflow),
-            "scan_in_progress": self._scan_in_progress,
-            "walking": {
-                vpn: list(entries) for vpn, entries in self._walking.items()
-            },
-            "dispatch_seq": self._dispatch_seq,
-            "requests": self.requests,
-            "tlb_hits": self.tlb_hits,
-            "walks_dispatched": self.walks_dispatched,
-            "overflow_peak": self.overflow_peak,
-            "coalesced_inflight": self.coalesced_inflight,
-            "prefetch_walks": self.prefetch_walks,
-            "total_queue_wait": self.total_queue_wait,
-            "total_service_time": self.total_service_time,
-            "total_overflow_wait": self.total_overflow_wait,
-            "dispatches_by_instruction": {
-                iid: list(seqs)
-                for iid, seqs in self.dispatches_by_instruction.items()
-            },
-            "iru_staging": list(self._iru_staging),
-            "region_pages": {
-                region: sorted(pages)
-                for region, pages in self._region_pages.items()
-            },
-            "region_tlb": list(self._region_tlb),
-            "region_hits": self.region_hits,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self.l1_tlb.restore(state["l1_tlb"])
-        self.l2_tlb.restore(state["l2_tlb"])
-        self.pwc.restore(state["pwc"])
-        self.buffer.restore(state["buffer"])
-        self.scheduler.restore(state["scheduler"])
-        for walker, dump in zip(self.walkers, state["walkers"]):
-            walker.restore(dump)
-            # The completion sink is code, not state: re-wire it so an
-            # in-flight walk delivers into this (rebuilt) IOMMU.
-            walker._on_complete = self._walk_complete
-        self._busy_walkers = sum(
-            1 for walker in self.walkers if walker._current is not None
-        )
-        self._overflow = deque(state["overflow"])
-        self._scan_in_progress = state["scan_in_progress"]
-        self._walking = {
-            vpn: list(entries) for vpn, entries in state["walking"].items()
-        }
-        self._dispatch_seq = state["dispatch_seq"]
-        self.requests = state["requests"]
-        self.tlb_hits = state["tlb_hits"]
-        self.walks_dispatched = state["walks_dispatched"]
-        self.overflow_peak = state["overflow_peak"]
-        self.coalesced_inflight = state["coalesced_inflight"]
-        self.prefetch_walks = state["prefetch_walks"]
-        self.total_queue_wait = state["total_queue_wait"]
-        self.total_service_time = state["total_service_time"]
-        self.total_overflow_wait = state.get("total_overflow_wait", 0)
-        self.dispatches_by_instruction = {
-            iid: list(seqs)
-            for iid, seqs in state["dispatches_by_instruction"].items()
-        }
-        # Zoo state: absent from pre-zoo checkpoints, so default empty.
-        self._iru_staging = list(state.get("iru_staging", ()))
-        self._region_pages = {
-            region: set(pages)
-            for region, pages in state.get("region_pages", {}).items()
-        }
-        self._region_tlb = OrderedDict(
-            (region, True) for region in state.get("region_tlb", ())
-        )
-        self.region_hits = state.get("region_hits", 0)
-        self.promotions = state.get("promotions", 0)
-        self.demotions = state.get("demotions", 0)
 
     # ------------------------------------------------------------------
     # Statistics

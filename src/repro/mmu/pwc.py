@@ -83,29 +83,6 @@ class _LevelCache:
             self._evict(entries)
         entries[tag] = _Entry()
 
-    def snapshot(self) -> Dict[str, object]:
-        """Set contents (tag -> counter, in LRU order) plus counters."""
-        return {
-            "sets": [
-                [(tag, entry.counter) for tag, entry in entries.items()]
-                for entries in self._sets
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-            "guarded_evictions_avoided": self.guarded_evictions_avoided,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for entries, dump in zip(self._sets, state["sets"]):
-            entries.clear()
-            for tag, counter in dump:
-                entry = _Entry()
-                entry.counter = counter
-                entries[tag] = entry
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.guarded_evictions_avoided = state["guarded_evictions_avoided"]
-
     def _evict(self, entries: "OrderedDict[int, _Entry]") -> None:
         if self._guard:
             # Victimise the LRU entry whose counter is zero; fall back to
@@ -145,15 +122,16 @@ class PageWalkCache:
             (self._levels[level], self._shifts[level])
             for level in self._cached_levels
         )
-        #: Optional :class:`~repro.obs.trace.Tracer` plus a clock
-        #: closure (the PWC holds no simulator reference).
+        #: Optional :class:`~repro.obs.trace.Tracer` plus the clock whose
+        #: ``now`` stamps its events, set via :meth:`attach_tracer`.
         self.tracer = None
-        self._trace_now = None
+        self._trace_clock = None
 
-    def attach_tracer(self, tracer, now) -> None:
-        """Record probes into ``tracer``; ``now`` supplies timestamps."""
+    def attach_tracer(self, tracer, clock) -> None:
+        """Record probes into ``tracer``, stamped with ``clock.now``
+        (the simulator)."""
         self.tracer = tracer
-        self._trace_now = now
+        self._trace_clock = clock
 
     def _deepest_hit(self, vpn: int, count_stats: bool) -> int:
         """Deepest cached level for ``vpn``; 0 when nothing is cached.
@@ -201,7 +179,9 @@ class PageWalkCache:
         accesses = self.accesses_for_hit_level(level)
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
-            tracer.pwc_probe(self._trace_now(), "score", vpn, level, accesses)
+            tracer.pwc_probe(
+                self._trace_clock.now, "score", vpn, level, accesses
+            )
         return accesses, pinned_levels
 
     def estimate_accesses(self, vpn: int) -> int:
@@ -231,7 +211,9 @@ class PageWalkCache:
         accesses = self.accesses_for_hit_level(level)
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
-            tracer.pwc_probe(self._trace_now(), "walk", vpn, level, accesses)
+            tracer.pwc_probe(
+                self._trace_clock.now, "walk", vpn, level, accesses
+            )
         return accesses
 
     def fill(self, vpn: int) -> None:
@@ -268,14 +250,3 @@ class PageWalkCache:
             }
             for level, cache in self._levels.items()
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[int, Dict[str, object]]:
-        return {level: cache.snapshot() for level, cache in self._levels.items()}
-
-    def restore(self, state: Dict[int, Dict[str, object]]) -> None:
-        for level, cache in self._levels.items():
-            cache.restore(state[level])

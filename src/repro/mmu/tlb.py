@@ -32,16 +32,16 @@ class TLB:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional :class:`~repro.obs.trace.Tracer` plus a clock
-        #: closure, set via :meth:`attach_tracer` (the TLB itself holds
-        #: no simulator reference).
+        #: Optional :class:`~repro.obs.trace.Tracer` plus the clock whose
+        #: ``now`` stamps its events, set via :meth:`attach_tracer`.
         self.tracer = None
-        self._trace_now = None
+        self._trace_clock = None
 
-    def attach_tracer(self, tracer, now) -> None:
-        """Record lookups into ``tracer``; ``now`` supplies timestamps."""
+    def attach_tracer(self, tracer, clock) -> None:
+        """Record lookups into ``tracer``, stamped with ``clock.now``
+        (the simulator)."""
         self.tracer = tracer
-        self._trace_now = now
+        self._trace_clock = clock
 
     def _set_for(self, vpn: int) -> "OrderedDict[int, int]":
         return self._sets[vpn % self._num_sets]
@@ -54,12 +54,14 @@ class TLB:
         if pfn is None:
             self.misses += 1
             if tracer is not None and tracer.cat_tlb:
-                tracer.tlb_lookup(self._trace_now(), self.name, vpn, False)
+                tracer.tlb_lookup(
+                    self._trace_clock.now, self.name, vpn, False
+                )
             return None
         entries.move_to_end(vpn)
         self.hits += 1
         if tracer is not None and tracer.cat_tlb:
-            tracer.tlb_lookup(self._trace_now(), self.name, vpn, True)
+            tracer.tlb_lookup(self._trace_clock.now, self.name, vpn, True)
         return pfn
 
     def probe(self, vpn: int) -> bool:
@@ -128,24 +130,3 @@ class TLB:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Set contents in LRU order plus hit/miss/eviction counters."""
-        return {
-            "sets": [list(entries.items()) for entries in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for entries, dump in zip(self._sets, state["sets"]):
-            entries.clear()
-            entries.update(dump)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]

@@ -23,7 +23,7 @@ dispatches without affecting a walk already in progress.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.request import WalkBufferEntry
 from repro.engine.simulator import Simulator
@@ -88,8 +88,8 @@ class PageTableWalker:
         #: the queued controller leaves it None and supplies the receipt
         #: at completion instead (see ``Tracer.last_dram_access``).
         self._read_meta: Optional[Tuple[int, int, int, bool]] = None
-        #: Completion sink; not serialised — the owner re-wires it on
-        #: restore (see :meth:`restore`).
+        #: Completion sink, set by the owning IOMMU (a bound method, so it
+        #: pickles with the system).
         self._on_complete: Optional[WalkCompletion] = None
         self._step_kind = f"walker.{walker_id}.step"
         self._deliver_kind = f"walker.{walker_id}.deliver"
@@ -223,48 +223,3 @@ class PageTableWalker:
                 entry.vpn, entry.instruction_id, accesses,
             )
         self._on_complete(self, entry, pfn, accesses)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """All walk state; the completion sink is code, not captured."""
-        return {
-            "current": self._current,
-            "walks_completed": self.walks_completed,
-            "memory_accesses": self.memory_accesses,
-            "busy_cycles": self.busy_cycles,
-            "stalled_until": self.stalled_until,
-            "wedged": self.wedged,
-            "walk_start": self._walk_start,
-            "remaining": list(self._remaining),
-            "total_accesses": self._total_accesses,
-            "pending": self._pending,
-            "held_cycles": self.held_cycles,
-            "finish_time": self._finish_time,
-            "read_issue": self._read_issue,
-            "read_level": self._read_level,
-            "read_address": self._read_address,
-            "read_meta": self._read_meta,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Adopt a snapshot.  The owner must re-set ``_on_complete``
-        (the IOMMU does) before the next completion fires."""
-        self._current = state["current"]
-        self.walks_completed = state["walks_completed"]
-        self.memory_accesses = state["memory_accesses"]
-        self.busy_cycles = state["busy_cycles"]
-        self.stalled_until = state["stalled_until"]
-        self.wedged = state["wedged"]
-        self._walk_start = state["walk_start"]
-        self._remaining = list(state["remaining"])
-        self._total_accesses = state["total_accesses"]
-        self._pending = state["pending"]
-        self.held_cycles = state.get("held_cycles", 0)
-        self._finish_time = state.get("finish_time", 0)
-        self._read_issue = state.get("read_issue", -1)
-        self._read_level = state.get("read_level", 0)
-        self._read_address = state.get("read_address", 0)
-        self._read_meta = state.get("read_meta")

@@ -226,53 +226,6 @@ class MetricsRegistry:
         registry.samples_taken = int(data.get("samples_taken", 0))
         return registry
 
-    # -- checkpointing ---------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Exact registry state, including the decimation stride/skip
-        that :meth:`as_dict` does not carry (resume must keep sampling
-        on the same cadence)."""
-        return {
-            "counters": {
-                name: counter.value for name, counter in self._counters.items()
-            },
-            "gauges": {
-                name: (gauge.value, gauge.min_value, gauge.max_value, gauge.samples)
-                for name, gauge in self._gauges.items()
-            },
-            "histograms": {
-                name: (
-                    histogram.bucket_bounds(),
-                    histogram.counts(),
-                    histogram.out_of_range,
-                )
-                for name, histogram in self._histograms.items()
-            },
-            "series": list(self.series),
-            "series_stride": self._series_stride,
-            "series_skip": self._series_skip,
-            "samples_taken": self.samples_taken,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._counters = {}
-        for name, value in state["counters"].items():
-            counter = self.counter(name)
-            counter.value = value
-        self._gauges = {}
-        for name, dump in state["gauges"].items():
-            gauge = self.gauge(name)
-            gauge.value, gauge.min_value, gauge.max_value, gauge.samples = dump
-        self._histograms = {}
-        for name, (bounds, counts, out_of_range) in state["histograms"].items():
-            self._histograms[name] = BucketHistogram.from_counts(
-                bounds, counts, out_of_range
-            )
-        self.series = list(state["series"])
-        self._series_stride = state["series_stride"]
-        self._series_skip = state["series_skip"]
-        self.samples_taken = state["samples_taken"]
-
     # -- export ---------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:

@@ -123,9 +123,10 @@ class Tracer:
         #: row_hit)`` left by the memory models for the walker that is
         #: synchronously issuing (reservation) or completing (queued
         #: controller) a page-table read.  Consumed within the same call
-        #: stack, so it is never checkpointed; it exists so the walker
-        #: can split its read spans into bank-queue vs row-access cycles
-        #: without the full ``memory`` category flooding the ring.
+        #: stack, so its value between events never matters; it exists
+        #: so the walker can split its read spans into bank-queue vs
+        #: row-access cycles without the full ``memory`` category
+        #: flooding the ring.
         self.last_dram_access = None
 
     @property
@@ -405,22 +406,6 @@ class Tracer:
             "name": name, "ph": "C", "ts": now, "pid": pid, "tid": 0,
             "cat": "counter", "args": {"value": value},
         })
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "events": list(self._events),
-            "events_emitted": self.events_emitted,
-            "jobs": {key: list(window) for key, window in self._jobs.items()},
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._events = deque(state["events"], maxlen=self.config.ring_size)
-        self.events_emitted = state["events_emitted"]
-        self._jobs = {key: list(window) for key, window in state["jobs"].items()}
 
     # ------------------------------------------------------------------
     # Introspection and export

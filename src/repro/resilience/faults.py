@@ -323,31 +323,6 @@ class FaultInjector:
         return extra
 
     # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "rng": self._rng.getstate(),
-            "completion_remaining": [
-                fault.remaining for fault in self._completion_faults
-            ],
-            "injected": dict(self.injected),
-            "entries_corrupted": self.entries_corrupted,
-            "dropped_completions": self.dropped_completions,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._rng.setstate(state["rng"])
-        for fault, remaining in zip(
-            self._completion_faults, state["completion_remaining"]
-        ):
-            fault.remaining = remaining
-        self.injected = dict(state["injected"])
-        self.entries_corrupted = state["entries_corrupted"]
-        self.dropped_completions = state["dropped_completions"]
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
 

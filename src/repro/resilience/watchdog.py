@@ -199,22 +199,6 @@ class Watchdog:
                 )
             )
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "last_retired": self._last_retired,
-            "last_progress_cycle": self._last_progress_cycle,
-            "checks": self.checks,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._last_retired = state["last_retired"]
-        self._last_progress_cycle = state["last_progress_cycle"]
-        self.checks = state["checks"]
-
     def final_check(self) -> None:
         """Invariant sweep after a run completes (silent-bug detector)."""
         violations = self._system.iommu.check_conservation()

@@ -5,8 +5,9 @@ cycle and resumed from its checkpoint produces **bit-identical** final
 statistics to the run that was never interrupted.  Exercised for every
 registered scheduler, at several interrupt points (mid-walk is
 guaranteed at any mid-run cycle; the scoring schedulers add mid-aging
-state), across chained interruptions, and with fault injection, metrics
-sampling and lifecycle tracing active.
+state), across chained interruptions, with fault injection, metrics
+sampling and lifecycle tracing active, and for a scheduler instance
+passed in place of a registry name.
 
 Only wall-clock fields (``detail["engine"]["wall_seconds"]`` and
 ``events_per_sec``) are exempt — everything else, down to the walk
@@ -211,20 +212,42 @@ def test_resume_with_faults_armed(tmp_path):
 
 
 def test_resume_with_metrics_sampling(tmp_path):
-    want = _fingerprint(_run("simt", metrics=True))
+    # Sample often enough that the sampler fires before and after the
+    # interrupt: the resumed sampler must update the registry's own
+    # gauges, so the time series continues where it stopped.
+    kwargs = dict(metrics=True, metrics_interval_events=200)
+    want = _fingerprint(_run("simt", **kwargs))
+    assert want["detail"]["metrics"]["samples_taken"] > 10
     cycle = want["total_cycles"] // 2
     path = tmp_path / "crash.ckpt"
-    _interrupt_at("simt", cycle, path, metrics=True)
+    _interrupt_at("simt", cycle, path, **kwargs)
     resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
     assert _fingerprint(resumed) == want
 
 
 def test_resume_with_tracing(tmp_path):
-    trace = TraceConfig()
+    # Embedded events make the comparison event by event: the resumed
+    # ring must hold exactly the uninterrupted run's recorded events.
+    trace = TraceConfig(embed_events=True)
     want = _fingerprint(_run("simt", trace=trace))
+    assert want["detail"]["trace"]["events"]
     cycle = want["total_cycles"] // 2
     path = tmp_path / "crash.ckpt"
     _interrupt_at("simt", cycle, path, trace=trace)
+    resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
+    assert _fingerprint(resumed) == want
+
+
+def test_resume_with_reference_scheduler_instance(tmp_path):
+    # A scheduler instance outside the registry (here the naive twin of
+    # the paper's policy) travels inside the pickled system, state and
+    # all; each run gets a fresh instance.
+    from repro.core.reference import make_reference_scheduler
+
+    want = _fingerprint(_run(make_reference_scheduler("simt")))
+    cycle = want["total_cycles"] // 2
+    path = tmp_path / "crash.ckpt"
+    _interrupt_at(make_reference_scheduler("simt"), cycle, path)
     resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
     assert _fingerprint(resumed) == want
 
@@ -270,12 +293,16 @@ def test_checkpoint_every_requires_path():
         _run("fcfs", checkpoint_every=100)
 
 
-def test_checkpoint_rejects_scheduler_instances():
-    from repro.core.schedulers import make_scheduler
+def test_closure_event_makes_the_dump_fail(tmp_path):
+    # A pending "__call__" closure event cannot be pickled: the dump
+    # fails with CheckpointError and the previous file stays intact.
+    from repro.engine.checkpoint import CheckpointError, save_checkpoint_file
+    from repro.experiments.runner import build_system
 
-    with pytest.raises(ValueError, match="registry scheduler name"):
-        _run(
-            make_scheduler("fcfs"),
-            checkpoint_every=100,
-            checkpoint_path="unused.ckpt",
-        )
+    path = tmp_path / "run.ckpt"
+    path.write_bytes(b"previous")
+    system = build_system(tiny_config())
+    system.simulator.after(5, lambda: None)
+    with pytest.raises(CheckpointError, match="__call__"):
+        save_checkpoint_file(str(path), {"system": system})
+    assert path.read_bytes() == b"previous"

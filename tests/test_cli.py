@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import pickle
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -36,10 +38,47 @@ def test_run_checkpoint_then_resume(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_run_checkpoint_every_requires_path():
-    with pytest.raises(ValueError, match="checkpoint_path"):
+def test_run_checkpoint_every_requires_path(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run", "kmn", "--scale", "0.05", "--wavefronts", "4",
               "--checkpoint-every", "500"])
+    assert excinfo.value.code == 2
+    assert "--checkpoint-path" in capsys.readouterr().err
+
+
+def _assert_one_line_error(capsys, argv, prefix):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+
+
+def test_resume_missing_checkpoint_exits_2(tmp_path, capsys):
+    _assert_one_line_error(
+        capsys, ["resume", str(tmp_path / "missing.ckpt")], "resume: "
+    )
+
+
+def test_resume_text_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "notes.ckpt"
+    path.write_text("not a checkpoint\n")
+    _assert_one_line_error(capsys, ["resume", str(path)], "resume: ")
+
+
+def test_resume_checkpoint_from_other_code_exits_2(tmp_path, capsys):
+    # A genuine checkpoint re-stamped with another code fingerprint: its
+    # pickle names classes and handlers of code that is not running, so
+    # it must be refused before anything is simulated.
+    path = tmp_path / "run.ckpt"
+    assert main(["run", "kmn", "--scale", "0.05", "--wavefronts", "4",
+                 "--checkpoint-every", "100",
+                 "--checkpoint-path", str(path)]) == 0
+    capsys.readouterr()
+    payload = pickle.loads(path.read_bytes())
+    payload["code"] = "0" * 16
+    path.write_bytes(pickle.dumps(payload))
+    _assert_one_line_error(capsys, ["resume", str(path)], "resume: ")
 
 
 def test_compare_command_small(capsys):

@@ -1,10 +1,11 @@
-"""Unit tests for the event queue: ordering, stability, snapshots.
+"""Unit tests for the event queue: ordering, stability, pickling.
 
 Alongside the unit tests there is a differential fuzz section popping
 the queue against a bare ``heapq`` reference twin — same-cycle ties,
-interleaved push/pop, and snapshot/restore mid-stream included.
+interleaved push/pop, and pickle round trips mid-stream included.
 """
 
+import pickle
 import random
 from heapq import heappop, heappush
 
@@ -95,27 +96,16 @@ def test_snapshot_restore_roundtrip():
     queue.push(10, "a", (1,))
     queue.push(5, "b", (2,))
     queue.pop()
-    state = queue.snapshot()
 
-    other = EventQueue()
-    other.push(99, "noise")
-    other.restore(state)
+    other = pickle.loads(pickle.dumps(queue))
     assert len(other) == 1
     time, _seq, kind, payload = other.pop()
     assert (time, kind, payload) == (10, "a", (1,))
 
-    # Sequence numbering continues from the snapshot, preserving FIFO
-    # order across the restore boundary.
+    # Sequence numbering continues from the pickled queue (two pushes
+    # so far), preserving FIFO order across the round trip.
     other.push(10, "c")
-    assert other.pop()[1] > state["sequence"] - 1
-
-
-def test_snapshot_is_independent_copy():
-    queue = EventQueue()
-    queue.push(1, "a")
-    state = queue.snapshot()
-    queue.pop()
-    assert len(state["heap"]) == 1
+    assert other.pop()[1] == 2
 
 
 def test_push_below_drained_time_raises():
@@ -139,21 +129,6 @@ def test_pop_bucket_sets_floor():
     queue.pop_bucket()
     with pytest.raises(ValueError):
         queue.push(4, "late")
-
-
-def test_restore_accepts_legacy_heap_ordered_snapshot():
-    # PR-5-era snapshots stored the raw binary heap (heap order, not
-    # sorted) and no "floor" key; restore must still reproduce exact
-    # (time, seq) pop order from them.
-    events = [(3, 0, "a", ()), (1, 1, "b", ()), (2, 2, "c", (9,))]
-    heap = []
-    for event in events:
-        heappush(heap, event)
-    state = {"heap": heap, "sequence": 3}
-
-    queue = EventQueue()
-    queue.restore(state)
-    assert [queue.pop() for _ in range(3)] == sorted(events)
 
 
 # ----------------------------------------------------------------------
@@ -207,17 +182,15 @@ def test_fuzz_matches_heap_reference(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzz_snapshot_restore_mid_stream(seed):
-    """Snapshot/restore at random points must not perturb pop order."""
+    """Pickle round trips at random points must not perturb pop order."""
     rng = random.Random(1_000 + seed)
     queue, twin = EventQueue(), _HeapTwin()
     now = 0
     for step in range(1_500):
         roll = rng.random()
         if roll < 0.05:
-            # Round-trip through a snapshot into a fresh queue object.
-            fresh = EventQueue()
-            fresh.restore(queue.snapshot())
-            queue = fresh
+            # Round-trip through pickle into a fresh queue object.
+            queue = pickle.loads(pickle.dumps(queue))
         elif twin and roll < 0.5:
             expected = twin.pop()
             assert queue.pop() == expected

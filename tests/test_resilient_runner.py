@@ -7,6 +7,7 @@ hard-exit, hang) to prove one bad job can never take down a sweep.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 import pytest
@@ -324,6 +325,48 @@ def test_inrun_resume_continues_an_interrupted_run(tmp_path, monkeypatch):
     assert outcomes[0].ok
     assert _fingerprint(outcomes[0].result) == want
     assert not inrun.exists()  # consumed and cleaned up on success
+
+
+@pytest.mark.parametrize("damage", ["torn", "other_code"])
+def test_unusable_inrun_checkpoint_restarts_the_spec(
+    tmp_path, monkeypatch, damage
+):
+    from repro.experiments import runner as runner_module
+    from repro.resilience.outcomes import CheckpointStore
+
+    spec = _good_spec(6)
+    want = _fingerprint(run_simulation(**spec))
+    ckpt = tmp_path / "sweep"
+    inrun = CheckpointStore(str(ckpt)).inrun_path(spec)
+    run_simulation(**spec, checkpoint_every=500, checkpoint_path=str(inrun))
+    blob = inrun.read_bytes()
+    if damage == "torn":
+        # A dump cut short, as a non-atomic filesystem could leave it.
+        inrun.write_bytes(blob[: len(blob) // 2])
+    else:
+        # The same state stamped by other code: its pickle would name
+        # classes and handlers this code may not have.
+        payload = pickle.loads(blob)
+        payload["code"] = "0" * 16
+        inrun.write_bytes(pickle.dumps(payload))
+
+    fresh_runs = []
+    real_run_simulation = runner_module.run_simulation
+
+    def counting_run_simulation(**kwargs):
+        fresh_runs.append(kwargs)
+        return real_run_simulation(**kwargs)
+
+    monkeypatch.setattr(
+        runner_module, "run_simulation", counting_run_simulation
+    )
+    outcomes = run_many_resilient(
+        [spec], checkpoint=str(ckpt), inrun_checkpoint_every=500
+    )
+    assert outcomes[0].ok
+    assert _fingerprint(outcomes[0].result) == want
+    assert len(fresh_runs) == 1  # restarted from the beginning, once
+    assert not inrun.exists()
 
 
 def test_inrun_checkpointing_does_not_perturb_results(tmp_path):

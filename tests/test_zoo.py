@@ -11,10 +11,10 @@ Four groups:
   instruction tag cannot inherit batch priority (paper §IV: a batch
   lasts exactly as long as its instruction has pending walks).
   Exercised on the optimized policies and their naive twins alike.
-* **Family behaviour + snapshot fuzz** — each family's mechanism is
+* **Family behaviour + pickle fuzz** — each family's mechanism is
   observable on a real run (prefetch walks, pending coalesces, region
   promotions), and every registered policy survives a mid-stream
-  snapshot/restore with bit-identical subsequent selections.
+  pickle round trip with bit-identical subsequent selections.
 * **Comparison goldens** — the zoo-vs-paper sweep's comparison charts
   and the SMS controller's runs, pinned exactly to committed CSVs.
 """
@@ -240,7 +240,7 @@ class TestFamilyBehaviour:
 
 
 # ----------------------------------------------------------------------
-# Snapshot/restore round-trip fuzz (unit level, every policy)
+# Pickle round-trip fuzz (unit level, every policy)
 # ----------------------------------------------------------------------
 
 
@@ -291,10 +291,10 @@ def _drive(scheduler, buffer, ops):
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 @pytest.mark.parametrize("fuzz_seed", [0, 1, 2])
 def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
-    """Snapshot mid-stream, restore into a *fresh* scheduler+buffer
-    (deep-copied through pickle, as real checkpoints are), and the
-    restored pair must make bit-identical selections thereafter —
-    including the random policy's Mersenne Twister stream."""
+    """Pickle the scheduler and buffer mid-stream, in one pass as a
+    checkpoint does, and the unpickled pair must make bit-identical
+    selections thereafter — including the random policy's Mersenne
+    Twister stream."""
     rng = random.Random(1_000 * fuzz_seed + sum(map(ord, name)))
     warmup, tail = _ops(rng, 120), _ops(rng, 120)
 
@@ -302,15 +302,7 @@ def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
     buffer = PendingWalkBuffer(32, track_scores=scheduler.needs_scores)
     _drive(scheduler, buffer, warmup)
 
-    frozen = pickle.dumps(
-        {"buffer": buffer.snapshot(), "scheduler": scheduler.snapshot()}
-    )
-    state = pickle.loads(frozen)
-    # Deliberately different seed: restore must overwrite it.
-    twin = make_scheduler(name, seed=999, aging_threshold=6)
-    twin_buffer = PendingWalkBuffer(32, track_scores=twin.needs_scores)
-    twin_buffer.restore(state["buffer"])
-    twin.restore(state["scheduler"])
+    twin, twin_buffer = pickle.loads(pickle.dumps((scheduler, buffer)))
 
     assert _drive(scheduler, buffer, tail) == _drive(twin, twin_buffer, tail)
 

@@ -23,7 +23,7 @@ faults:
 	python -m repro faults --seed 2018 --runs 8 --jobs 2 --timeout 300
 
 trace:
-	python -m repro trace mvt --scale 0.2 --out trace.json --jsonl trace.jsonl
+	python -m repro run mvt --scale 0.2 --trace trace.json --trace-jsonl trace.jsonl
 
 overhead:
 	python benchmarks/perf/tracing_overhead.py
@@ -70,15 +70,15 @@ figures:
 	python -m repro service init figures-campaign --workloads MVT,XSB \
 		--schedulers fcfs,simt --seeds 2 --metrics
 	python -m repro service run figures-campaign --workers 2
-	python -m repro figures figures-campaign
+	python -m repro report figures-campaign
 	@echo "open figures-campaign/report/campaign_report.html"
 
 # Walk-latency blame: trace a small sweep, attribute every walk's
 # cycles to pipeline stages, and write the merged report.  Exits
 # nonzero if any walk's stages fail to sum to its end-to-end latency.
 blame:
-	python -m repro blame --workloads MVT,XSB --schedulers fcfs,simt \
-		--seeds 2 --jobs 2 --out blame_report.json
+	python -m repro fleet-report --workloads MVT,XSB --schedulers fcfs,simt \
+		--seeds 2 --jobs 2 --blame blame_report.json
 
 attrib-bench:
 	python benchmarks/perf/attrib_overhead.py

@@ -48,7 +48,6 @@ from repro.experiments.runner import (
     run_many,
     run_many_resilient,
     run_simulation,
-    scheduler_sweep_specs,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -120,7 +119,6 @@ __all__ = [
     "run_many",
     "run_many_resilient",
     "run_simulation",
-    "scheduler_sweep_specs",
     "validate_chrome_trace",
     "workload_names",
     "__version__",

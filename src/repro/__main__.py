@@ -3,32 +3,27 @@
 Commands
 --------
 
+``list``
+    List available workloads, schedulers and registered figures.
+
 ``run WORKLOAD``
     Simulate one workload under one scheduler and print its metrics.
+    ``--trace``/``--trace-jsonl`` also record the full walk and
+    instruction lifecycle as a Chrome/Perfetto ``trace_event`` JSON file
+    (open it at https://ui.perfetto.dev) and/or JSON lines; timestamps
+    are simulation cycles, so the trace is deterministic.  ``--metrics``
+    writes the live metrics registry's JSON dump (pending-walk depth,
+    walker occupancy, PWC hit rates, DRAM queue depth).
+
+``resume CHECKPOINT``
+    Continue a run from the in-run checkpoint ``run --checkpoint-every``
+    left behind.
 
 ``compare WORKLOAD``
     Run several schedulers on one workload and print speedups.  With
     ``--timeout``/``--retries`` each scheduler's run is bounded and
     retried in an isolated worker process; failures are summarised and
     the exit code is nonzero if any job ultimately fails.
-
-``trace WORKLOAD``
-    Simulate one workload with full lifecycle tracing and write a
-    Chrome/Perfetto ``trace_event`` JSON file (open it at
-    https://ui.perfetto.dev).  Timestamps are simulation cycles, so the
-    trace is deterministic.
-
-``metrics WORKLOAD``
-    Simulate one workload with the live metrics registry sampling the
-    translation pipeline (pending-walk depth, walker occupancy, PWC hit
-    rates, DRAM queue depth) and print — or write — the JSON dump.
-
-``blame``
-    Walk-latency attribution: run a traced sweep (or analyze an
-    existing trace with ``--trace``) and write the deterministic blame
-    report — per-walk stage breakdowns reconciled to end-to-end
-    latency, per-job critical paths, per-scheduler stage shares and
-    top-K outlier walks.  See ``docs/OBSERVABILITY.md``.
 
 ``faults``
     Run a seeded fault-injection campaign (deterministic: the same seed
@@ -40,6 +35,14 @@ Commands
     Run a workload × scheduler × seed sweep under fleet telemetry and
     write the deterministic aggregated report (per-group distributions,
     geomean speedups vs the baseline scheduler) as JSON and markdown.
+    ``--blame PATH`` traces every run of the sweep and also writes the
+    deterministic blame report — per-walk stage breakdowns reconciled to
+    end-to-end latency, per-job critical paths, per-scheduler stage
+    shares and top-K outlier walks.  See ``docs/OBSERVABILITY.md``.
+
+``blame TRACE``
+    The same walk-latency attribution for one existing trace
+    (a Chrome-trace JSON or JSONL event stream written by ``run``).
 
 ``service SUBCOMMAND``
     The durable work-queue sweep service (:mod:`repro.service`):
@@ -54,25 +57,39 @@ Commands
 ``figure NAME``
     Run one paper figure's sweep and print its rows as a text table:
     a registry name with a paper sweep (``fig8_speedup``, or just
-    ``fig8``; ``python -m repro figures --list`` names them all), or
+    ``fig8``; ``python -m repro list`` names them all), or
     ``table1`` (of ``--config``) / ``table2`` (paper-size footprints).
 
-``list``
-    List available workloads and schedulers.
+``report INPUT...``
+    Render every registered figure (Vega-Lite spec + CSV under
+    ``figures/``) and the self-contained HTML campaign report from
+    campaign dirs and/or fleet reports — the layout ``service merge``
+    writes.  ``--serve`` runs the live sweep dashboard instead.
+
+``qos WORKLOAD_A WORKLOAD_B``
+    Co-run two workloads and compare QoS across schedulers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro import CheckpointError, available_schedulers, run_simulation
+from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL_EVENTS
+from repro.obs.trace import DEFAULT_RING_SIZE, TRACE_CATEGORIES, TraceConfig
 from repro.workloads.registry import workload_names
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.obs.figures import FIGURES
+
     print("workloads: ", ", ".join(workload_names()))
     print("schedulers:", ", ".join(available_schedulers()))
+    print("figures:")
+    for name, definition in FIGURES.items():
+        print(f"  {name:24s}  {definition.title}")
     return 0
 
 
@@ -84,14 +101,31 @@ def _print_result(result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.obs.trace import validate_chrome_trace
+
+    trace = None
+    if args.trace or args.trace_jsonl:
+        trace = TraceConfig(
+            categories=args.trace_categories or TRACE_CATEGORIES,
+            ring_size=args.ring_size or DEFAULT_RING_SIZE,
+        )
     try:
         result = run_simulation(
-            args.workload.upper(),
+            args.workload,
             config=_load_config(args),
             scheduler=args.scheduler,
             num_wavefronts=args.wavefronts,
             scale=args.scale,
             seed=args.seed,
+            trace=trace,
+            trace_path=args.trace,
+            trace_jsonl_path=args.trace_jsonl,
+            metrics=args.metrics is not None,
+            metrics_interval_events=(
+                args.metrics_interval or DEFAULT_SAMPLE_INTERVAL_EVENTS
+            ),
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
         )
@@ -99,6 +133,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
     _print_result(result)
+    summary = result.detail.get("trace", {})
+    if args.trace:
+        with open(args.trace, "r", encoding="utf-8") as handle:
+            count = validate_chrome_trace(json.load(handle))
+        print(
+            f"trace: {count} events written to {args.trace} "
+            f"({summary['events_emitted']} emitted, "
+            f"{summary['events_dropped']} dropped from the ring); "
+            "open in https://ui.perfetto.dev or chrome://tracing"
+        )
+    if args.trace_jsonl:
+        print(f"jsonl: {args.trace_jsonl}")
+    if summary.get("events_dropped"):
+        # Ring overflow is silent data loss for any per-walk analysis
+        # downstream (blame, Fig. 3 histograms) — make it loud.
+        print(
+            f"warning: ring overflow dropped {summary['events_dropped']} "
+            f"event(s); rerun with a larger --ring-size (currently "
+            f"{trace.ring_size}) or fewer --trace-categories for complete "
+            "lifecycles",
+            file=sys.stderr,
+        )
+    if args.metrics:
+        with open(args.metrics, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(
+                result.detail["metrics"], indent=2, sort_keys=True
+            ) + "\n")
+        print(f"metrics: {args.metrics}")
     return 0
 
 
@@ -119,18 +181,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_many, scheduler_sweep_specs
+    from repro.experiments.runner import run_many
+    from repro.obs.aggregate import sweep_specs
 
-    schedulers = tuple(args.schedulers.split(","))
-    specs = scheduler_sweep_specs(
-        args.workload.upper(),
-        schedulers,
+    specs = sweep_specs(
+        [args.workload], args.schedulers, [args.seed],
         config=_load_config(args),
         num_wavefronts=args.wavefronts,
         scale=args.scale,
-        seed=args.seed,
     )
-    with _make_telemetry(args) as telemetry:
+    with _telemetry(args) as telemetry:
         outcomes = run_many(
             specs,
             jobs=args.jobs,
@@ -140,7 +200,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             telemetry=telemetry,
         )
     baseline = outcomes[0].result if outcomes[0].ok else None
-    for name, outcome in zip(schedulers, outcomes):
+    for name, outcome in zip(args.schedulers, outcomes):
         if outcome.ok:
             result = outcome.result
             line = result.summary()
@@ -152,7 +212,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print(f"{name}: FAILED after {outcome.attempts} attempt(s) — "
                   f"{outcome.error_type}: {outcome.error}")
     failed = [
-        name for name, outcome in zip(schedulers, outcomes) if not outcome.ok
+        name for name, outcome in zip(args.schedulers, outcomes)
+        if not outcome.ok
     ]
     if failed:
         print(
@@ -163,130 +224,44 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.trace import TraceConfig, validate_chrome_trace
-
-    trace_kwargs = {}
-    if args.categories:
-        trace_kwargs["categories"] = frozenset(args.categories.split(","))
-    if args.ring_size is not None:
-        trace_kwargs["ring_size"] = args.ring_size
-    trace_config = TraceConfig(**trace_kwargs)
-    result = run_simulation(
-        args.workload.upper(),
-        config=_load_config(args),
-        scheduler=args.scheduler,
-        num_wavefronts=args.wavefronts,
-        scale=args.scale,
-        seed=args.seed,
-        trace=trace_config,
-        trace_path=args.out,
-        trace_jsonl_path=args.jsonl,
-    )
-    with open(args.out, "r", encoding="utf-8") as handle:
-        count = validate_chrome_trace(json.load(handle))
-    print(result.summary())
-    summary = result.detail["trace"]
-    print(
-        f"trace: {count} events written to {args.out} "
-        f"({summary['events_emitted']} emitted, "
-        f"{summary['events_dropped']} dropped from the ring)"
-    )
-    if args.jsonl:
-        print(f"jsonl: {args.jsonl}")
-    print("open in https://ui.perfetto.dev or chrome://tracing")
-    if summary["events_dropped"] > 0:
-        # Ring overflow is silent data loss for any per-walk analysis
-        # downstream (blame, Fig. 3 histograms) — make it loud.
-        print(
-            f"warning: ring overflow dropped {summary['events_dropped']} "
-            f"event(s); rerun with a larger --ring-size (currently "
-            f"{trace_config.ring_size}) or fewer --categories for "
-            "complete lifecycles",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    result = run_simulation(
-        args.workload.upper(),
-        config=_load_config(args),
-        scheduler=args.scheduler,
-        num_wavefronts=args.wavefronts,
-        scale=args.scale,
-        seed=args.seed,
-        metrics=True,
-        metrics_interval_events=args.interval,
-    )
-    dump = json.dumps(result.detail["metrics"], indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump + "\n")
-        print(result.summary())
-        print(f"wrote {args.out}")
-    else:
-        print(dump)
-    return 0
-
-
 def _cmd_blame(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.attrib import (
         BLAME_REPORT_FORMAT,
         BLAME_REPORT_VERSION,
         blame_run_report,
-        blame_sweep_report,
-        blame_sweep_specs,
         iter_trace_events,
-        render_blame_report,
     )
 
-    if args.trace:
-        # Analyze-existing-trace mode: no simulation, just attribution.
+    try:
         events = iter_trace_events(args.trace)
-        run = blame_run_report(events, top_k=args.top)
-        document = {
-            "format": BLAME_REPORT_FORMAT,
-            "version": BLAME_REPORT_VERSION,
-            "source": args.trace,
-            "runs": [run],
-            "reconciliation": dict(run["reconciliation"]),
-        }
-    else:
-        from repro.experiments.runner import run_many
+    except (OSError, ValueError) as exc:
+        print(f"blame: {exc}", file=sys.stderr)
+        return 2
+    run = blame_run_report(events)
+    document = {
+        "format": BLAME_REPORT_FORMAT,
+        "version": BLAME_REPORT_VERSION,
+        "source": args.trace,
+        "runs": [run],
+        "reconciliation": dict(run["reconciliation"]),
+    }
+    return _write_blame(document, args.out, args.quiet)
 
-        workloads = [name.upper() for name in args.workloads.split(",")]
-        schedulers = args.schedulers.split(",")
-        sweep_kwargs = {}
-        if args.ring_size is not None:
-            sweep_kwargs["ring_size"] = args.ring_size
-        specs = blame_sweep_specs(
-            workloads,
-            schedulers,
-            seeds=range(args.seeds),
-            config=_load_config(args),
-            num_wavefronts=args.wavefronts,
-            scale=args.scale,
-            **sweep_kwargs,
-        )
-        results = run_many(specs, jobs=args.jobs)
-        document = blame_sweep_report(specs, results, top_k=args.top)
+
+def _write_blame(document, out, quiet: bool) -> int:
+    """Write a blame document (stdout without ``out``), summarise it,
+    and return 1 if any walk failed stage reconciliation."""
+    from repro.obs.attrib import BLAME_RING_SIZE, render_blame_report
 
     rendered = render_blame_report(document)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
-        if not args.quiet:
-            print(f"wrote {args.out}")
+        if not quiet:
+            print(f"wrote {out}")
     else:
         print(rendered)
-    if not args.quiet:
+    if not quiet:
         for scheduler, entry in sorted(
             document.get("by_scheduler", {}).items()
         ):
@@ -304,8 +279,9 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     dropped = document.get("events_dropped", 0)
     if dropped:
         print(
-            f"warning: ring overflow dropped {dropped} event(s); "
-            "attribution is incomplete — raise --ring-size",
+            f"warning: ring overflow dropped {dropped} event(s) from the "
+            f"{BLAME_RING_SIZE}-event blame ring; attribution is incomplete "
+            "— shrink --scale or --wavefronts",
             file=sys.stderr,
         )
     reconciliation = document.get("reconciliation", {})
@@ -322,7 +298,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.resilience.campaign import render_campaign, run_campaign
 
-    with _make_telemetry(args) as telemetry:
+    with _telemetry(args) as telemetry:
         report = run_campaign(
             seed=args.seed,
             runs=args.runs,
@@ -366,19 +342,21 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
         render_fleet_report,
         sweep_specs,
     )
+    from repro.obs.attrib import blame_sweep_report, blame_sweep_specs
 
-    workloads = [name.upper() for name in args.workloads.split(",")]
-    schedulers = args.schedulers.split(",")
-    specs = sweep_specs(
-        workloads,
-        schedulers,
+    sweep = dict(
         seeds=range(args.seeds),
         config=_load_config(args),
         num_wavefronts=args.wavefronts,
         scale=args.scale,
-        metrics=args.metrics,
     )
-    with _make_telemetry(args) as telemetry:
+    if args.blame:
+        specs = blame_sweep_specs(args.workloads, args.schedulers, **sweep)
+    else:
+        specs = sweep_specs(
+            args.workloads, args.schedulers, metrics=args.metrics, **sweep
+        )
+    with _telemetry(args) as telemetry:
         outcomes = run_many_resilient(
             specs,
             jobs=args.jobs,
@@ -403,6 +381,16 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
         if args.markdown:
             print(f"wrote {args.markdown}")
+    code = 0
+    if args.blame:
+        done = [(spec, o.result) for spec, o in zip(specs, outcomes) if o.ok]
+        code = _write_blame(
+            blame_sweep_report(
+                [spec for spec, _ in done], [result for _, result in done]
+            ),
+            args.blame,
+            args.quiet,
+        )
     failed = report["failed"] + report["timeout"]
     if failed:
         print(
@@ -410,7 +398,7 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
+    return code
 
 
 def _gather_campaign_inputs(paths):
@@ -430,78 +418,13 @@ def _gather_campaign_inputs(paths):
     return reports, manifests
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.figures import (
-        FIGURES,
-        CampaignData,
-        build_figures,
-        emit_figures,
-        figure_names,
-    )
-    from repro.obs.report import build_report_html
-
-    if args.list:
-        for name in figure_names():
-            print(f"{name:24s}  {FIGURES[name].title}")
-        return 0
-    if not args.inputs:
-        print(
-            "figures: at least one campaign dir or fleet_report.json "
-            "is required (or --list)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.out:
-        out_dir = Path(args.out)
-    else:
-        first = Path(args.inputs[0])
-        out_dir = (
-            first / "report" / "figures" if first.is_dir() else Path("figures")
-        )
-    names = args.only.split(",") if args.only else None
-    try:
-        reports, manifests = _gather_campaign_inputs(args.inputs)
-        data = CampaignData.from_reports(reports, baseline=args.baseline)
-        manifest = emit_figures(data, out_dir, names=names)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"figures: {exc}", file=sys.stderr)
-        return 2
-    html_path = None
-    if not args.no_html:
-        figures, skipped = build_figures(data, names)
-        html_path = (
-            Path(args.html) if args.html else out_dir / "campaign_report.html"
-        )
-        html_path.write_text(
-            build_report_html(reports, figures, skipped, manifests=manifests)
-        )
-    if not args.quiet:
-        written = manifest["figures"]
-        print(
-            f"wrote {len(written)} figure(s) to {out_dir} "
-            f"({len(manifest['skipped'])} skipped)"
-        )
-        for entry in written:
-            print(f"  {entry['spec']}  [{entry['rows']} rows]")
-        for name, reason in sorted(manifest["skipped"].items()):
-            print(f"  skipped {name}: {reason}")
-        if html_path is not None:
-            print(f"wrote {html_path}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.serve:
         if len(args.inputs) != 1:
-            print(
-                "report --serve watches exactly one campaign dir or "
-                "fleet log",
-                file=sys.stderr,
-            )
+            print("report --serve watches exactly one campaign dir or "
+                  "fleet log", file=sys.stderr)
             return 2
         from repro.obs.live import serve_dashboard
 
@@ -521,27 +444,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
             server.server_close()
         return 0
 
-    if not args.inputs:
-        print(
-            "report: at least one campaign dir or fleet_report.json "
-            "is required",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.obs.report import render_campaign_report
+    from repro.obs.report import write_campaign_report
 
+    # A lone campaign dir re-renders the report `service merge` wrote;
+    # side-by-side inputs go to ./report so no campaign's page is replaced.
+    first = Path(args.inputs[0])
+    out_dir = Path(args.out) if args.out else (
+        first / "report" if len(args.inputs) == 1 and first.is_dir()
+        else Path("report")
+    )
     try:
         reports, manifests = _gather_campaign_inputs(args.inputs)
-        html = render_campaign_report(
-            reports, manifests=manifests, baseline=args.baseline
+        manifest = write_campaign_report(
+            reports, out_dir, manifests=manifests,
+            names=args.only.split(",") if args.only else None,
+            baseline=args.baseline,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
-    out_path = Path(args.out)
-    out_path.write_text(html)
     if not args.quiet:
-        print(f"wrote {out_path}")
+        print(
+            f"wrote {len(manifest['figures'])} figure(s) to "
+            f"{out_dir / 'figures'} ({len(manifest['skipped'])} skipped)"
+        )
+        for name, reason in sorted(manifest["skipped"].items()):
+            print(f"  skipped {name}: {reason}")
+        print(f"wrote {out_dir / 'campaign_report.html'}")
     return 0
 
 
@@ -550,8 +479,8 @@ def _cmd_service_init(args: argparse.Namespace) -> int:
 
     manifest = init_campaign(
         args.campaign_dir,
-        workloads=[name.upper() for name in args.workloads.split(",")],
-        schedulers=args.schedulers.split(","),
+        workloads=args.workloads,
+        schedulers=args.schedulers,
         seeds=args.seeds,
         scale=args.scale,
         num_wavefronts=args.wavefronts,
@@ -673,8 +602,8 @@ def _cmd_service_chaos(args: argparse.Namespace) -> int:
             args.campaign_dir,
             seed=args.seed,
             workers=args.workers,
-            workloads=[name.upper() for name in args.workloads.split(",")],
-            schedulers=args.schedulers.split(","),
+            workloads=args.workloads,
+            schedulers=args.schedulers,
             seeds=args.seeds,
             scale=args.scale,
             num_wavefronts=args.wavefronts,
@@ -694,8 +623,8 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     from repro.experiments.multitenancy import qos_comparison
 
     results = qos_comparison(
-        (args.workload_a.upper(), args.workload_b.upper()),
-        schedulers=tuple(args.schedulers.split(",")),
+        (args.workload_a, args.workload_b),
+        schedulers=tuple(args.schedulers),
         wavefronts_per_app=args.wavefronts_per_app,
         scale=args.scale,
         seed=args.seed,
@@ -747,62 +676,83 @@ def _add_verbosity_args(parser: argparse.ArgumentParser) -> None:
     is nonzero.
     """
     parser.add_argument(
-        "--progress",
-        action="store_true",
+        "--progress", action="store_true",
         help="stream live per-spec fleet progress to stderr",
     )
     parser.add_argument(
-        "--quiet",
-        action="store_true",
+        "--quiet", action="store_true",
         help="suppress informational stdout (failures still reach stderr "
         "and the exit code)",
     )
     parser.add_argument(
-        "--fleet-log",
-        default=None,
+        "--fleet-log", default=None,
         help="append one JSON line per fleet event to this file",
     )
 
 
-class _TelemetryScope:
-    """Context manager yielding a FleetTelemetry (or None) per the args."""
+def _telemetry(args: argparse.Namespace):
+    """A FleetTelemetry context per ``--progress``/``--fleet-log``, else
+    a context that yields None."""
+    if not (args.progress or args.fleet_log):
+        return contextlib.nullcontext()
+    from repro.obs.fleet import FleetTelemetry
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._progress = getattr(args, "progress", False)
-        self._log = getattr(args, "fleet_log", None)
-        self._telemetry = None
+    return FleetTelemetry(log_path=args.fleet_log, progress=args.progress)
 
-    def __enter__(self):
-        if not (self._progress or self._log):
-            return None
-        from repro.obs.fleet import FleetTelemetry
 
-        self._telemetry = FleetTelemetry(
-            log_path=self._log, progress=self._progress
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _known(kind: str, name: str, valid) -> str:
+    if name not in valid:
+        raise argparse.ArgumentTypeError(
+            f"unknown {kind} {name!r} (choose from {', '.join(valid)})"
         )
-        return self._telemetry
-
-    def __exit__(self, *_exc) -> None:
-        if self._telemetry is not None:
-            self._telemetry.close()
+    return name
 
 
-def _make_telemetry(args: argparse.Namespace) -> _TelemetryScope:
-    return _TelemetryScope(args)
+def _workload(text: str) -> str:
+    return _known("workload", text.upper(), workload_names())
+
+
+def _scheduler(text: str) -> str:
+    return _known("scheduler", text, available_schedulers())
+
+
+def _comma_list(parse):
+    return lambda text: [parse(name) for name in text.split(",")]
+
+
+_workload_list = _comma_list(_workload)
+_scheduler_list = _comma_list(_scheduler)
+
+
+def _trace_categories(text: str) -> frozenset:
+    valid = sorted(TRACE_CATEGORIES)
+    return frozenset(_known("category", name, valid) for name in text.split(","))
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--wavefronts", type=int, default=64)
+    parser.add_argument("--scale", type=_positive_float, default=0.5)
+    parser.add_argument("--wavefronts", type=_positive_int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--config",
-        default=None,
+        "--config", default=None,
         help="JSON machine description (possibly partial); see repro.config_io",
     )
     parser.add_argument(
-        "--dram-controller",
-        default=None,
+        "--dram-controller", default=None,
         choices=("reservation", "fcfs", "frfcfs", "sms"),
         help="DRAM front end (default: the config's, reservation); "
         "'sms' is the staged batch-former/QoS policy",
@@ -823,6 +773,36 @@ def _load_config(args: argparse.Namespace):
     return config
 
 
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """The workload × scheduler × seed matrix of a fleet sweep."""
+    parser.add_argument(
+        "--workloads", type=_workload_list, default="MVT,XSB",
+        help="comma-separated Table II abbreviations",
+    )
+    parser.add_argument(
+        "--schedulers", type=_scheduler_list, default="fcfs,simt",
+        help="comma-separated policy names",
+    )
+    parser.add_argument(
+        "--seeds", type=_positive_int, default=2,
+        help="seeds per (workload, scheduler) cell: 0..N-1",
+    )
+    parser.add_argument("--scale", type=_positive_float, default=0.1)
+    parser.add_argument("--wavefronts", type=_positive_int, default=8)
+    parser.add_argument(
+        "--config", default=None,
+        help="JSON machine description (possibly partial); see repro.config_io",
+    )
+    parser.add_argument(
+        "--baseline", type=_scheduler, default="fcfs",
+        help="scheduler every speedup is measured against",
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="sample per-run MetricsRegistry dumps and merge them per scheduler",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -832,28 +812,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list workloads and schedulers").set_defaults(
-        func=_cmd_list
-    )
+    sub.add_parser(
+        "list", help="list workloads, schedulers and registered figures"
+    ).set_defaults(func=_cmd_list)
 
     run = sub.add_parser("run", help="simulate one workload")
-    run.add_argument("workload")
+    run.add_argument("workload", type=_workload)
     run.add_argument(
-        "--scheduler",
-        default=None,
-        choices=available_schedulers(),
+        "--scheduler", default=None, choices=available_schedulers(),
         help="walk scheduler (default: the config's policy, fcfs)",
     )
     run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
+        "--trace", default=None,
+        help="trace the run; write a Chrome/Perfetto trace_event JSON here",
+    )
+    run.add_argument(
+        "--trace-jsonl", default=None,
+        help="trace the run; write the raw events as JSON lines here",
+    )
+    run.add_argument(
+        "--trace-categories", type=_trace_categories, default=None,
+        help="comma-separated event categories to record "
+        "(default: all; see repro.obs.trace.TRACE_CATEGORIES)",
+    )
+    run.add_argument(
+        "--ring-size", type=_positive_int, default=None,
+        help="trace ring-buffer capacity in events",
+    )
+    run.add_argument(
+        "--metrics", default=None,
+        help="sample the live metrics registry; write its JSON dump here",
+    )
+    run.add_argument(
+        "--metrics-interval", type=_positive_int, default=None,
+        help="sample the registry every this many fired events "
+        f"(default {DEFAULT_SAMPLE_INTERVAL_EVENTS})",
+    )
+    run.add_argument(
+        "--checkpoint-every", type=_positive_int, default=None,
         help="write an in-run checkpoint every N simulator events "
         "(requires --checkpoint-path)",
     )
     run.add_argument(
-        "--checkpoint-path",
-        default=None,
+        "--checkpoint-path", default=None,
         help="where the in-run checkpoint file is (over)written",
     )
     _add_run_args(run)
@@ -865,42 +866,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument("checkpoint", help="checkpoint file written by run")
     resume.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
+        "--max-cycles", type=_positive_int, default=None,
         help="override the original run's cycle budget",
     )
     resume.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
+        "--checkpoint-every", type=_positive_int, default=None,
         help="keep checkpointing every N events (rewrites the same file)",
     )
     resume.set_defaults(func=_cmd_resume)
 
     compare = sub.add_parser("compare", help="compare schedulers on a workload")
-    compare.add_argument("workload")
+    compare.add_argument("workload", type=_workload)
     compare.add_argument(
-        "--schedulers", default="fcfs,simt", help="comma-separated policy names"
+        "--schedulers", type=_scheduler_list, default="fcfs,simt",
+        help="comma-separated policy names",
     )
     compare.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for the scheduler sweep (1 = serial; "
         "results are identical either way)",
     )
     compare.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
+        "--timeout", type=_positive_float, default=None,
         help="wall-clock seconds allowed per job (runs in an isolated "
         "worker process; overdue workers are terminated)",
     )
     compare.add_argument(
-        "--retries",
-        type=int,
-        default=0,
+        "--retries", type=int, default=0,
         help="extra attempts for a crashed/failed/timed-out job",
     )
     _add_run_args(compare)
@@ -911,16 +903,15 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="run a seeded, deterministic fault-injection campaign"
     )
     faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument("--runs", type=int, default=6)
-    faults.add_argument("--jobs", type=int, default=1)
-    faults.add_argument("--timeout", type=float, default=None)
+    faults.add_argument("--runs", type=_positive_int, default=6)
+    faults.add_argument("--jobs", type=_positive_int, default=1)
+    faults.add_argument("--timeout", type=_positive_float, default=None)
     faults.add_argument("--retries", type=int, default=0)
     faults.add_argument(
         "--output", default=None, help="write the JSON report here instead of stdout"
     )
     faults.add_argument(
-        "--trace-dir",
-        default=None,
+        "--trace-dir", default=None,
         help="also write one Perfetto trace per case into this directory",
     )
     _add_verbosity_args(faults)
@@ -930,36 +921,10 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-report",
         help="run a workload×scheduler×seed sweep and aggregate a fleet report",
     )
-    fleet.add_argument(
-        "--workloads", default="MVT,XSB",
-        help="comma-separated Table II abbreviations",
-    )
-    fleet.add_argument(
-        "--schedulers", default="fcfs,simt",
-        help="comma-separated policy names",
-    )
-    fleet.add_argument(
-        "--seeds", type=int, default=2,
-        help="seeds per (workload, scheduler) cell: 0..N-1",
-    )
-    fleet.add_argument(
-        "--baseline", default="fcfs",
-        help="scheduler every speedup is measured against",
-    )
-    fleet.add_argument("--scale", type=float, default=0.1)
-    fleet.add_argument("--wavefronts", type=int, default=8)
-    fleet.add_argument("--jobs", type=int, default=1)
-    fleet.add_argument("--timeout", type=float, default=None)
+    _add_sweep_args(fleet)
+    fleet.add_argument("--jobs", type=_positive_int, default=1)
+    fleet.add_argument("--timeout", type=_positive_float, default=None)
     fleet.add_argument("--retries", type=int, default=0)
-    fleet.add_argument(
-        "--metrics", action="store_true",
-        help="sample per-run MetricsRegistry dumps and merge them per scheduler",
-    )
-    fleet.add_argument(
-        "--config",
-        default=None,
-        help="JSON machine description (possibly partial); see repro.config_io",
-    )
     fleet.add_argument(
         "--out", default="fleet_report.json",
         help="where to write the aggregated JSON report",
@@ -968,102 +933,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--markdown", default=None,
         help="also write the markdown rendering here",
     )
+    fleet.add_argument(
+        "--blame", default=None,
+        help="trace every run and write the walk-latency blame report here",
+    )
     _add_verbosity_args(fleet)
     fleet.set_defaults(func=_cmd_fleet_report)
 
-    trace = sub.add_parser(
-        "trace", help="simulate with lifecycle tracing; write a Perfetto trace"
-    )
-    trace.add_argument("workload")
-    trace.add_argument(
-        "--scheduler",
-        default=None,
-        choices=available_schedulers(),
-        help="walk scheduler (default: the config's policy, fcfs)",
-    )
-    trace.add_argument(
-        "--out", default="trace.json",
-        help="Chrome/Perfetto trace_event JSON output path",
-    )
-    trace.add_argument(
-        "--jsonl", default=None, help="also write raw events as JSON lines"
-    )
-    trace.add_argument(
-        "--categories",
-        default=None,
-        help="comma-separated event categories to record "
-        "(default: all; see repro.obs.trace.TRACE_CATEGORIES)",
-    )
-    trace.add_argument(
-        "--ring-size", type=int, default=None,
-        help="trace ring-buffer capacity in events",
-    )
-    _add_run_args(trace)
-    trace.set_defaults(func=_cmd_trace)
-
-    metrics = sub.add_parser(
-        "metrics", help="simulate with the live metrics registry sampling"
-    )
-    metrics.add_argument("workload")
-    metrics.add_argument(
-        "--scheduler",
-        default=None,
-        choices=available_schedulers(),
-        help="walk scheduler (default: the config's policy, fcfs)",
-    )
-    metrics.add_argument(
-        "--interval", type=int, default=10_000,
-        help="sample the registry every this many fired events",
-    )
-    metrics.add_argument(
-        "--out", default=None, help="write the metrics JSON here instead of stdout"
-    )
-    _add_run_args(metrics)
-    metrics.set_defaults(func=_cmd_metrics)
-
     blame = sub.add_parser(
         "blame",
-        help="walk-latency attribution: stage breakdowns, critical "
-        "paths, per-scheduler blame shares",
+        help="walk-latency attribution of a trace: stage breakdowns, "
+        "critical paths",
     )
     blame.add_argument(
-        "--trace",
-        default=None,
-        help="analyze an existing Chrome-trace JSON or JSONL event "
-        "stream instead of running a sweep",
+        "trace", help="Chrome-trace JSON or JSONL event stream to analyze"
     )
     blame.add_argument(
-        "--workloads", default="MVT", help="comma-separated workload names"
-    )
-    blame.add_argument(
-        "--schedulers",
-        default="fcfs,simt",
-        help="comma-separated policy names",
-    )
-    blame.add_argument(
-        "--seeds", type=int, default=1, help="seeds 0..N-1 per case"
-    )
-    blame.add_argument("--scale", type=float, default=0.1)
-    blame.add_argument("--wavefronts", type=int, default=8)
-    blame.add_argument("--jobs", type=int, default=1)
-    blame.add_argument(
-        "--ring-size",
-        type=int,
-        default=None,
-        help="tracer ring size for sweep runs (default: the blame "
-        "default, large enough for complete lifecycles)",
-    )
-    blame.add_argument(
-        "--top", type=int, default=5, help="outlier walk digests to keep"
-    )
-    blame.add_argument(
-        "--config",
-        default=None,
-        help="JSON machine description (possibly partial)",
-    )
-    blame.add_argument(
-        "--out",
-        default=None,
+        "--out", default=None,
         help="write the blame report JSON here instead of stdout",
     )
     blame.add_argument("--quiet", action="store_true")
@@ -1074,53 +960,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(figure)
     figure.set_defaults(func=_cmd_figure)
 
-    figures = sub.add_parser(
-        "figures",
-        help="render the figure registry (Vega-Lite + CSV) from fleet reports",
+    report = sub.add_parser(
+        "report",
+        help="figure specs/CSVs and the HTML campaign report, or --serve "
+        "for the live sweep dashboard",
     )
-    figures.add_argument(
-        "inputs", nargs="*",
+    report.add_argument(
+        "inputs", nargs="+",
         help="campaign dir(s) (merged with `service merge`) and/or "
-        "fleet_report.json file(s); several inputs plot side by side",
+        "fleet_report.json file(s), several plot side by side; with "
+        "--serve, one campaign dir or fleet telemetry JSONL to watch",
     )
-    figures.add_argument(
+    report.add_argument(
         "--out", default=None,
-        help="output directory (default: <campaign>/report/figures)",
+        help="output directory (default: <campaign>/report for one "
+        "campaign dir, else ./report)",
     )
-    figures.add_argument(
+    report.add_argument(
         "--only", default=None,
         help="comma-separated figure names (default: every registered figure)",
     )
-    figures.add_argument(
-        "--list", action="store_true", help="list registered figures and exit"
-    )
-    figures.add_argument(
-        "--html", default=None,
-        help="HTML campaign report path (default: <out>/campaign_report.html)",
-    )
-    figures.add_argument(
-        "--no-html", action="store_true",
-        help="emit only the specs/CSVs, skip the HTML report",
-    )
-    figures.add_argument(
+    report.add_argument(
         "--baseline", default=None,
         help="override the baseline scheduler (default: the report's)",
-    )
-    figures.add_argument("--quiet", action="store_true")
-    figures.set_defaults(func=_cmd_figures)
-
-    report = sub.add_parser(
-        "report",
-        help="HTML campaign report, or --serve for the live sweep dashboard",
-    )
-    report.add_argument(
-        "inputs", nargs="*",
-        help="campaign dir(s) / fleet_report.json file(s); with --serve, "
-        "one campaign dir or fleet telemetry JSONL to watch",
-    )
-    report.add_argument(
-        "--out", default="campaign_report.html",
-        help="HTML output path (static mode)",
     )
     report.add_argument(
         "--serve", action="store_true",
@@ -1130,24 +992,20 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--port", type=int, default=8377, help="dashboard port (0 = ephemeral)"
     )
-    report.add_argument(
-        "--baseline", default=None,
-        help="override the baseline scheduler (default: the report's)",
-    )
     report.add_argument("--quiet", action="store_true")
     report.set_defaults(func=_cmd_report)
 
     qos = sub.add_parser(
         "qos", help="co-run two workloads and compare QoS across schedulers"
     )
-    qos.add_argument("workload_a")
-    qos.add_argument("workload_b")
+    qos.add_argument("workload_a", type=_workload)
+    qos.add_argument("workload_b", type=_workload)
     qos.add_argument(
-        "--schedulers", default="fcfs,simt,fairshare",
+        "--schedulers", type=_scheduler_list, default="fcfs,simt,fairshare",
         help="comma-separated policy names",
     )
-    qos.add_argument("--wavefronts-per-app", type=int, default=24)
-    qos.add_argument("--scale", type=float, default=0.3)
+    qos.add_argument("--wavefronts-per-app", type=_positive_int, default=24)
+    qos.add_argument("--scale", type=_positive_float, default=0.3)
     qos.add_argument("--seed", type=int, default=0)
     qos.set_defaults(func=_cmd_qos)
 
@@ -1163,34 +1021,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _lease_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--lease-ttl", type=float, default=30.0,
+            "--lease-ttl", type=_positive_float, default=30.0,
             help="seconds of missed heartbeats before a lease is reaped",
         )
         p.add_argument(
-            "--max-attempts", type=int, default=5,
+            "--max-attempts", type=_positive_int, default=5,
             help="claims per shard before it is abandoned as a poison task",
         )
-
-    def _sweep_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workloads", default="MVT,XSB")
-        p.add_argument("--schedulers", default="fcfs,simt")
-        p.add_argument("--seeds", type=int, default=2)
-        p.add_argument("--scale", type=float, default=0.1)
-        p.add_argument("--wavefronts", type=int, default=8)
 
     svc_init = service_sub.add_parser(
         "init", help="shard a sweep into a campaign manifest + queue"
     )
     _campaign_arg(svc_init)
-    _sweep_args(svc_init)
-    svc_init.add_argument("--baseline", default="fcfs")
+    _add_sweep_args(svc_init)
     svc_init.add_argument(
-        "--batch-size", type=int, default=2, help="specs per shard task"
-    )
-    svc_init.add_argument("--metrics", action="store_true")
-    svc_init.add_argument(
-        "--config", default=None,
-        help="JSON machine description (possibly partial); see repro.config_io",
+        "--batch-size", type=_positive_int, default=2,
+        help="specs per shard task",
     )
     svc_init.set_defaults(func=_cmd_service_init)
 
@@ -1203,11 +1049,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None, help="default: hostname-pid"
     )
     svc_worker.add_argument(
-        "--max-tasks", type=int, default=None,
+        "--max-tasks", type=_positive_int, default=None,
         help="exit after claiming this many shards (default: until drained)",
     )
     svc_worker.add_argument(
-        "--checkpoint-every", type=int, default=2000,
+        "--checkpoint-every", type=_positive_int, default=2000,
         help="in-run checkpoint cadence in simulator events",
     )
     svc_worker.add_argument("--progress", action="store_true")
@@ -1220,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="local worker processes to supervise",
         )
         p.add_argument(
-            "--checkpoint-every", type=int, default=2000,
+            "--checkpoint-every", type=_positive_int, default=2000,
             help="in-run checkpoint cadence in simulator events",
         )
         p.add_argument("--progress", action="store_true")
@@ -1269,12 +1115,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _campaign_arg(svc_chaos)
     svc_chaos.add_argument("--seed", type=int, default=0)
-    svc_chaos.add_argument("--workers", type=int, default=2)
-    svc_chaos.add_argument("--workloads", default="MVT")
-    svc_chaos.add_argument("--schedulers", default="fcfs,simt")
-    svc_chaos.add_argument("--seeds", type=int, default=3)
-    svc_chaos.add_argument("--scale", type=float, default=0.3)
-    svc_chaos.add_argument("--wavefronts", type=int, default=24)
+    svc_chaos.add_argument("--workers", type=_positive_int, default=2)
+    svc_chaos.add_argument("--workloads", type=_workload_list, default="MVT")
+    svc_chaos.add_argument(
+        "--schedulers", type=_scheduler_list, default="fcfs,simt"
+    )
+    svc_chaos.add_argument("--seeds", type=_positive_int, default=3)
+    svc_chaos.add_argument("--scale", type=_positive_float, default=0.3)
+    svc_chaos.add_argument("--wavefronts", type=_positive_int, default=24)
     svc_chaos.add_argument(
         "--max-kills", type=int, default=None,
         help="individual worker kills before the restart drill (default: workers+2)",
@@ -1292,12 +1140,18 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.command == "run"
-        and args.checkpoint_every is not None
-        and not args.checkpoint_path
-    ):
-        parser.error("run: --checkpoint-every requires --checkpoint-path")
+    if args.command == "run":
+        if args.checkpoint_every is not None and not args.checkpoint_path:
+            parser.error("run: --checkpoint-every requires --checkpoint-path")
+        if (args.trace_categories or args.ring_size) and not (
+            args.trace or args.trace_jsonl
+        ):
+            parser.error(
+                "run: --trace-categories and --ring-size require --trace "
+                "or --trace-jsonl"
+            )
+        if args.metrics_interval is not None and args.metrics is None:
+            parser.error("run: --metrics-interval requires --metrics")
     return args.func(args)
 
 

@@ -44,6 +44,7 @@ from repro.memory.subsystem import MemorySubsystem
 from repro.mmu.geometry import geometry_by_name
 from repro.mmu.iommu import IOMMU
 from repro.mmu.page_table import FrameAllocator, PageTable
+from repro.obs.aggregate import sweep_specs
 from repro.obs.fleet import FleetTelemetry
 from repro.obs.metrics import (
     DEFAULT_SAMPLE_INTERVAL_EVENTS,
@@ -1060,28 +1061,6 @@ def run_many(
     return [outcome.result for outcome in outcomes]
 
 
-def scheduler_sweep_specs(
-    workload: Union[str, Workload],
-    schedulers: Sequence[str],
-    config: Optional[SystemConfig] = None,
-    num_wavefronts: int = DEFAULT_WAVEFRONTS,
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-) -> List[Dict[str, Any]]:
-    """One :func:`run_simulation` spec per scheduler, identical otherwise."""
-    return [
-        {
-            "workload": workload,
-            "config": config,
-            "scheduler": name,
-            "num_wavefronts": num_wavefronts,
-            "scale": scale,
-            "seed": seed,
-        }
-        for name in schedulers
-    ]
-
-
 def compare_schedulers(
     workload: Union[str, Workload],
     schedulers: Sequence[str] = ("fcfs", "simt"),
@@ -1099,13 +1078,9 @@ def compare_schedulers(
     per scheduler, capped at ``jobs``); results are identical to the
     serial path.
     """
-    specs = scheduler_sweep_specs(
-        workload,
-        schedulers,
-        config=config,
-        num_wavefronts=num_wavefronts,
-        scale=scale,
-        seed=seed,
+    specs = sweep_specs(
+        [workload], schedulers, [seed],
+        config=config, num_wavefronts=num_wavefronts, scale=scale,
     )
     results = run_many(specs, jobs=jobs)
     return dict(zip(schedulers, results))

@@ -33,7 +33,7 @@ sorted order, numbers render through
 byte-identical figures, which the figure pipeline bench and
 ``tests/test_obs_figures.py`` both pin.
 
-``python -m repro figures --list`` lists the registry;
+``python -m repro list`` lists the registry;
 ``docs/OBSERVABILITY.md`` tabulates each figure and its sweep.
 
 Multiple campaign reports can be loaded side by side (each tagged with
@@ -1412,7 +1412,7 @@ def paper_figure(name: str) -> FigureDef:
     if name in FIGURES and not FIGURES[name].sweep:
         raise ValueError(
             f"figure {name!r} has no paper sweep; draw it from campaign "
-            f"reports with `python -m repro figures`"
+            f"reports with `python -m repro report`"
         )
     matches = [
         definition for figure_name, definition in FIGURES.items()
@@ -1476,29 +1476,28 @@ def run_figure(
 
 def emit_figures(
     data: CampaignData,
+    figures: Sequence[Figure],
+    skipped: Mapping[str, str],
     out_dir: Union[str, Path],
-    names: Optional[Sequence[str]] = None,
-    strict: bool = True,
 ) -> Dict[str, Any]:
-    """Build, validate and write every figure; returns the manifest.
+    """Validate and write built figures; returns the manifest.
 
     Writes ``<name>.vl.json`` + ``<name>.csv`` per figure and one
     ``figures.json`` manifest listing what was written, what was
     skipped and why — the HTML report and the CI job both read it.
-    ``strict`` turns any structural validation problem into a
-    :class:`ValueError` (CI wants loud), otherwise problems are
-    recorded in the manifest.
+    Any structural validation problem raises :class:`ValueError`
+    before a file is written.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    figures, skipped = build_figures(data, names)
-    written: List[Dict[str, Any]] = []
     for figure in figures:
         problems = validate_figure(figure)
-        if problems and strict:
+        if problems:
             raise ValueError(
                 f"figure {figure.name} failed validation: {'; '.join(problems)}"
             )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: List[Dict[str, Any]] = []
+    for figure in figures:
         spec_path = out_dir / f"{figure.name}.vl.json"
         csv_path = out_dir / f"{figure.name}.csv"
         spec_path.write_text(figure.spec_json())
@@ -1510,7 +1509,7 @@ def emit_figures(
                 "rows": len(figure.rows),
                 "spec": spec_path.name,
                 "csv": csv_path.name,
-                "problems": problems,
+                "problems": [],
             }
         )
     manifest = {

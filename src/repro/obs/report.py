@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import html
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.figures import CampaignData, Figure, build_figures
+from repro.obs.figures import CampaignData, Figure, build_figures, emit_figures
 from repro.stats.formatting import format_count, format_number, format_ratio
 
 REPORT_TITLE = "Page-walk scheduling — campaign report"
@@ -403,16 +404,24 @@ def build_report_html(
     )
 
 
-def render_campaign_report(
+def write_campaign_report(
     reports: Sequence[Tuple[str, Mapping[str, Any]]],
+    out_dir: Union[str, Path],
     manifests: Optional[Mapping[str, Optional[Mapping[str, Any]]]] = None,
     names: Optional[Sequence[str]] = None,
     baseline: Optional[str] = None,
-    title: str = REPORT_TITLE,
-) -> str:
-    """Build figures from fleet reports and render the full HTML page."""
+) -> Dict[str, Any]:
+    """Build the figures once and write both outputs of a campaign report.
+
+    ``out_dir/figures/`` receives every figure's Vega-Lite spec and CSV
+    plus the ``figures.json`` manifest (:func:`emit_figures`), and
+    ``out_dir/campaign_report.html`` the page.  Figures are built and
+    validated before anything is written.  Returns the figure manifest.
+    """
     data = CampaignData.from_reports(reports, baseline=baseline)
     figures, skipped = build_figures(data, names)
-    return build_report_html(
-        reports, figures, skipped, manifests=manifests, title=title
-    )
+    page = build_report_html(reports, figures, skipped, manifests=manifests)
+    out_dir = Path(out_dir)
+    manifest = emit_figures(data, figures, skipped, out_dir / "figures")
+    (out_dir / "campaign_report.html").write_text(page)
+    return manifest

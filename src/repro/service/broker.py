@@ -370,25 +370,14 @@ def merge_campaign(
     # The figure pipeline and the HTML campaign report ride every merge:
     # both are pure functions of the deterministic report + manifest, so
     # they inherit the byte-identity guarantee for free.
-    from repro.obs.figures import CampaignData, build_figures, emit_figures
-    from repro.obs.report import build_report_html
+    from repro.obs.report import write_campaign_report
 
     label = campaign_dir.name or "campaign"
-    data = CampaignData.from_reports([(label, report)])
-    figures_dir = out_dir / "figures"
-    figure_manifest = emit_figures(data, figures_dir)
-    figures, skipped = build_figures(data)
-    html_path = out_dir / "campaign_report.html"
-    html_path.write_text(
-        build_report_html(
-            [(label, report)],
-            figures,
-            skipped,
-            manifests={label: manifest.as_dict()},
-        )
+    figure_manifest = write_campaign_report(
+        [(label, report)], out_dir, manifests={label: manifest.as_dict()}
     )
-    paths["figures"] = str(figures_dir)
-    paths["html"] = str(html_path)
+    paths["figures"] = str(out_dir / "figures")
+    paths["html"] = str(out_dir / "campaign_report.html")
 
     return {
         "report": report,

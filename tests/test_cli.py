@@ -170,9 +170,9 @@ def test_trace_command_writes_valid_trace(tmp_path, capsys):
     jsonl = tmp_path / "trace.jsonl"
     code = main(
         [
-            "trace", "kmn", "--scheduler", "simt",
+            "run", "kmn", "--scheduler", "simt",
             "--scale", "0.05", "--wavefronts", "4",
-            "--out", str(out), "--jsonl", str(jsonl),
+            "--trace", str(out), "--trace-jsonl", str(jsonl),
         ]
     )
     assert code == 0
@@ -188,8 +188,8 @@ def test_trace_command_category_filter(tmp_path):
     out = tmp_path / "walks.json"
     code = main(
         [
-            "trace", "kmn", "--scale", "0.05", "--wavefronts", "4",
-            "--out", str(out), "--categories", "walk,job",
+            "run", "kmn", "--scale", "0.05", "--wavefronts", "4",
+            "--trace", str(out), "--trace-categories", "walk,job",
             "--ring-size", "1024",
         ]
     )
@@ -208,8 +208,8 @@ def test_metrics_command(tmp_path, capsys):
     out = tmp_path / "metrics.json"
     code = main(
         [
-            "metrics", "kmn", "--scale", "0.05", "--wavefronts", "4",
-            "--interval", "50", "--out", str(out),
+            "run", "kmn", "--scale", "0.05", "--wavefronts", "4",
+            "--metrics-interval", "50", "--metrics", str(out),
         ]
     )
     assert code == 0
@@ -218,10 +218,97 @@ def test_metrics_command(tmp_path, capsys):
     assert "iommu.walks_dispatched" in data["counters"]
 
 
-def test_metrics_command_stdout(capsys):
-    code = main(["metrics", "kmn", "--scale", "0.05", "--wavefronts", "4"])
+def test_run_observation_flags_keep_the_summary(tmp_path, capsys):
+    tiny = ["run", "kmn", "--scale", "0.05", "--wavefronts", "4"]
+    assert main(tiny) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert len(plain) == 3
+    assert main([
+        *tiny,
+        "--trace", str(tmp_path / "t.json"),
+        "--trace-jsonl", str(tmp_path / "t.jsonl"),
+        "--metrics", str(tmp_path / "m.json"),
+    ]) == 0
+    # Observing a run changes nothing it simulates: the summary lines
+    # come first and match; the written files are listed after them.
+    assert capsys.readouterr().out.splitlines()[:3] == plain
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "bogus"], "workload"),
+    (["run", "mvt", "--scale", "0"], "--scale"),
+    (["figure", "fig8", "--scale", "-1"], "--scale"),
+    (["service", "init", "C", "--seeds", "0"], "--seeds"),
+    (["compare", "mvt", "--schedulers", "fcfs,bogus"], "--schedulers"),
+    (["fleet-report", "--schedulers", "bogus"], "--schedulers"),
+    (["fleet-report", "--seeds", "0"], "--seeds"),
+    (["faults", "--runs", "0"], "--runs"),
+    (["run", "mvt", "--trace", "t.json", "--ring-size", "0"], "--ring-size"),
+    (["run", "mvt", "--trace", "t.json", "--trace-categories", "bogus"],
+     "--trace-categories"),
+    (["run", "mvt", "--metrics", "m.json", "--metrics-interval", "0"],
+     "--metrics-interval"),
+])
+def test_bad_input_fails_at_parse_time(argv, flag, tmp_path, monkeypatch,
+                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
+    # Nothing ran, so nothing was written.
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trace-categories", "walk"], "require --trace or --trace-jsonl"),
+    (["--ring-size", "1024"], "require --trace or --trace-jsonl"),
+    (["--metrics-interval", "50"], "--metrics-interval requires --metrics"),
+])
+def test_run_observation_options_need_their_output(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "kmn", "--scale", "0.05", "--wavefronts", "4", *argv])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_blame_missing_trace_exits_2(tmp_path, capsys):
+    _assert_one_line_error(
+        capsys, ["blame", str(tmp_path / "missing.json")], "blame: "
+    )
+
+
+def test_blame_text_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a trace\n")
+    _assert_one_line_error(capsys, ["blame", str(path)], "blame: ")
+
+
+def test_fleet_report_blame_matches_the_library(tmp_path, capsys):
+    from repro.experiments.runner import run_many
+    from repro.obs.attrib import (
+        blame_sweep_report,
+        blame_sweep_specs,
+        render_blame_report,
+    )
+
+    out = tmp_path / "blame.json"
+    code = main([
+        "fleet-report", "--workloads", "kmn", "--schedulers", "fcfs,simt",
+        "--seeds", "1", "--scale", "0.05", "--wavefronts", "4",
+        "--out", str(tmp_path / "fleet.json"), "--blame", str(out),
+        "--quiet",
+    ])
     assert code == 0
-    assert '"counters"' in capsys.readouterr().out
+    assert capsys.readouterr().out == ""
+    specs = blame_sweep_specs(
+        ["KMN"], ["fcfs", "simt"], range(1), num_wavefronts=4, scale=0.05
+    )
+    expected = render_blame_report(blame_sweep_report(specs, run_many(specs)))
+    assert out.read_text() == expected + "\n"
 
 
 def test_faults_trace_dir(tmp_path, capsys):

@@ -11,6 +11,7 @@ instead of silently rewriting every downstream artifact.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,11 @@ from repro.obs.live import (
     read_fleet_events,
     serve_dashboard,
 )
-from repro.obs.report import audit_from_manifest, build_report_html, render_campaign_report
+from repro.obs.report import (
+    audit_from_manifest,
+    build_report_html,
+    write_campaign_report,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden_figures"
 
@@ -222,7 +227,7 @@ def test_blame_stage_colors_are_stable(campaign):
 
 
 def test_emit_figures_writes_specs_csvs_and_manifest(campaign, tmp_path):
-    manifest = emit_figures(campaign, tmp_path)
+    manifest = emit_figures(campaign, *build_figures(campaign), tmp_path)
     assert manifest["format"] == "repro-figures"
     assert len(manifest["figures"]) == len(FIGURES)
     for entry in manifest["figures"]:
@@ -275,8 +280,8 @@ def test_pipeline_byte_identical_across_jobs(tmp_path):
         report = _sweep_report(jobs=jobs)
         data = CampaignData.from_reports([("tiny", report)])
         out_dir = tmp_path / f"jobs{jobs}"
-        emit_figures(data, out_dir)
         figures, skipped = build_figures(data)
+        emit_figures(data, figures, skipped, out_dir)
         html = build_report_html([("tiny", report)], figures, skipped)
         outputs[jobs] = (
             {
@@ -328,9 +333,17 @@ def test_report_audit_section_flags_reclaimed_shards(report, campaign):
     assert "batch-00001" in html and "abandoned" in html
 
 
-def test_render_campaign_report_one_call(report):
-    html = render_campaign_report([("tiny", report)])
+def test_write_campaign_report_one_call(report, campaign, tmp_path):
+    manifest = write_campaign_report([("tiny", report)], tmp_path)
+    figures, skipped = build_figures(campaign)
+    # One call writes both outputs from the same built figures.
+    html = (tmp_path / "campaign_report.html").read_text()
+    assert html == build_report_html([("tiny", report)], figures, skipped)
     assert "<h1>" in html and "fig8_speedup" in html
+    assert manifest == json.loads(
+        (tmp_path / "figures" / "figures.json").read_text()
+    )
+    assert len(manifest["figures"]) == len(figures)
 
 
 def test_load_campaign_input_file_and_dir(report, tmp_path):
@@ -549,10 +562,10 @@ def test_dashboard_server_round_trip(tmp_path):
 def test_cli_figures_list(capsys):
     from repro.__main__ import main
 
-    assert main(["figures", "--list"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     for name in figure_names():
-        assert name in out
+        assert f"  {name} " in out
 
 
 def test_cli_figures_emits_specs_csvs_and_html(report, tmp_path, capsys):
@@ -562,11 +575,11 @@ def test_cli_figures_emits_specs_csvs_and_html(report, tmp_path, capsys):
     report_path.write_text(json.dumps(report))
     out_dir = tmp_path / "figs"
     code = main([
-        "figures", str(report_path), "--out", str(out_dir),
+        "report", str(report_path), "--out", str(out_dir),
     ])
     assert code == 0
     out = capsys.readouterr().out
-    manifest = json.loads((out_dir / "figures.json").read_text())
+    manifest = json.loads((out_dir / "figures" / "figures.json").read_text())
     assert len(manifest["figures"]) >= 8
     html = (out_dir / "campaign_report.html").read_text()
     assert html.startswith("<!DOCTYPE html>")
@@ -576,7 +589,9 @@ def test_cli_figures_emits_specs_csvs_and_html(report, tmp_path, capsys):
 def test_cli_figures_requires_input(capsys):
     from repro.__main__ import main
 
-    assert main(["figures"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report"])
+    assert excinfo.value.code == 2
     assert "required" in capsys.readouterr().err
 
 
@@ -587,31 +602,64 @@ def test_cli_figures_only_subset(report, tmp_path, capsys):
     report_path.write_text(json.dumps(report))
     out_dir = tmp_path / "figs"
     code = main([
-        "figures", str(report_path), "--out", str(out_dir),
-        "--only", "fig8_speedup,latency_cdf", "--no-html", "--quiet",
+        "report", str(report_path), "--out", str(out_dir),
+        "--only", "fig8_speedup,latency_cdf", "--quiet",
     ])
     assert code == 0
     capsys.readouterr()
     names = sorted(
-        path.name for path in out_dir.iterdir() if path.suffix == ".json"
+        path.name for path in (out_dir / "figures").iterdir()
+        if path.suffix == ".json"
     )
     assert names == [
         "fig8_speedup.vl.json", "figures.json", "latency_cdf.vl.json",
     ]
 
 
-def test_cli_report_static(report, tmp_path, capsys):
+def test_cli_report_static(report, tmp_path, monkeypatch, capsys):
     from repro.__main__ import main
 
     report_path = tmp_path / "fleet_report.json"
     report_path.write_text(json.dumps(report))
-    out_path = tmp_path / "page.html"
-    code = main([
-        "report", str(report_path), "--out", str(out_path), "--quiet",
-    ])
+    # A file input renders into ./report, never beside the input.
+    monkeypatch.chdir(tmp_path)
+    code = main(["report", str(report_path), "--quiet"])
     assert code == 0
     capsys.readouterr()
-    assert "fig8_speedup" in out_path.read_text()
+    assert "fig8_speedup" in (
+        tmp_path / "report" / "campaign_report.html"
+    ).read_text()
+    assert (tmp_path / "report" / "figures" / "fig8_speedup.csv").exists()
+
+
+def test_cli_report_campaign_dir_rewrites_merge_output(tmp_path, capsys):
+    from repro.__main__ import main
+    from repro.service import init_campaign, merge_campaign, run_worker
+
+    campaign = tmp_path / "camp"
+    init_campaign(
+        campaign, workloads=["MVT"], schedulers=["fcfs", "simt"], seeds=1,
+        scale=0.05, num_wavefronts=4, metrics=True,
+    )
+    run_worker(campaign, worker_id="w")
+    merge_campaign(campaign)
+    report_dir = campaign / "report"
+    before = {
+        path.relative_to(report_dir): path.read_bytes()
+        for path in sorted(report_dir.rglob("*")) if path.is_file()
+    }
+    # A lone campaign dir renders into <campaign>/report: the same files
+    # `service merge` wrote, byte for byte, and no second page.
+    shutil.rmtree(report_dir / "figures")
+    (report_dir / "campaign_report.html").unlink()
+    assert main(["report", str(campaign), "--quiet"]) == 0
+    capsys.readouterr()
+    after = {
+        path.relative_to(report_dir): path.read_bytes()
+        for path in sorted(report_dir.rglob("*")) if path.is_file()
+    }
+    assert after == before
+    assert not (report_dir / "figures" / "campaign_report.html").exists()
 
 
 def test_cli_figures_page_does_not_depend_on_working_directory(
@@ -626,7 +674,7 @@ def test_cli_figures_page_does_not_depend_on_working_directory(
         monkeypatch.chdir(cwd)
         out_dir = tmp_path / f"figs{index}"
         code = main([
-            "figures", str(report_path), "--out", str(out_dir), "--quiet",
+            "report", str(report_path), "--out", str(out_dir), "--quiet",
         ])
         assert code == 0
         pages.append((out_dir / "campaign_report.html").read_bytes())
@@ -646,20 +694,21 @@ def test_cli_figures_bad_input_exits_2(report, tmp_path, capsys):
     report_path = tmp_path / "fleet_report.json"
     report_path.write_text(json.dumps(report))
     out = ["--out", str(tmp_path / "figs")]
-    assert main(["figures", str(report_path), *out, "--only", "nosuch"]) == 2
+    assert main(["report", str(report_path), *out, "--only", "nosuch"]) == 2
     assert "nosuch" in _one_line_error(capsys)
-    assert main(["figures", str(tmp_path / "missing.json"), *out]) == 2
+    assert main(["report", str(tmp_path / "missing.json"), *out]) == 2
     assert "missing.json" in _one_line_error(capsys)
+    assert not (tmp_path / "figs").exists()
 
 
 def test_cli_report_bad_input_exits_2(tmp_path, capsys):
     from repro.__main__ import main
 
-    out = ["--out", str(tmp_path / "page.html")]
+    out = ["--out", str(tmp_path / "page")]
     assert main(["report", str(tmp_path / "missing.json"), *out]) == 2
     assert "missing.json" in _one_line_error(capsys)
     foreign = tmp_path / "foreign.json"
     foreign.write_text(json.dumps({"format": "something-else"}))
     assert main(["report", str(foreign), *out]) == 2
     assert "not a fleet report" in _one_line_error(capsys)
-    assert not (tmp_path / "page.html").exists()
+    assert not (tmp_path / "page").exists()

@@ -55,7 +55,7 @@ service:
 # fails unless the merged report is byte-identical to the serial run.
 chaos:
 	rm -rf chaos-campaign
-	python -m repro service chaos chaos-campaign --seed 2018 --workers 2
+	python -m tests.chaos chaos-campaign --seed 2018 --workers 2
 
 # Text renderings of the paper tables/figures (quick terminal check).
 paper-figures:

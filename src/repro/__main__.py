@@ -46,13 +46,13 @@ Commands
 
 ``service SUBCOMMAND``
     The durable work-queue sweep service (:mod:`repro.service`):
-    ``init`` shards a campaign into a manifest + filesystem queue,
+    ``init`` shards a campaign into a filesystem queue + manifest,
     ``worker`` drains it from this process, ``run`` supervises a local
-    worker pool end-to-end, ``resume`` repairs a campaign after any
-    crash or full restart, ``status`` reports progress, ``merge`` folds
-    per-shard results into the deterministic fleet report, and
-    ``chaos`` runs the SIGKILL gate that proves crash-recovery does not
-    change results.
+    worker pool end-to-end (also after any crash), ``status`` reports
+    progress, and ``merge`` folds per-shard results into the
+    deterministic fleet report.  A directory
+    that holds no campaign (or, for ``init``, already holds one) prints
+    one line and exits 2.
 
 ``figure NAME``
     Run one paper figure's sweep and print its rows as a text table:
@@ -64,7 +64,7 @@ Commands
     Render every registered figure (Vega-Lite spec + CSV under
     ``figures/``) and the self-contained HTML campaign report from
     campaign dirs and/or fleet reports — the layout ``service merge``
-    writes.  ``--serve`` runs the live sweep dashboard instead.
+    writes.
 
 ``qos WORKLOAD_A WORKLOAD_B``
     Co-run two workloads and compare QoS across schedulers.
@@ -421,29 +421,6 @@ def _gather_campaign_inputs(paths):
 def _cmd_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    if args.serve:
-        if len(args.inputs) != 1:
-            print("report --serve watches exactly one campaign dir or "
-                  "fleet log", file=sys.stderr)
-            return 2
-        from repro.obs.live import serve_dashboard
-
-        server = serve_dashboard(
-            args.inputs[0], host=args.host, port=args.port
-        )
-        host, port = server.server_address[:2]
-        print(
-            f"live dashboard: http://{host}:{port}/ "
-            f"(watching {args.inputs[0]}, ctrl-c to stop)"
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return 0
-
     from repro.obs.report import write_campaign_report
 
     # A lone campaign dir re-renders the report `service merge` wrote;
@@ -474,21 +451,42 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _service_error(args: argparse.Namespace, exc: Exception) -> int:
+    print(f"service {args.service_command}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _not_a_campaign(args: argparse.Namespace) -> bool:
+    """Load DIR's manifest before anything touches DIR; if there is no
+    loadable one, print one ``service <sub>:`` line and return True."""
+    from repro.service.manifest import load_manifest, manifest_path
+
+    try:
+        load_manifest(manifest_path(args.campaign_dir))
+    except (OSError, ValueError) as exc:
+        _service_error(args, exc)
+        return True
+    return False
+
+
 def _cmd_service_init(args: argparse.Namespace) -> int:
     from repro.service import init_campaign
 
-    manifest = init_campaign(
-        args.campaign_dir,
-        workloads=args.workloads,
-        schedulers=args.schedulers,
-        seeds=args.seeds,
-        scale=args.scale,
-        num_wavefronts=args.wavefronts,
-        metrics=args.metrics,
-        baseline=args.baseline,
-        config=_load_config(args),
-        batch_size=args.batch_size,
-    )
+    try:
+        manifest = init_campaign(
+            args.campaign_dir,
+            workloads=args.workloads,
+            schedulers=args.schedulers,
+            seeds=args.seeds,
+            scale=args.scale,
+            num_wavefronts=args.wavefronts,
+            metrics=args.metrics,
+            baseline=args.baseline,
+            config=_load_config(args),
+            batch_size=args.batch_size,
+        )
+    except FileExistsError as exc:
+        return _service_error(args, exc)
     if not args.quiet:
         print(
             f"campaign initialised in {args.campaign_dir}: "
@@ -501,6 +499,8 @@ def _cmd_service_init(args: argparse.Namespace) -> int:
 def _cmd_service_worker(args: argparse.Namespace) -> int:
     from repro.service import run_worker
 
+    if _not_a_campaign(args):
+        return 2
     summary = run_worker(
         args.campaign_dir,
         worker_id=args.worker_id,
@@ -522,6 +522,8 @@ def _cmd_service_worker(args: argparse.Namespace) -> int:
 def _cmd_service_run(args: argparse.Namespace) -> int:
     from repro.service import run_service
 
+    if _not_a_campaign(args):
+        return 2
     summary = run_service(
         args.campaign_dir,
         workers=args.workers,
@@ -544,32 +546,13 @@ def _cmd_service_run(args: argparse.Namespace) -> int:
     return 0 if report["failed"] + report["timeout"] == 0 else 1
 
 
-def _cmd_service_resume(args: argparse.Namespace) -> int:
-    from repro.service import resume_campaign
-
-    summary = resume_campaign(
-        args.campaign_dir,
-        lease_ttl=args.lease_ttl,
-        max_attempts=args.max_attempts,
-        force=args.force,
-    )
-    if not args.quiet:
-        print(
-            f"resume: re-queued {len(summary['requeued'])}, restored "
-            f"{len(summary['restored'])}, abandoned "
-            f"{len(summary['abandoned'])}; queue now {summary['queue']}"
-        )
-    if args.workers > 0:
-        args.allow_incomplete = False
-        return _cmd_service_run(args)
-    return 0
-
-
 def _cmd_service_status(args: argparse.Namespace) -> int:
     import json
 
     from repro.service import campaign_status
 
+    if _not_a_campaign(args):
+        return 2
     status = campaign_status(args.campaign_dir)
     print(json.dumps(status, indent=2, sort_keys=True))
     return 0 if status["drained"] and not status["abandoned"] else 1
@@ -578,6 +561,8 @@ def _cmd_service_status(args: argparse.Namespace) -> int:
 def _cmd_service_merge(args: argparse.Namespace) -> int:
     from repro.service import merge_campaign
 
+    if _not_a_campaign(args):
+        return 2
     merged = merge_campaign(
         args.campaign_dir, allow_incomplete=args.allow_incomplete
     )
@@ -590,33 +575,6 @@ def _cmd_service_merge(args: argparse.Namespace) -> int:
         for name, path in sorted(merged["paths"].items()):
             print(f"{name}: {path}")
     return 0 if report["failed"] + report["timeout"] == 0 else 1
-
-
-def _cmd_service_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import ChaosGateError, run_chaos
-
-    try:
-        summary = run_chaos(
-            args.campaign_dir,
-            seed=args.seed,
-            workers=args.workers,
-            workloads=args.workloads,
-            schedulers=args.schedulers,
-            seeds=args.seeds,
-            scale=args.scale,
-            num_wavefronts=args.wavefronts,
-            max_kills=args.max_kills,
-            restart_drill=not args.no_restart_drill,
-            max_seconds=args.max_seconds,
-            quiet=args.quiet,
-        )
-    except ChaosGateError as exc:
-        print(f"chaos gate FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
 
 
 def _cmd_qos(args: argparse.Namespace) -> int:
@@ -704,6 +662,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
     return value
 
 
@@ -892,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker process; overdue workers are terminated)",
     )
     compare.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_non_negative_int, default=0,
         help="extra attempts for a crashed/failed/timed-out job",
     )
     _add_run_args(compare)
@@ -906,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--runs", type=_positive_int, default=6)
     faults.add_argument("--jobs", type=_positive_int, default=1)
     faults.add_argument("--timeout", type=_positive_float, default=None)
-    faults.add_argument("--retries", type=int, default=0)
+    faults.add_argument("--retries", type=_non_negative_int, default=0)
     faults.add_argument(
         "--output", default=None, help="write the JSON report here instead of stdout"
     )
@@ -924,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_args(fleet)
     fleet.add_argument("--jobs", type=_positive_int, default=1)
     fleet.add_argument("--timeout", type=_positive_float, default=None)
-    fleet.add_argument("--retries", type=int, default=0)
+    fleet.add_argument("--retries", type=_non_negative_int, default=0)
     fleet.add_argument(
         "--out", default="fleet_report.json",
         help="where to write the aggregated JSON report",
@@ -961,15 +926,12 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=_cmd_figure)
 
     report = sub.add_parser(
-        "report",
-        help="figure specs/CSVs and the HTML campaign report, or --serve "
-        "for the live sweep dashboard",
+        "report", help="figure specs/CSVs and the HTML campaign report"
     )
     report.add_argument(
         "inputs", nargs="+",
         help="campaign dir(s) (merged with `service merge`) and/or "
-        "fleet_report.json file(s), several plot side by side; with "
-        "--serve, one campaign dir or fleet telemetry JSONL to watch",
+        "fleet_report.json file(s), several plot side by side",
     )
     report.add_argument(
         "--out", default=None,
@@ -983,14 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--baseline", default=None,
         help="override the baseline scheduler (default: the report's)",
-    )
-    report.add_argument(
-        "--serve", action="store_true",
-        help="serve a live dashboard tailing the campaign's telemetry logs",
-    )
-    report.add_argument("--host", default="127.0.0.1")
-    report.add_argument(
-        "--port", type=int, default=8377, help="dashboard port (0 = ephemeral)"
     )
     report.add_argument("--quiet", action="store_true")
     report.set_defaults(func=_cmd_report)
@@ -1059,42 +1013,31 @@ def build_parser() -> argparse.ArgumentParser:
     svc_worker.add_argument("--progress", action="store_true")
     svc_worker.set_defaults(func=_cmd_service_worker)
 
-    def _run_pool_args(p: argparse.ArgumentParser) -> None:
-        _lease_args(p)
-        p.add_argument(
-            "--workers", type=int, default=2,
-            help="local worker processes to supervise",
-        )
-        p.add_argument(
-            "--checkpoint-every", type=_positive_int, default=2000,
-            help="in-run checkpoint cadence in simulator events",
-        )
-        p.add_argument("--progress", action="store_true")
-        p.add_argument(
-            "--allow-incomplete", action="store_true",
-            help="merge reports un-run specs as failures instead of erroring",
-        )
-
     svc_run = service_sub.add_parser(
-        "run", help="supervise local workers until the queue drains, then merge"
+        "run", help="supervise local workers until the queue drains, then "
+        "merge (also after any crash)",
     )
     _campaign_arg(svc_run)
-    _run_pool_args(svc_run)
+    _lease_args(svc_run)
+    svc_run.add_argument(
+        "--workers", type=_positive_int, default=2,
+        help="local worker processes to supervise",
+    )
+    svc_run.add_argument(
+        "--checkpoint-every", type=_positive_int, default=2000,
+        help="in-run checkpoint cadence in simulator events",
+    )
+    svc_run.add_argument("--progress", action="store_true")
+    svc_run.add_argument(
+        "--allow-incomplete", action="store_true",
+        help="merge reports un-run specs as failures instead of erroring",
+    )
     svc_run.set_defaults(func=_cmd_service_run)
 
-    svc_resume = service_sub.add_parser(
-        "resume", help="repair a campaign after crashes or a full restart"
-    )
-    _campaign_arg(svc_resume)
-    _run_pool_args(svc_resume)
-    svc_resume.add_argument(
-        "--force", action="store_true",
-        help="treat every lease as stale (use after a full cluster restart)",
-    )
-    svc_resume.set_defaults(func=_cmd_service_resume)
-
     svc_status = service_sub.add_parser(
-        "status", help="print campaign progress (exit 1 until drained clean)"
+        "status",
+        help="print campaign progress: done counts, running shards with "
+        "heartbeat ages, retries, ETA (exit 1 until drained clean)",
     )
     _campaign_arg(svc_status)
     svc_status.set_defaults(func=_cmd_service_status)
@@ -1109,30 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_merge.set_defaults(func=_cmd_service_merge)
 
-    svc_chaos = service_sub.add_parser(
-        "chaos",
-        help="SIGKILL workers mid-spec; gate on a byte-identical merged report",
-    )
-    _campaign_arg(svc_chaos)
-    svc_chaos.add_argument("--seed", type=int, default=0)
-    svc_chaos.add_argument("--workers", type=_positive_int, default=2)
-    svc_chaos.add_argument("--workloads", type=_workload_list, default="MVT")
-    svc_chaos.add_argument(
-        "--schedulers", type=_scheduler_list, default="fcfs,simt"
-    )
-    svc_chaos.add_argument("--seeds", type=_positive_int, default=3)
-    svc_chaos.add_argument("--scale", type=_positive_float, default=0.3)
-    svc_chaos.add_argument("--wavefronts", type=_positive_int, default=24)
-    svc_chaos.add_argument(
-        "--max-kills", type=int, default=None,
-        help="individual worker kills before the restart drill (default: workers+2)",
-    )
-    svc_chaos.add_argument(
-        "--no-restart-drill", action="store_true",
-        help="skip the kill-everything-and-resume drill",
-    )
-    svc_chaos.add_argument("--max-seconds", type=float, default=240.0)
-    svc_chaos.set_defaults(func=_cmd_service_chaos)
     return parser
 
 

@@ -18,24 +18,24 @@ restarts — without requiring any daemon:
   shard placement.  Everything needed to resume lives in the campaign
   directory; no process holds authoritative state.
 * :mod:`repro.service.broker` — shards a campaign into spec batches,
-  enqueues them, recovers/merges after restarts.
+  enqueues them, supervises local workers, merges, and reports status
+  (done counts, live claims with heartbeat ages, retries, ETA).
 * :mod:`repro.service.worker` — the claim → heartbeat → execute loop on
   top of :func:`~repro.experiments.runner.run_many_resilient`, with
-  per-shard fleet-telemetry JSONL and shared in-run checkpoints so a
+  per-claim fleet-telemetry JSONL and shared in-run checkpoints so a
   re-leased spec resumes mid-simulation.
-* :mod:`repro.service.chaos` — the correctness gate: seeded SIGKILLs of
-  workers mid-spec, then a byte-identical-report assertion against the
-  uninterrupted serial run.
+
+The chaos gate that SIGKILLs workers mid-spec and demands a
+byte-identical merged report lives with the tests, in
+``tests/chaos.py``.
 """
 
 from repro.service.broker import (
     campaign_status,
     init_campaign,
     merge_campaign,
-    resume_campaign,
     run_service,
 )
-from repro.service.chaos import ChaosGateError, run_chaos
 from repro.service.lease import Lease, read_lease, write_lease
 from repro.service.manifest import (
     MANIFEST_VERSION,
@@ -48,7 +48,6 @@ from repro.service.worker import run_worker, spawn_workers
 
 __all__ = [
     "CampaignManifest",
-    "ChaosGateError",
     "FileWorkQueue",
     "Lease",
     "MANIFEST_VERSION",
@@ -57,8 +56,6 @@ __all__ = [
     "load_manifest",
     "merge_campaign",
     "read_lease",
-    "resume_campaign",
-    "run_chaos",
     "run_service",
     "run_worker",
     "save_manifest",

@@ -5,21 +5,25 @@ campaign directory, mutates it through the same atomic renames the
 workers use, and exits.  Kill it at any point and run it again — the
 manifest plus the queue directories ARE the campaign state.
 
-* :func:`init_campaign` — shard the sweep into a manifest + queue tasks;
-* :func:`resume_campaign` — after any crash/restart, re-queue stale or
-  missing shards so surviving (or fresh) workers can finish;
-* :func:`run_service` — convenience supervisor: init-or-resume, spawn
-  local workers, reap leases while they run, respawn dead workers, and
-  merge when the queue drains;
+* :func:`init_campaign` — shard the sweep into queue tasks, then write
+  the manifest that makes them a campaign;
+* :func:`run_service` — convenience supervisor for an initialised
+  campaign, fresh or after any crash: spawn local workers, reap stale
+  leases while they run, respawn dead workers, and merge when the
+  queue drains;
 * :func:`merge_campaign` — fold per-shard results into the existing
   deterministic fleet report, byte-identical to a serial run whatever
   the worker count, placement, or crash history;
-* :func:`campaign_status` — one dict describing where a campaign is.
+* :func:`campaign_status` — where a campaign stands: done counts,
+  running shards with heartbeat ages, retries and an ETA.
 """
 
 from __future__ import annotations
 
+import json
+import shutil
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -64,106 +68,111 @@ def init_campaign(
     config=None,
     batch_size: int = manifest_mod.DEFAULT_BATCH_SIZE,
 ) -> CampaignManifest:
-    """Create a campaign directory: manifest, queue, checkpoint store.
+    """Create a campaign directory: queue, checkpoint store, manifest.
 
     Refuses to overwrite an existing manifest — an in-flight campaign's
-    identity must never be silently replaced (resume it, or point init
-    at a fresh directory).
+    identity must never be silently replaced (run it, or point init at
+    a fresh directory).  Every task is enqueued before the manifest is
+    written, so a manifest on disk certifies a complete queue.  Workers
+    need the manifest, so a queue without one is what an interrupted
+    init left behind with nothing run; init starts it over.
     """
     campaign_dir = Path(campaign_dir)
     path = manifest_mod.manifest_path(campaign_dir)
     if path.exists():
         raise FileExistsError(
-            f"{path} already exists; use resume_campaign (or a new "
-            f"directory) instead of re-initialising a live campaign"
+            f"{path} already exists; finish that campaign with "
+            f"`repro service run`, or init a new directory"
         )
     manifest = plan_campaign(
         workloads, schedulers, seeds,
         scale=scale, num_wavefronts=num_wavefronts, metrics=metrics,
         baseline=baseline, config=config, batch_size=batch_size,
     )
-    campaign_dir.mkdir(parents=True, exist_ok=True)
+    queue_root = manifest_mod.queue_root(campaign_dir)
+    if queue_root.exists():
+        shutil.rmtree(queue_root)
     manifest_mod.checkpoints_dir(campaign_dir).mkdir(parents=True, exist_ok=True)
     manifest_mod.shards_dir(campaign_dir).mkdir(parents=True, exist_ok=True)
     manifest_mod.report_dir(campaign_dir).mkdir(parents=True, exist_ok=True)
-    # Manifest first: a crash between manifest and enqueue is exactly
-    # what resume_campaign repairs (it re-puts missing tasks).
-    save_manifest(path, manifest)
-    queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
+    queue = FileWorkQueue(queue_root)
     for batch_index, spec_indices in enumerate(manifest.batches):
         queue.put(
             {"id": manifest.task_id(batch_index), "batch": batch_index,
              "spec_indices": list(spec_indices)}
         )
+    save_manifest(path, manifest)
     return manifest
 
 
-def resume_campaign(
-    campaign_dir: Union[str, Path],
-    lease_ttl: float = DEFAULT_LEASE_TTL_SECONDS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    force: bool = False,
-) -> Dict[str, Any]:
-    """Repair a campaign after any combination of crashes.
+def campaign_status(campaign_dir: Union[str, Path]) -> Dict[str, Any]:
+    """Where the campaign stands, derived purely from the directory.
 
-    Re-queues every shard whose lease is stale (``force=True`` treats
-    *all* leases as stale — correct after a full cluster restart, when
-    no claimed shard can possibly still have a live owner) and re-puts
-    any shard the manifest knows about that the queue lost (broker
-    killed mid-enqueue).  Completed shards are untouched; their specs
-    stay served from the checkpoint store.
+    Spec counts per status, retries and the ETA (None until a spec has
+    finished) come from the ``done/`` records; one ``running`` row per
+    live claim comes from ``leased/`` and its lease sidecar.  A row is
+    ``stale`` exactly when a reap at the default TTL would expire it.
     """
     campaign_dir = Path(campaign_dir)
     manifest = load_manifest(manifest_mod.manifest_path(campaign_dir))
     queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
-    requeued, abandoned = queue.reap(
-        0.0 if force else lease_ttl, max_attempts=max_attempts
-    )
-    restored: List[str] = []
-    known = queue.pending_tasks()
-    done = queue.done_records()
-    for batch_index, spec_indices in enumerate(manifest.batches):
-        task_id = manifest.task_id(batch_index)
-        if (
-            task_id in known
-            or task_id in done
-            or (queue.leased_dir / f"{task_id}.json").exists()
-        ):
+    now = time.time()
+    running: List[Dict[str, Any]] = []
+    for leased in sorted(queue.leased_dir.glob("*.json")):
+        if queue.superseded(leased.stem):
             continue
-        queue.put(
-            {"id": task_id, "batch": batch_index,
-             "spec_indices": list(spec_indices)}
-        )
-        restored.append(task_id)
-    return {
-        "requeued": requeued,
-        "abandoned": abandoned,
-        "restored": restored,
-        "queue": queue.counts(),
-    }
+        state = queue.lease_state(leased.stem, DEFAULT_LEASE_TTL_SECONDS, now)
+        if state is None:
+            continue  # vanished mid-scan
+        try:
+            task = json.loads(leased.read_text())
+        except (OSError, ValueError):
+            continue  # requeued or completed mid-scan
+        lease, age, stale = state
+        running.append({
+            "task": leased.stem,
+            "worker": lease.worker if lease is not None else None,
+            "pid": lease.pid if lease is not None else None,
+            "attempt": task.get("attempts"),
+            "specs": len(task.get("spec_indices", ())),
+            "heartbeat_age_seconds": round(age, 1),
+            "stale": stale,
+        })
 
-
-def campaign_status(campaign_dir: Union[str, Path]) -> Dict[str, Any]:
-    """Where the campaign stands, derived purely from the directory."""
-    campaign_dir = Path(campaign_dir)
-    manifest = load_manifest(manifest_mod.manifest_path(campaign_dir))
-    queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
-    counts = queue.counts()
     done = queue.done_records()
-    specs_done = sum(
-        len(record["task"].get("spec_indices", ()))
-        for record in done.values()
-    )
-    abandoned = sorted(
-        task_id for task_id, record in done.items()
-        if record.get("record", {}).get("abandoned")
-    )
+    spec_status: Counter = Counter()
+    specs_done = retries = 0
+    ran_seconds: List[float] = []
+    for record in done.values():
+        task, body = record["task"], record.get("record", {})
+        shard_specs = len(task.get("spec_indices", ()))
+        specs_done += shard_specs
+        retries += max(0, int(task.get("attempts", 1)) - 1)
+        if body.get("abandoned"):
+            spec_status["abandoned"] += shard_specs
+        for outcome in body.get("outcomes", ()):
+            spec_status[outcome["status"]] += 1
+            retries += max(0, int(outcome.get("attempts", 0)) - 1)
+            if not outcome.get("from_checkpoint"):
+                ran_seconds.append(float(outcome.get("elapsed_seconds", 0.0)))
+    eta = None
+    if ran_seconds:
+        mean = sum(ran_seconds) / len(ran_seconds)
+        remaining = len(manifest.spec_keys) - specs_done
+        eta = round(mean * remaining / max(1, len(running)), 1)
     return {
         "specs": len(manifest.spec_keys),
         "batches": len(manifest.batches),
-        "queue": counts,
+        "queue": queue.counts(),
         "specs_in_done_batches": specs_done,
-        "abandoned": abandoned,
+        "spec_status": dict(spec_status),
+        "retries": retries,
+        "eta_seconds": eta,
+        "running": running,
+        "abandoned": sorted(
+            task_id for task_id, record in done.items()
+            if record.get("record", {}).get("abandoned")
+        ),
         "drained": queue.drained(),
     }
 
@@ -181,12 +190,17 @@ def run_service(
 ) -> Dict[str, Any]:
     """Drive an initialised campaign to completion with local workers.
 
-    The supervisor loop reaps stale leases and keeps ``workers`` claim
-    loops alive (a crashed worker is replaced, up to ``max_restarts``
-    extra spawns — default ``4 × workers``).  When the queue drains the
-    workers exit on their own and the per-shard results are merged.
+    The same call starts a fresh campaign and finishes one after any
+    crash: the supervisor loop reaps stale leases (a dead worker's
+    shard goes back to the queue once its lease is ``lease_ttl`` old)
+    and keeps ``workers`` claim loops alive (a crashed worker is
+    replaced, up to ``max_restarts`` extra spawns — default
+    ``4 × workers``).  When the queue drains the workers exit on their
+    own and the per-shard results are merged.
     """
     campaign_dir = Path(campaign_dir)
+    # A directory without a campaign fails here, before anything is made.
+    load_manifest(manifest_mod.manifest_path(campaign_dir))
     queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
     options = dict(worker_options or {})
     options.setdefault("lease_ttl", lease_ttl)
@@ -210,8 +224,8 @@ def run_service(
             elif not alive:
                 raise RuntimeError(
                     "every worker died and the restart budget "
-                    f"({budget}) is spent; campaign left resumable in "
-                    f"{campaign_dir}"
+                    f"({budget}) is spent; `repro service run` "
+                    f"{campaign_dir} again to finish it"
                 )
             time.sleep(poll_seconds)
         for process in pool:
@@ -328,10 +342,19 @@ def merge_campaign(
             )
         )
     if lost:
+        # A drained queue has no task left that could run them: the
+        # queue lost tasks (damaged on disk, or an init interrupted by
+        # code that wrote the manifest first), and only a fresh init
+        # can bring them back.
+        remedy = (
+            "re-init the campaign in a fresh directory"
+            if queue.drained()
+            else "finish it with `repro service run`"
+        )
         raise RuntimeError(
             f"campaign incomplete: specs {lost} have no result and no "
-            f"failure record (run `repro service resume`, or pass "
-            f"allow_incomplete=True to report them as failures)"
+            f"failure record ({remedy}, or pass --allow-incomplete to "
+            f"report them as failures)"
         )
 
     report = fleet_report(

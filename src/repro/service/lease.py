@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,13 +33,6 @@ class Lease:
     claimed_t: float
     beat_t: float
     attempt: int = 1
-
-    def age(self, now: Optional[float] = None) -> float:
-        """Seconds since the last heartbeat."""
-        return (time.time() if now is None else now) - self.beat_t
-
-    def is_stale(self, ttl_seconds: float, now: Optional[float] = None) -> bool:
-        return self.age(now) > ttl_seconds
 
 
 def atomic_write_json(path: Union[str, Path], payload: dict) -> None:
@@ -68,8 +60,8 @@ def write_lease(path: Union[str, Path], lease: Lease) -> None:
 def read_lease(path: Union[str, Path]) -> Optional[Lease]:
     """The lease at ``path``, or None when missing/unreadable.
 
-    A torn or vanished lease reads as *absent* — the reaper treats an
-    absent lease on a leased task as maximally stale, which errs toward
+    A torn or vanished lease reads as *absent* — the reaper then ages
+    the claim from the leased file's mtime, which errs toward
     re-queueing (safe: execution is idempotent via the checkpoint
     store), never toward losing the task.
     """

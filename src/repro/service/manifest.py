@@ -12,13 +12,15 @@ pins that definition together with:
   ``repro service merge`` — the audit trail of how many claims each
   shard needed and why.
 
-The manifest is the *only* authoritative state the broker has.  Killing
-the broker and every worker loses nothing: ``repro service resume``
-reloads the manifest, re-queues whatever is not done, and the campaign
-finishes from the shared checkpoint store.  Spec lists are rebuilt
-deterministically from the definition (same nesting as
-:func:`repro.obs.aggregate.sweep_specs`), never serialised per spec —
-a manifest stays small even for a 10k-spec sweep.
+The manifest is the *only* authoritative state the broker has, and
+``repro service init`` writes it after the last queue task, so its
+presence means the queue is complete.  Killing the broker and every
+worker loses nothing: ``repro service run`` reaps the dead workers'
+leases once they pass their TTL, the queue hands their shards out
+again, and the campaign finishes from the shared checkpoint store.
+Spec lists are rebuilt deterministically from the definition (same
+nesting as :func:`repro.obs.aggregate.sweep_specs`), never serialised
+per spec — a manifest stays small even for a 10k-spec sweep.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ def load_manifest(path: Union[str, Path]) -> CampaignManifest:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise FileNotFoundError(
-            f"no campaign manifest at {path} — run `repro service init` "
-            f"(or `repro service run`) first"
+            f"no campaign manifest at {path} — run `repro service init` first"
         ) from exc
-    if payload.get("format") != MANIFEST_FORMAT:
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a campaign manifest") from exc
+    if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{path} is not a campaign manifest")
     if payload.get("version") != MANIFEST_VERSION:
         raise ValueError(

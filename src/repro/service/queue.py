@@ -201,36 +201,17 @@ class FileWorkQueue:
         abandoned: List[str] = []
         for leased in sorted(self.leased_dir.glob("*.json")):
             task_id = leased.stem
-            if (self.done_dir / leased.name).exists():
-                # Owner died after recording completion: lease is junk.
+            if self.superseded(task_id):
                 try:
                     os.unlink(leased)
                 except FileNotFoundError:
                     pass
                 self._drop_lease(task_id)
                 continue
-            if (self.pending_dir / leased.name).exists():
-                # Interrupted requeue: the pending copy is authoritative.
-                try:
-                    os.unlink(leased)
-                except FileNotFoundError:
-                    pass
-                self._drop_lease(task_id)
-                continue
-            lease = read_lease(self.leases_dir / leased.name)
-            if lease is None:
-                # Claim interrupted before the sidecar landed (or the
-                # sidecar was torn): fall back to the leased file's own
-                # mtime so a *live* claimant gets its grace period.
-                try:
-                    beat = leased.stat().st_mtime
-                except OSError:
-                    continue  # vanished mid-scan
-                stale = (now - beat) > ttl_seconds
-                owner = None
-            else:
-                stale = lease.is_stale(ttl_seconds, now)
-                owner = lease.worker
+            state = self.lease_state(task_id, ttl_seconds, now)
+            if state is None:
+                continue  # vanished mid-scan
+            lease, _age, stale = state
             if not stale:
                 continue
             try:
@@ -245,11 +226,49 @@ class FileWorkQueue:
                 )
                 abandoned.append(task_id)
             else:
-                self.requeue(task_id, "lease expired", worker=owner)
+                self.requeue(
+                    task_id, "lease expired",
+                    worker=lease.worker if lease is not None else None,
+                )
                 requeued.append(task_id)
         return requeued, abandoned
 
     # -- inspection ------------------------------------------------------
+
+    def superseded(self, task_id: str) -> bool:
+        """True when a leased task also has a done or pending copy.
+
+        Either its owner died after recording completion, or a requeue
+        was interrupted before its cleanup; the other copy wins and the
+        leased one is junk that :meth:`reap` drops.
+        """
+        name = f"{task_id}.json"
+        return (self.done_dir / name).exists() or (
+            self.pending_dir / name
+        ).exists()
+
+    def lease_state(
+        self, task_id: str, ttl_seconds: float, now: float
+    ) -> Optional[Tuple[Optional[Lease], float, bool]]:
+        """``(lease, age, stale)`` of a leased task; None if it vanished.
+
+        The age counts from the lease's last heartbeat.  Without a
+        sidecar (a claim interrupted before it landed, or a torn write)
+        ``lease`` is None and the age counts from the leased file's
+        mtime, so a *live* claimant still gets its grace period.  Stale
+        means older than ``ttl_seconds``: the one rule :meth:`reap` and
+        ``campaign_status`` share.
+        """
+        lease = read_lease(self.leases_dir / f"{task_id}.json")
+        if lease is not None:
+            beat = lease.beat_t
+        else:
+            try:
+                beat = (self.leased_dir / f"{task_id}.json").stat().st_mtime
+            except OSError:
+                return None
+        age = now - beat
+        return lease, age, age > ttl_seconds
 
     def counts(self) -> Dict[str, int]:
         return {
@@ -272,13 +291,3 @@ class FileWorkQueue:
             except (OSError, ValueError):
                 continue
         return records
-
-    def pending_tasks(self) -> Dict[str, Dict[str, Any]]:
-        """Every unclaimed task, keyed by task id (for status/resume)."""
-        tasks: Dict[str, Dict[str, Any]] = {}
-        for path in sorted(self.pending_dir.glob("*.json")):
-            try:
-                tasks[path.stem] = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-        return tasks

@@ -15,8 +15,8 @@ hosts as share the campaign directory).  Its loop:
 5. write the shard's done record and release the lease.
 
 Per-shard :class:`~repro.obs.fleet.FleetTelemetry` JSONL lands in
-``shards/`` (one file per claim, tagged with shard/worker/attempt), so
-a campaign's progress is observable per worker and mergeable later.
+``shards/`` (one file per claim, tagged with shard/worker/attempt) as
+an audit trail; progress comes from the queue (``service status``).
 
 Execution inside a worker is serial and in-process: the *service* layer
 owns process isolation (a crash loses one worker's lease, which the

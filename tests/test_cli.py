@@ -248,6 +248,10 @@ def test_run_observation_flags_keep_the_summary(tmp_path, capsys):
      "--trace-categories"),
     (["run", "mvt", "--metrics", "m.json", "--metrics-interval", "0"],
      "--metrics-interval"),
+    (["compare", "mvt", "--retries", "-1"], "--retries"),
+    (["fleet-report", "--retries", "-1"], "--retries"),
+    (["faults", "--retries", "-1"], "--retries"),
+    (["service", "run", "C", "--workers", "0"], "--workers"),
 ])
 def test_bad_input_fails_at_parse_time(argv, flag, tmp_path, monkeypatch,
                                        capsys):
@@ -273,6 +277,52 @@ def test_run_observation_options_need_their_output(argv, message, capsys):
         main(["run", "kmn", "--scale", "0.05", "--wavefronts", "4", *argv])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_command_tree(capsys):
+    for argv, usage in [
+        ([], "{list,run,resume,compare,faults,fleet-report,blame,figure,"
+             "report,qos,service}"),
+        (["service"], "{init,worker,run,status,merge}"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--help"])
+        assert excinfo.value.code == 0
+        assert usage in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "X", "--serve"],
+    ["service", "resume", "X"],
+    ["service", "chaos", "X"],
+])
+def test_removed_commands_are_usage_errors(argv, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["init", "worker", "run", "status", "merge"])
+def test_service_bad_directory_is_one_line_and_creates_nothing(
+    sub, tmp_path, capsys
+):
+    campaign = str(tmp_path / "C")
+    if sub == "init":
+        # For init, a bad directory is one that already holds a campaign.
+        assert main(["service", "init", campaign, "--quiet"]) == 0
+    before = sorted(
+        (str(path), path.stat().st_mtime_ns) for path in tmp_path.rglob("*")
+    )
+    _assert_one_line_error(
+        capsys, ["service", sub, campaign], f"service {sub}: "
+    )
+    assert sorted(
+        (str(path), path.stat().st_mtime_ns) for path in tmp_path.rglob("*")
+    ) == before
 
 
 def test_blame_missing_trace_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Figure registry, HTML campaign report, and live dashboard tests.
+"""Figure registry and HTML campaign report tests.
 
 The determinism tests are the load-bearing ones: the figure pipeline's
 contract is that ``jobs=1`` and ``jobs=2`` sweeps of the same specs
@@ -30,12 +30,6 @@ from repro.obs.figures import (
     load_campaign_input,
     scheduler_color,
     validate_figure,
-)
-from repro.obs.live import (
-    discover_logs,
-    progress_snapshot,
-    read_fleet_events,
-    serve_dashboard,
 )
 from repro.obs.report import (
     audit_from_manifest,
@@ -368,190 +362,6 @@ def test_load_campaign_input_file_and_dir(report, tmp_path):
     unmerged.mkdir()
     with pytest.raises(FileNotFoundError, match="service merge"):
         load_campaign_input(unmerged)
-
-
-# ----------------------------------------------------------------------
-# Live dashboard
-# ----------------------------------------------------------------------
-
-
-def _event(kind, t, source="shard-a", **fields):
-    return {"event": kind, "t": t, "source": source, **fields}
-
-
-def test_progress_snapshot_counts_and_eta():
-    events = [
-        _event("sweep_started", 0.0, total=4, jobs=2),
-        _event("spec_started", 1.0, index=0, spec="a", attempt=1),
-        _event("spec_started", 1.0, index=1, spec="b", attempt=1),
-        _event("spec_finished", 11.0, index=0, spec="a", status="ok",
-               attempts=1, elapsed_seconds=10.0),
-        _event("spec_started", 11.0, index=2, spec="c", attempt=1),
-        _event("heartbeat", 12.0, index=1, attempt=1, pid=42,
-               elapsed_seconds=11.0),
-    ]
-    snap = progress_snapshot(events, now=15.0)
-    assert snap["total_specs"] == 4
-    assert snap["done"] == 1
-    assert snap["status_counts"] == {"ok": 1}
-    assert {row["index"] for row in snap["running"]} == {1, 2}
-    beat = {row["index"]: row for row in snap["running"]}
-    assert beat[1]["pid"] == 42
-    assert beat[1]["heartbeat_age_seconds"] == 3.0
-    assert beat[1]["stale"] is False
-    assert snap["eta_seconds"] is not None and snap["eta_seconds"] > 0
-    assert snap["complete"] is False
-
-
-def test_progress_snapshot_flags_stale_heartbeats():
-    events = [
-        _event("spec_started", 0.0, index=0, spec="a", attempt=1),
-        _event("heartbeat", 5.0, index=0, attempt=1, pid=7,
-               elapsed_seconds=5.0),
-    ]
-    snap = progress_snapshot(events, now=500.0)
-    assert snap["running"][0]["stale"] is True
-    assert snap["stale_workers"] == 1
-
-
-def test_progress_snapshot_counts_retries_and_timeouts():
-    events = [
-        _event("spec_started", 0.0, index=0, spec="a", attempt=1),
-        _event("spec_timeout", 10.0, index=0, spec="a", attempt=1,
-               timeout_seconds=10.0),
-        _event("spec_retry", 10.5, index=0, spec="a", attempt=1,
-               status="timeout", error_type=None, error=None,
-               backoff_seconds=0.1),
-        _event("spec_finished", 20.0, index=0, spec="a", status="ok",
-               attempts=2, elapsed_seconds=9.0),
-        _event("sweep_finished", 21.0),
-    ]
-    snap = progress_snapshot(events, total_specs=1)
-    assert snap["retries"] == 1
-    assert snap["timeouts"] == 1
-    assert snap["complete"] is True
-    assert snap["running"] == []
-
-
-def test_progress_snapshot_keeps_shard_indices_separate():
-    events = [
-        _event("spec_finished", 1.0, source="shard-a", index=0, spec="a",
-               status="ok", attempts=1, elapsed_seconds=1.0),
-        _event("spec_finished", 2.0, source="shard-b", index=0, spec="b",
-               status="ok", attempts=1, elapsed_seconds=1.0),
-    ]
-    snap = progress_snapshot(events, total_specs=2)
-    assert snap["done"] == 2  # same index, different shards: both count
-
-
-def test_progress_snapshot_empty_fleet_is_calm():
-    snap = progress_snapshot([])
-    assert snap["total_specs"] is None
-    assert snap["done"] == 0
-    assert snap["running"] == []
-    assert snap["eta_seconds"] is None
-    assert snap["complete"] is False
-    assert snap["stale_workers"] == 0
-
-
-def test_progress_snapshot_zero_completed_has_no_eta():
-    # Specs running but none finished: ETA must stay None, not divide
-    # by a zero completion rate.
-    events = [
-        _event("sweep_started", 0.0, total=8, jobs=2),
-        _event("spec_started", 1.0, index=0, spec="a", attempt=1),
-        _event("spec_started", 1.0, index=1, spec="b", attempt=1),
-    ]
-    snap = progress_snapshot(events, now=100.0)
-    assert snap["done"] == 0
-    assert snap["eta_seconds"] is None
-    assert snap["total_specs"] == 8
-
-
-def test_progress_snapshot_tolerates_garbage_fields():
-    # A shard log that died mid-write can leave null/string fields in
-    # otherwise-parseable records; the snapshot must coerce, not crash.
-    events = [
-        _event("sweep_started", "0.5", total="4", jobs=None),
-        _event("spec_started", "12.5", index="0", spec="a", attempt=1),
-        _event("spec_finished", None, index=0, spec="a", status="ok",
-               attempts=1, elapsed_seconds="bogus"),
-        {"event": "heartbeat", "t": float("nan"), "index": 1},
-    ]
-    snap = progress_snapshot(events, now=20.0)
-    assert snap["total_specs"] == 4
-    assert snap["done"] == 1
-
-
-def test_progress_snapshot_stale_falls_back_to_start_time():
-    # The shard log ended mid-line, so the worker's last heartbeat was
-    # torn away: staleness must fall back to the spec_started time
-    # instead of treating the worker as forever fresh.
-    events = [
-        _event("spec_started", 12.5, index=0, spec="a", attempt=1),
-    ]
-    snap = progress_snapshot(events, now=500.0)
-    (row,) = snap["running"]
-    assert row["heartbeat_age_seconds"] is None
-    assert row["stale"] is True
-    assert snap["stale_workers"] == 1
-    # A torn heartbeat with an unusable timestamp behaves the same way.
-    events.append({"event": "heartbeat", "t": None, "index": 0,
-                   "source": "shard-a"})
-    snap = progress_snapshot(events, now=500.0)
-    assert snap["running"][0]["stale"] is True
-
-
-def test_read_fleet_events_tolerates_partial_lines(tmp_path):
-    log = tmp_path / "fleet.jsonl"
-    log.write_text(
-        json.dumps({"event": "sweep_started", "total": 2, "t": 1.0}) + "\n"
-        + '{"event": "spec_started", "ind'  # torn mid-write
-    )
-    events = read_fleet_events([log])
-    assert len(events) == 1
-    assert events[0]["source"] == "fleet"
-
-
-def test_discover_logs_prefers_shards_dir(tmp_path):
-    (tmp_path / "shards").mkdir()
-    (tmp_path / "shards" / "b.jsonl").write_text("")
-    (tmp_path / "shards" / "a.jsonl").write_text("")
-    (tmp_path / "stray.jsonl").write_text("")
-    logs = discover_logs(tmp_path)
-    assert [path.name for path in logs] == ["a.jsonl", "b.jsonl"]
-
-
-def test_dashboard_server_round_trip(tmp_path):
-    import threading
-    import urllib.request
-
-    log = tmp_path / "fleet.jsonl"
-    log.write_text(
-        json.dumps({"event": "sweep_started", "total": 1, "jobs": 1,
-                    "t": 1.0}) + "\n"
-        + json.dumps({"event": "spec_finished", "index": 0, "spec": "a",
-                      "status": "ok", "attempts": 1,
-                      "elapsed_seconds": 2.0, "t": 3.0}) + "\n"
-    )
-    server = serve_dashboard(log, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[:2]
-        page = urllib.request.urlopen(
-            f"http://{host}:{port}/"
-        ).read().decode()
-        assert "Live sweep progress" in page
-        data = json.loads(
-            urllib.request.urlopen(f"http://{host}:{port}/data.json").read()
-        )
-        assert data["done"] == 1
-        assert data["total_specs"] == 1
-        assert data["complete"] is True
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # ----------------------------------------------------------------------

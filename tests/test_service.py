@@ -7,8 +7,10 @@ changes what was computed.  The tests here attack each layer:
 * queue: atomic claims, stale-lease reaping, poison-task abandonment,
   the idempotent crash-recovery rules;
 * manifest: roundtrip, spec-identity validation, version gating;
-* broker: init/resume repair, merge's zero-lost/zero-duplicated
-  enforcement;
+* broker: init after an interrupted init, merge's
+  zero-lost/zero-duplicated enforcement;
+* status: done counts, retries, ETA and live claims, with staleness
+  decided by the same rule as the reaper;
 * end to end: a worker-drained campaign merges byte-identical to the
   uninterrupted serial run — including after a worker is SIGKILLed
   mid-simulation and its spec resumes from an in-run checkpoint on a
@@ -38,10 +40,11 @@ from repro.service.broker import (
     campaign_status,
     init_campaign,
     merge_campaign,
-    resume_campaign,
+    run_service,
 )
+from repro.service.lease import read_lease, write_lease
 from repro.service.manifest import load_manifest, plan_campaign, save_manifest
-from repro.service.queue import FileWorkQueue
+from repro.service.queue import DEFAULT_LEASE_TTL_SECONDS, FileWorkQueue
 from repro.service.worker import run_worker, spawn_workers
 
 from tests.conftest import tiny_config
@@ -184,9 +187,10 @@ def test_manifest_rejects_edited_spec_keys(tmp_path):
 
 def test_manifest_version_and_format_are_gated(tmp_path):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(ValueError, match="not a campaign manifest"):
-        load_manifest(path)
+    for foreign in (json.dumps({"format": "something-else"}), "[]", "{"):
+        path.write_text(foreign)
+        with pytest.raises(ValueError, match="not a campaign manifest"):
+            load_manifest(path)
     manifest = _plan()
     save_manifest(path, manifest)
     payload = json.loads(path.read_text())
@@ -199,7 +203,7 @@ def test_manifest_version_and_format_are_gated(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Broker: init, resume repair, merge enforcement
+# Broker: init, merge enforcement
 # ----------------------------------------------------------------------
 
 
@@ -214,25 +218,32 @@ def _init(tmp_path, **overrides):
 
 def test_init_refuses_to_overwrite_a_campaign(tmp_path):
     _init(tmp_path)
-    with pytest.raises(FileExistsError, match="resume"):
+    with pytest.raises(FileExistsError, match="repro service run"):
         _init(tmp_path)
 
 
-def test_resume_restores_tasks_lost_mid_enqueue(tmp_path):
-    manifest = _init(tmp_path)
+def test_init_starts_over_after_an_interrupted_init(tmp_path):
+    # An init killed mid-enqueue left some tasks and no manifest (the
+    # manifest is written last), so no worker could have run; the next
+    # init rebuilds the queue whole, including a stale leftover task.
     campaign_dir = tmp_path / "campaign"
     queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
-    # Broker "crashed mid-enqueue": one task file never landed.
-    os.unlink(queue.pending_dir / f"{manifest.task_id(0)}.json")
-    summary = resume_campaign(campaign_dir)
-    assert summary["restored"] == [manifest.task_id(0)]
-    assert summary["queue"]["pending"] == len(manifest.batches)
+    queue.put({"id": "batch-00000", "batch": 0, "spec_indices": [0, 1]})
+    queue.put({"id": "batch-00009", "batch": 9, "spec_indices": [7]})
+    assert not manifest_mod.manifest_path(campaign_dir).exists()
+    manifest = _init(tmp_path)
+    assert sorted(
+        path.stem for path in queue.pending_dir.glob("*.json")
+    ) == [manifest.task_id(index) for index in range(len(manifest.batches))]
+    assert campaign_status(campaign_dir)["queue"] == {
+        "pending": len(manifest.batches), "leased": 0, "done": 0,
+    }
 
 
 def test_merge_refuses_an_incomplete_campaign(tmp_path):
     _init(tmp_path)
     campaign_dir = tmp_path / "campaign"
-    with pytest.raises(RuntimeError, match="incomplete"):
+    with pytest.raises(RuntimeError, match="incomplete.*service run"):
         merge_campaign(campaign_dir)
     merged = merge_campaign(campaign_dir, allow_incomplete=True)
     report = merged["report"]
@@ -241,6 +252,20 @@ def test_merge_refuses_an_incomplete_campaign(tmp_path):
         failure["error_type"] == "Incomplete"
         for failure in report["failures"]
     )
+
+
+def test_merge_of_a_drained_queue_that_lost_tasks_says_to_reinit(tmp_path):
+    # With the queue drained, `service run` has nothing left to run, so
+    # pointing at it would loop; the lost tasks need a fresh init.
+    _init(tmp_path)
+    campaign_dir = tmp_path / "campaign"
+    queue = FileWorkQueue(manifest_mod.queue_root(campaign_dir))
+    for path in queue.pending_dir.glob("*.json"):
+        path.unlink()
+    assert queue.drained()
+    with pytest.raises(RuntimeError, match="re-init") as raised:
+        merge_campaign(campaign_dir)
+    assert "service run" not in str(raised.value)
 
 
 def test_merge_detects_duplicated_and_lost_placement(tmp_path):
@@ -257,6 +282,141 @@ def test_merge_detects_duplicated_and_lost_placement(tmp_path):
     save_manifest(path, manifest)
     with pytest.raises(RuntimeError, match="lost specs \\[2\\]"):
         merge_campaign(campaign_dir, allow_incomplete=True)
+
+
+# ----------------------------------------------------------------------
+# Status: derived from done records and leases, no logs
+# ----------------------------------------------------------------------
+
+
+def _status_campaign(tmp_path, batch_size=2):
+    _init(tmp_path, batch_size=batch_size)
+    campaign_dir = tmp_path / "campaign"
+    return campaign_dir, FileWorkQueue(manifest_mod.queue_root(campaign_dir))
+
+
+def _set_beat(queue, task_id, beat_age, claim_age=None):
+    now = time.time()
+    path = queue.leases_dir / f"{task_id}.json"
+    lease = read_lease(path)
+    lease.claimed_t = now - (beat_age if claim_age is None else claim_age)
+    lease.beat_t = now - beat_age
+    write_lease(path, lease)
+
+
+def _outcome(index, status="ok", attempts=1, elapsed=1.0, cached=False):
+    return {"spec_index": index, "status": status, "attempts": attempts,
+            "elapsed_seconds": elapsed, "from_checkpoint": cached}
+
+
+def test_status_fresh_lease_beat_is_running_not_stale(tmp_path):
+    # The shard's spec started 61 s ago, longer than any heartbeat
+    # window, but its worker's lease beat a second ago: it is alive.
+    campaign_dir, queue = _status_campaign(tmp_path)
+    task = queue.claim("w0")
+    leased = queue.leased_dir / f"{task['id']}.json"
+    old = time.time() - 61
+    os.utime(leased, (old, old))
+    _set_beat(queue, task["id"], beat_age=1.0, claim_age=61.0)
+    (row,) = campaign_status(campaign_dir)["running"]
+    assert row["task"] == task["id"] and row["worker"] == "w0"
+    assert row["pid"] == os.getpid()
+    assert row["attempt"] == 1 and row["specs"] == 2
+    assert 1.0 <= row["heartbeat_age_seconds"] < 5.0
+    assert row["stale"] is False
+    assert queue.reap() == ([], [])
+
+
+def test_status_flags_a_lease_beat_older_than_the_ttl(tmp_path):
+    campaign_dir, queue = _status_campaign(tmp_path)
+    task = queue.claim("w0")
+    _set_beat(queue, task["id"], beat_age=DEFAULT_LEASE_TTL_SECONDS + 5)
+    (row,) = campaign_status(campaign_dir)["running"]
+    assert row["stale"] is True
+    assert row["heartbeat_age_seconds"] > DEFAULT_LEASE_TTL_SECONDS
+    # Stale in status means a reap at the default TTL expires it.
+    assert queue.reap() == ([task["id"]], [])
+    assert campaign_status(campaign_dir)["running"] == []
+
+
+def test_status_without_a_lease_sidecar_ages_the_leased_file(tmp_path):
+    campaign_dir, queue = _status_campaign(tmp_path)
+    task = queue.claim("w0")
+    os.unlink(queue.leases_dir / f"{task['id']}.json")
+    leased = queue.leased_dir / f"{task['id']}.json"
+    recent = time.time() - 5
+    os.utime(leased, (recent, recent))
+    (row,) = campaign_status(campaign_dir)["running"]
+    assert row["worker"] is None and row["pid"] is None
+    assert row["attempt"] == 1
+    assert 5.0 <= row["heartbeat_age_seconds"] < DEFAULT_LEASE_TTL_SECONDS
+    assert row["stale"] is False
+    assert queue.reap() == ([], [])
+    old = time.time() - DEFAULT_LEASE_TTL_SECONDS - 5
+    os.utime(leased, (old, old))
+    (row,) = campaign_status(campaign_dir)["running"]
+    assert row["stale"] is True
+    assert queue.reap() == ([task["id"]], [])
+
+
+def test_status_counts_spec_retries_and_shard_reclaims(tmp_path):
+    campaign_dir, queue = _status_campaign(tmp_path, batch_size=4)
+    queue.claim("w0")
+    queue.reap(0.0)  # w0 died: its one shard goes back to pending
+    task = queue.claim("w1")
+    assert task["attempts"] == 2
+    queue.complete(task, {"outcomes": [
+        _outcome(index, attempts=2 if index == 0 else 1)
+        for index in task["spec_indices"]
+    ]})
+    status = campaign_status(campaign_dir)
+    # One re-claim of the shard plus one retried spec.
+    assert status["retries"] == 2
+    assert status["spec_status"] == {"ok": 4}
+
+
+def test_status_counts_and_eta_come_from_done_records(tmp_path):
+    campaign_dir, queue = _status_campaign(tmp_path, batch_size=1)
+    results = [
+        _outcome(0, elapsed=10.0),
+        _outcome(1, elapsed=0.0, cached=True),  # served, not run
+        _outcome(2, status="failed", elapsed=20.0),
+    ]
+    for outcome in results:
+        queue.complete(queue.claim("w0"), {"outcomes": [outcome]})
+    queue.claim("w1")
+    status = campaign_status(campaign_dir)
+    assert status["spec_status"] == {"ok": 2, "failed": 1}
+    assert status["specs_in_done_batches"] == 3
+    # Mean of the specs that ran (15 s) × 1 spec left / 1 leased shard.
+    assert status["eta_seconds"] == 15.0
+    assert [row["worker"] for row in status["running"]] == ["w1"]
+
+
+def test_status_has_no_eta_before_any_spec_finishes(tmp_path):
+    campaign_dir, queue = _status_campaign(tmp_path)
+    queue.claim("w0")
+    status = campaign_status(campaign_dir)
+    assert status["eta_seconds"] is None
+    assert status["spec_status"] == {} and status["retries"] == 0
+    assert len(status["running"]) == 1 and not status["drained"]
+
+
+def test_status_of_a_drained_campaign_exits_0(tmp_path, capsys):
+    from repro.__main__ import main
+
+    campaign_dir, queue = _status_campaign(tmp_path)
+    for _shard in range(2):
+        task = queue.claim("w0")
+        queue.complete(task, {"outcomes": [
+            _outcome(index) for index in task["spec_indices"]
+        ]})
+    assert main(["service", "status", str(campaign_dir)]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["running"] == [] and status["drained"]
+    assert status["spec_status"] == {"ok": 4}
+    assert status["eta_seconds"] == 0.0
+    assert status["abandoned"] == []
 
 
 # ----------------------------------------------------------------------
@@ -333,14 +493,19 @@ def test_sigkilled_worker_resumes_mid_spec_on_another_worker(tmp_path):
     victim.join(timeout=10)
     assert list(checkpoints.glob("*.ckpt")), "kill destroyed the checkpoint"
 
-    # The campaign must be repairable: force-expire the dead worker's
-    # lease, then a fresh worker finishes everything, resuming the
-    # half-done spec from its in-run checkpoint.
-    summary = resume_campaign(campaign_dir, force=True)
-    assert len(summary["requeued"]) == 1
-    run_worker(campaign_dir, worker_id="rescuer", inrun_checkpoint_every=1500)
-    merged = merge_campaign(campaign_dir)
-    deterministic = Path(merged["paths"]["deterministic"]).read_text()
+    # The campaign must be repairable: `run` reaps the dead worker's
+    # lease once it passes the TTL, then a fresh worker finishes
+    # everything, resuming the half-done spec from its in-run checkpoint.
+    summary = run_service(
+        campaign_dir, workers=1, lease_ttl=1.0, poll_seconds=0.1,
+        worker_options={
+            "heartbeat_seconds": 0.2, "inrun_checkpoint_every": 1500,
+            "poll_seconds": 0.1,
+        },
+    )
+    deterministic = Path(
+        summary["merge"]["paths"]["deterministic"]
+    ).read_text()
     assert deterministic == reference + "\n"
     updated = load_manifest(manifest_mod.manifest_path(campaign_dir))
     assert any(
@@ -349,7 +514,7 @@ def test_sigkilled_worker_resumes_mid_spec_on_another_worker(tmp_path):
 
 
 def test_chaos_gate_survives_kills_and_full_restart(tmp_path):
-    from repro.service.chaos import run_chaos
+    from tests.chaos import run_chaos
 
     summary = run_chaos(
         tmp_path / "chaos",

@@ -6,8 +6,9 @@ Two measurements, written to a JSON report (default
 * **select throughput** — steady-state ``select → remove → refill``
   churn at fixed buffer occupancy, comparing the indexed SIMT-aware
   scheduler against its naive reference twin (the pre-optimisation
-  linear-scan hot path, run against a buffer with index maintenance
-  disabled so it pays exactly the old costs);
+  linear-scan hot path; the buffer builds an index only when a query
+  asks for one, and the twin asks for none, so it pays exactly the old
+  costs);
 * **end-to-end** — a full simulation of an irregular workload with a
   256-entry walk buffer, comparing simulated events per wall-clock
   second and asserting the two runs produce bit-identical results.
@@ -60,10 +61,10 @@ def _refill(buffer, rng):
     buffer.add(request, arrival_time=0, estimated_accesses=rng.randrange(1, 5))
 
 
-def measure_select_throughput(scheduler, occupancy, selects, track_scores, seed=0):
+def measure_select_throughput(scheduler, occupancy, selects, seed=0):
     """Selects/second of a steady-state select→remove→refill churn."""
     rng = random.Random(seed)
-    buffer = PendingWalkBuffer(occupancy, track_scores=track_scores)
+    buffer = PendingWalkBuffer(occupancy)
     _fill(buffer, rng, occupancy)
     start = time.process_time()
     for _ in range(selects):
@@ -85,19 +86,14 @@ def bench_select(occupancies, selects, repeats):
         for _ in range(repeats):
             indexed = max(
                 indexed,
-                measure_select_throughput(
-                    make_scheduler("simt"), occupancy, selects, track_scores=True
-                ),
+                measure_select_throughput(make_scheduler("simt"), occupancy, selects),
             )
-            # The naive twin scans the buffer linearly; disabling index
-            # maintenance makes it pay exactly the pre-optimisation costs.
+            # The naive twin scans the buffer linearly and never asks an
+            # indexed query, so its buffer builds no index.
             naive = max(
                 naive,
                 measure_select_throughput(
-                    make_reference_scheduler("simt"),
-                    occupancy,
-                    selects,
-                    track_scores=False,
+                    make_reference_scheduler("simt"), occupancy, selects
                 ),
             )
         rows[f"occupancy_{occupancy}"] = {

@@ -122,7 +122,8 @@ class AgingPolicy:
             victim = oldest()
             if victim is None:
                 return None
-            count = victim.bypass_count + max(0, self._records - victim.arrival_seq)
+            derived = self._records - victim.arrival_seq
+            count = victim.bypass_count + (derived if derived > 0 else 0)
             if count < self.threshold:
                 return None
             self.promotions += 1

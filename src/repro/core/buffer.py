@@ -8,14 +8,21 @@ Unlike the hardware's associative scan of buffer slots, this model keeps
 (the policy decisions are bit-identical to a linear scan — see
 ``docs/PERFORMANCE.md`` and the differential tests):
 
-* a global arrival deque and per-instruction / per-application arrival
-  deques (lazily pruned) make ``oldest`` and ``oldest_for_instruction``
-  amortised O(1);
+* a global arrival deque and per-instruction arrival deques (lazily
+  pruned) make ``oldest`` and ``oldest_for_instruction`` amortised O(1);
 * per-VPN entries live in an insertion-ordered dict keyed by arrival
   sequence, so coalescing lookups and removals are O(1);
 * a lazy min-heap over ``(score, oldest_seq, instruction)`` keys (see
   :class:`~repro.core.scoring.ScoreIndex`) answers the shortest-job-first
-  query in amortised O(log n) instead of an O(n) rescan.
+  query in amortised O(log n) instead of an O(n) rescan;
+* per-application arrival deques and score heaps answer the fair-share
+  policy's queries the same way.
+
+Only the arrival and per-instruction deques are kept from the start.
+Each other index is built from the live entries by the first query that
+needs it and maintained from then on, so a policy pays only for the
+indexes it reads: FCFS builds none, SIMT the score heap, fair-share the
+per-application indexes, and pending-walk coalescing the per-VPN dict.
 """
 
 from __future__ import annotations
@@ -35,19 +42,11 @@ _INDEX_MIN = 64
 class PendingWalkBuffer:
     """Holds pending walks, their coalescing state and instruction scores."""
 
-    def __init__(self, capacity: int, track_scores: bool = True) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity
-        #: Whether the score index (and per-app indexes) are maintained.
-        #: The IOMMU disables this for policies with ``needs_scores``
-        #: False (fcfs/random/batch) so their hot path skips heap pushes.
-        self.track_scores = track_scores
         self._entries: Dict[int, WalkBufferEntry] = {}
-        # Duplicate-VPN entries are legal (the baseline IOMMU does not
-        # merge same-page walks across instructions), so index per VPN
-        # by arrival sequence; insertion order keeps the oldest first.
-        self._by_vpn: Dict[int, Dict[int, WalkBufferEntry]] = {}
         self._scores = ScoreTable()
         self._arrival_seq = 0
         # Arrival-order indexes.  Deques are pruned lazily: an entry
@@ -55,12 +54,19 @@ class PendingWalkBuffer:
         # deque front, so each entry costs O(1) amortised per index.
         self._arrival: Deque[WalkBufferEntry] = deque()
         self._by_instruction: Dict[int, Deque[WalkBufferEntry]] = {}
-        self._by_app: Dict[int, Deque[WalkBufferEntry]] = {}
+        # Built on first query, None until then (see the module notes).
+        # Duplicate-VPN entries are legal (the baseline IOMMU does not
+        # merge same-page walks across instructions), so index per VPN
+        # by arrival sequence; insertion order keeps the oldest first.
+        self._by_vpn: Optional[Dict[int, Dict[int, WalkBufferEntry]]] = None
+        self._score_index: Optional[ScoreIndex] = None
+        #: app -> arrival deque; its presence marks the per-application
+        #: indexes below as built.
+        self._by_app: Optional[Dict[int, Deque[WalkBufferEntry]]] = None
         self._per_app: Dict[int, Dict[int, Deque[WalkBufferEntry]]] = {}
         #: instruction -> {app -> pending-entry count}; lets a score
         #: change (direct dispatch) refresh every affected app index.
         self._instruction_apps: Dict[int, Dict[int, int]] = {}
-        self._score_index = ScoreIndex()
         self._app_score_index: Dict[int, ScoreIndex] = {}
         self.peak_occupancy = 0
         self.total_insertions = 0
@@ -85,26 +91,19 @@ class PendingWalkBuffer:
     # Index plumbing
     # ------------------------------------------------------------------
 
-    def _is_live(self, entry: WalkBufferEntry) -> bool:
-        return self._entries.get(entry.arrival_seq) is entry
-
     def _front(self, queue: Deque[WalkBufferEntry]) -> Optional[WalkBufferEntry]:
-        """The oldest still-buffered entry of ``queue`` (prunes stale)."""
+        """The oldest still-buffered entry of ``queue`` (prunes stale).
+
+        Arrival sequences are never reused, so an entry is live exactly
+        when its sequence is still a key of ``_entries``.
+        """
+        entries = self._entries
         while queue:
             entry = queue[0]
-            if self._is_live(entry):
+            if entry.arrival_seq in entries:
                 return entry
             queue.popleft()
         return None
-
-    def _oldest_of_instruction(self, instruction_id: int) -> Optional[WalkBufferEntry]:
-        queue = self._by_instruction.get(instruction_id)
-        if queue is None:
-            return None
-        entry = self._front(queue)
-        if entry is None:
-            del self._by_instruction[instruction_id]
-        return entry
 
     def _oldest_of_app_instruction(
         self, app_id: int, instruction_id: int
@@ -124,16 +123,15 @@ class PendingWalkBuffer:
 
     def _push_instruction_key(self, instruction_id: int) -> None:
         """Refresh the global score-index truth for an instruction."""
-        entry = self._oldest_of_instruction(instruction_id)
+        entry = self.oldest_for_instruction(instruction_id)
         if entry is None:
             return
-        self._score_index.push(
+        index = self._score_index
+        size = index.push(
             self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
         )
-        if len(self._score_index) > max(
-            _INDEX_MIN, _INDEX_SLACK * len(self._by_instruction)
-        ):
-            self._score_index.rebuild(self._current_keys())
+        if size > _INDEX_MIN and size > _INDEX_SLACK * len(self._by_instruction):
+            index.rebuild(self._current_keys())
 
     def _push_app_key(self, app_id: int, instruction_id: int) -> None:
         """Refresh one application's score-index truth for an instruction."""
@@ -141,17 +139,17 @@ class PendingWalkBuffer:
         if entry is None:
             return
         index = self._app_score_index.setdefault(app_id, ScoreIndex())
-        index.push(
+        size = index.push(
             self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
         )
         per_instruction = self._per_app.get(app_id, {})
-        if len(index) > max(_INDEX_MIN, _INDEX_SLACK * len(per_instruction)):
+        if size > _INDEX_MIN and size > _INDEX_SLACK * len(per_instruction):
             index.rebuild(self._current_app_keys(app_id))
 
     def _current_keys(self) -> List[ScoreKey]:
         keys: List[ScoreKey] = []
         for instruction_id in list(self._by_instruction):
-            entry = self._oldest_of_instruction(instruction_id)
+            entry = self.oldest_for_instruction(instruction_id)
             if entry is not None:
                 keys.append(
                     (
@@ -178,7 +176,7 @@ class PendingWalkBuffer:
 
     def _key_is_current(self, key: ScoreKey) -> bool:
         score, oldest_seq, instruction_id = key
-        entry = self._oldest_of_instruction(instruction_id)
+        entry = self.oldest_for_instruction(instruction_id)
         return (
             entry is not None
             and entry.arrival_seq == oldest_seq
@@ -186,15 +184,62 @@ class PendingWalkBuffer:
         )
 
     # ------------------------------------------------------------------
-    # Mutations
+    # Building the optional indexes (first query only)
     # ------------------------------------------------------------------
 
-    def find_by_vpn(self, vpn: int) -> Optional[WalkBufferEntry]:
-        """The oldest pending entry for ``vpn``, if any (for coalescing)."""
-        entries = self._by_vpn.get(vpn)
-        if not entries:
-            return None
-        return next(iter(entries.values()))
+    def _build_score_index(self) -> ScoreIndex:
+        index = self._score_index = ScoreIndex()
+        index.rebuild(self._current_keys())
+        return index
+
+    def _build_app_indexes(self) -> None:
+        self._by_app = {}
+        for entry in self._entries.values():
+            self._index_app_entry(entry, push=False)
+        for app_id in self._per_app:
+            self._app_score_index[app_id] = index = ScoreIndex()
+            index.rebuild(self._current_app_keys(app_id))
+
+    def _index_app_entry(self, entry: WalkBufferEntry, push: bool = True) -> None:
+        app_id = entry.app_id
+        instruction_id = entry.instruction_id
+        self._by_app.setdefault(app_id, deque()).append(entry)
+        self._per_app.setdefault(app_id, {}).setdefault(
+            instruction_id, deque()
+        ).append(entry)
+        apps = self._instruction_apps.setdefault(instruction_id, {})
+        apps[app_id] = apps.get(app_id, 0) + 1
+        if push:
+            # The instruction's score just changed, so every application
+            # holding pending entries of it needs a fresh key — not only
+            # the arriving entry's application.
+            for holder in list(apps):
+                self._push_app_key(holder, instruction_id)
+
+    def _unindex_app_entry(self, entry: WalkBufferEntry) -> None:
+        apps = self._instruction_apps.get(entry.instruction_id)
+        if apps is not None:
+            remaining = apps.get(entry.app_id, 0) - 1
+            if remaining > 0:
+                apps[entry.app_id] = remaining
+            else:
+                apps.pop(entry.app_id, None)
+                if not apps:
+                    del self._instruction_apps[entry.instruction_id]
+        # The instruction's oldest pending entry in this application may
+        # have changed; refresh its key (stale keys expire lazily).
+        self._push_app_key(entry.app_id, entry.instruction_id)
+
+    def _build_vpn_index(self) -> Dict[int, Dict[int, WalkBufferEntry]]:
+        by_vpn: Dict[int, Dict[int, WalkBufferEntry]] = {}
+        for seq, entry in self._entries.items():
+            by_vpn.setdefault(entry.vpn, {})[seq] = entry
+        self._by_vpn = by_vpn
+        return by_vpn
+
+    # ------------------------------------------------------------------
+    # Mutations
+    # ------------------------------------------------------------------
 
     def add(
         self,
@@ -211,35 +256,30 @@ class PendingWalkBuffer:
         buffer is full — callers must check :attr:`is_full` and apply
         back-pressure.
         """
-        if self.is_full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise OverflowError("IOMMU buffer is full")
-        entry = WalkBufferEntry(
-            request,
-            arrival_seq=self._arrival_seq,
-            arrival_time=arrival_time,
-            estimated_accesses=estimated_accesses,
-        )
-        self._arrival_seq += 1
-        self._entries[entry.arrival_seq] = entry
-        self._by_vpn.setdefault(entry.vpn, {})[entry.arrival_seq] = entry
-        self._scores.add(entry.instruction_id, estimated_accesses)
+        seq = self._arrival_seq
+        self._arrival_seq = seq + 1
+        entry = WalkBufferEntry(request, seq, arrival_time, estimated_accesses)
+        entries[seq] = entry
+        instruction_id = entry.instruction_id
+        self._scores.add(instruction_id, estimated_accesses)
         self._arrival.append(entry)
-        self._by_instruction.setdefault(entry.instruction_id, deque()).append(entry)
-        if self.track_scores:
-            self._by_app.setdefault(entry.app_id, deque()).append(entry)
-            self._per_app.setdefault(entry.app_id, {}).setdefault(
-                entry.instruction_id, deque()
-            ).append(entry)
-            apps = self._instruction_apps.setdefault(entry.instruction_id, {})
-            apps[entry.app_id] = apps.get(entry.app_id, 0) + 1
-            self._push_instruction_key(entry.instruction_id)
-            # The instruction's score just changed, so every application
-            # holding pending entries of it needs a fresh key — not only
-            # the arriving entry's application.
-            for app_id in list(apps):
-                self._push_app_key(app_id, entry.instruction_id)
+        queue = self._by_instruction.get(instruction_id)
+        if queue is None:
+            self._by_instruction[instruction_id] = deque((entry,))
+        else:
+            queue.append(entry)
+        if self._by_vpn is not None:
+            self._by_vpn.setdefault(entry.vpn, {})[seq] = entry
+        if self._score_index is not None:
+            self._push_instruction_key(instruction_id)
+        if self._by_app is not None:
+            self._index_app_entry(entry)
         self.total_insertions += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
         return entry
 
     def attach(self, entry: WalkBufferEntry, request: TranslationRequest) -> None:
@@ -258,27 +298,22 @@ class PendingWalkBuffer:
         walk is merely moving from pending to in-flight.  Call
         :meth:`complete_walk` when the walk finishes.
         """
-        if self._entries.get(entry.arrival_seq) is not entry:
+        seq = entry.arrival_seq
+        if self._entries.get(seq) is not entry:
             raise KeyError(f"entry {entry!r} is not in the buffer")
-        del self._entries[entry.arrival_seq]
-        same_vpn = self._by_vpn[entry.vpn]
-        del same_vpn[entry.arrival_seq]
-        if not same_vpn:
-            del self._by_vpn[entry.vpn]
-        if self.track_scores:
-            apps = self._instruction_apps.get(entry.instruction_id)
-            if apps is not None:
-                remaining = apps.get(entry.app_id, 0) - 1
-                if remaining > 0:
-                    apps[entry.app_id] = remaining
-                else:
-                    apps.pop(entry.app_id, None)
-                    if not apps:
-                        del self._instruction_apps[entry.instruction_id]
-            # The instruction's oldest pending entry may have changed;
-            # refresh its index truths (stale keys expire lazily).
+        del self._entries[seq]
+        by_vpn = self._by_vpn
+        if by_vpn is not None:
+            same_vpn = by_vpn[entry.vpn]
+            del same_vpn[seq]
+            if not same_vpn:
+                del by_vpn[entry.vpn]
+        # The instruction's oldest pending entry may have changed;
+        # refresh its index truths (stale keys expire lazily).
+        if self._score_index is not None:
             self._push_instruction_key(entry.instruction_id)
-            self._push_app_key(entry.app_id, entry.instruction_id)
+        if self._by_app is not None:
+            self._unindex_app_entry(entry)
 
     def account_direct_dispatch(
         self, instruction_id: int, estimated_accesses: int
@@ -289,10 +324,11 @@ class PendingWalkBuffer:
         walks never queued.
         """
         self._scores.add(instruction_id, estimated_accesses)
-        if self.track_scores:
-            # The score changed while the instruction may have buffered
-            # entries (possible when a scan is in progress): refresh.
+        # The score changed while the instruction may have buffered
+        # entries (possible when a scan is in progress): refresh.
+        if self._score_index is not None:
             self._push_instruction_key(instruction_id)
+        if self._by_app is not None:
             for app_id in list(self._instruction_apps.get(instruction_id, ())):
                 self._push_app_key(app_id, instruction_id)
 
@@ -308,33 +344,55 @@ class PendingWalkBuffer:
         """The aggregate score of the entry's issuing instruction."""
         return self._scores.score_of(entry.instruction_id)
 
+    def find_by_vpn(self, vpn: int) -> Optional[WalkBufferEntry]:
+        """The oldest pending entry for ``vpn``, if any (for coalescing)."""
+        by_vpn = self._by_vpn
+        if by_vpn is None:
+            by_vpn = self._build_vpn_index()
+        entries = by_vpn.get(vpn)
+        if not entries:
+            return None
+        return next(iter(entries.values()))
+
     def oldest(self) -> Optional[WalkBufferEntry]:
         """The entry that arrived first (FCFS choice).  Amortised O(1)."""
         return self._front(self._arrival)
 
     def oldest_for_instruction(self, instruction_id: int) -> Optional[WalkBufferEntry]:
         """The oldest pending entry of ``instruction_id``.  Amortised O(1)."""
-        return self._oldest_of_instruction(instruction_id)
+        queue = self._by_instruction.get(instruction_id)
+        if queue is None:
+            return None
+        entries = self._entries
+        while queue:
+            entry = queue[0]
+            if entry.arrival_seq in entries:
+                return entry
+            queue.popleft()
+        del self._by_instruction[instruction_id]
+        return None
 
     def min_score_entry(self) -> Optional[WalkBufferEntry]:
         """The pending entry minimising ``(score, arrival_seq)``.
 
         Bit-identical to ``min(buffer, key=lambda e: (score_of(e),
         e.arrival_seq))`` but amortised O(log n) via the lazy score
-        index.  Requires ``track_scores``.
+        index.
         """
         if not self._entries:
             return None
-        key = self._score_index.peek_valid(self._key_is_current)
+        index = self._score_index
+        if index is None:
+            index = self._build_score_index()
+        key = index.peek_valid(self._key_is_current)
         if key is None:
-            raise RuntimeError(
-                "score index out of sync with buffer "
-                "(was the buffer built with track_scores=False?)"
-            )
-        return self._oldest_of_instruction(key[2])
+            raise RuntimeError("score index out of sync with buffer")
+        return self.oldest_for_instruction(key[2])
 
     def min_score_entry_for_app(self, app_id: int) -> Optional[WalkBufferEntry]:
         """Same as :meth:`min_score_entry`, restricted to one application."""
+        if self._by_app is None:
+            self._build_app_indexes()
         index = self._app_score_index.get(app_id)
         if index is None:
             return None
@@ -358,8 +416,10 @@ class PendingWalkBuffer:
 
         The order matches the first-occurrence order of a linear scan of
         the buffer, which is what the fair-share policy's original set
-        comprehension produced.  Requires ``track_scores``.
+        comprehension produced.
         """
+        if self._by_app is None:
+            self._build_app_indexes()
         fronts = []
         for app_id in list(self._by_app):
             entry = self._front(self._by_app[app_id])

@@ -68,8 +68,9 @@ class TranslationRequest:
         #: pickles with the system while a stored closure cannot.
         self.on_complete = on_complete
         #: Opaque requester-owned data carried through the translation
-        #: round trip (the GPU stores ``(lines, inflight key)`` here).
-        #: Must be plain data for the request to be checkpointable.
+        #: round trip (the GPU stores ``(wavefront, lines, inflight)``
+        #: here).  Must pickle with the system for the request to be
+        #: checkpointable: plain data or model objects, no closures.
         self.context: tuple = ()
 
     @property
@@ -106,6 +107,7 @@ class WalkBufferEntry:
         "pinned_levels",
         "dispatch_time",
         "dispatch_seq",
+        "is_prefetch",
     )
 
     def __init__(
@@ -131,6 +133,9 @@ class WalkBufferEntry:
         self.pinned_levels: tuple = ()
         self.dispatch_time: Optional[int] = None
         self.dispatch_seq: Optional[int] = None
+        #: True for walks issued by the IOMMU's prefetcher, not the GPU
+        #: (fixed by the first request; attached ones never change it).
+        self.is_prefetch = request.wavefront_id == PREFETCH_WAVEFRONT
 
     def attach(self, request: TranslationRequest) -> None:
         """Coalesce another same-page request onto this pending walk."""
@@ -140,11 +145,6 @@ class WalkBufferEntry:
                 f"for vpn {self.vpn:#x}"
             )
         self.requests.append(request)
-
-    @property
-    def is_prefetch(self) -> bool:
-        """True for walks issued by the IOMMU's prefetcher, not the GPU."""
-        return self.requests[0].wavefront_id == PREFETCH_WAVEFRONT
 
     def __repr__(self) -> str:
         return (

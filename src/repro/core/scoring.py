@@ -55,9 +55,12 @@ class ScoreIndex:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, score: int, oldest_seq: int, instruction_id: int) -> None:
-        """Record a new ``(score, oldest_seq)`` truth for an instruction."""
-        heapq.heappush(self._heap, (score, oldest_seq, instruction_id))
+    def push(self, score: int, oldest_seq: int, instruction_id: int) -> int:
+        """Record a new ``(score, oldest_seq)`` truth for an instruction;
+        returns the heap size, stale keys included (see :meth:`rebuild`)."""
+        heap = self._heap
+        heapq.heappush(heap, (score, oldest_seq, instruction_id))
+        return len(heap)
 
     def peek_valid(
         self, is_current: Callable[[ScoreKey], bool]

@@ -38,7 +38,7 @@ class CoalescedInstruction:
     @property
     def num_lines(self) -> int:
         """Distinct cache lines touched — the instruction's access count."""
-        return sum(len(lines) for lines in self.lines_by_page.values())
+        return sum(map(len, self.lines_by_page.values()))
 
 
 def coalesce(lane_addresses: Iterable[int]) -> CoalescedInstruction:

@@ -45,7 +45,7 @@ class ComputeUnit:
         return self._active
 
     def _accumulate(self) -> None:
-        now = self._sim.now
+        now = self._sim._now
         if self._resident > 0 and self._active == 0:
             self.stall_cycles += now - self._last_change
             if (

@@ -5,10 +5,11 @@ wavefront retires, the next queued trace takes its slot (modelling the
 hardware workgroup dispatcher keeping CUs occupied).  The simulation ends
 when every trace has executed to completion.
 
-The GPU owns the ``gpu.*`` / ``wf.*`` event kinds: wavefront events carry
-a wavefront id and are routed through the live-wavefront registry, so
-event payloads stay plain data and the whole event queue can be pickled
-into a checkpoint.
+The GPU owns the ``gpu.*`` / ``wf.*`` event kinds.  A ``wf.*`` event
+carries its :class:`~repro.gpu.wavefront.Wavefront` as the first payload
+item and is bound to the ``Wavefront`` method that handles it, so it
+dispatches straight to the wavefront; a checkpoint pickles the
+wavefronts together with the event queue that references them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.config import SystemConfig
 from repro.core.request import TranslationRequest
 from repro.engine.simulator import Simulator
 from repro.gpu.cu import ComputeUnit
-from repro.gpu.wavefront import InstructionRecord, Wavefront, _InflightInstruction
+from repro.gpu.wavefront import InstructionRecord, Wavefront
 from repro.memory.subsystem import MemorySubsystem
 from repro.mmu.geometry import geometry_by_name
 from repro.mmu.iommu import IOMMU
@@ -70,13 +71,9 @@ class GPU:
         self._wavefront_counter = 0
         self._pending_traces: Deque = deque()
         self._running_wavefronts = 0
-        self._wavefront_cu: Dict[int, int] = {}
         self._app_remaining: Dict[int, int] = {}
         #: Cycle at which each application's last wavefront retired.
         self.app_completion_time: Dict[int, int] = {}
-        #: Live (launched, unretired) wavefronts, routing target for
-        #: ``wf.*`` events.
-        self._wavefronts: Dict[int, Wavefront] = {}
 
         # Fig 12: distinct wavefronts touching the L2 TLB per epoch.
         self._epoch_accesses = 0
@@ -92,62 +89,24 @@ class GPU:
         self.completion_time: Optional[int] = None
 
         simulator.register("gpu.start", self._start_reserved)
-        simulator.register("wf.issue", self._wf_issue)
-        simulator.register("wf.xlate", self._wf_translate)
-        simulator.register("wf.l2", self._wf_l2_lookup)
-        simulator.register("wf.data", self._wf_data)
-        simulator.register("wf.install", self._wf_install)
-        simulator.register("wf.line", self._wf_line)
+        simulator.register("wf.issue", Wavefront._issue_now)
+        simulator.register("wf.xlate", Wavefront._translate_page)
+        simulator.register("wf.l2", Wavefront._l2_tlb_lookup)
+        simulator.register("wf.data", Wavefront._data_phase)
+        simulator.register("wf.install", Wavefront._install_and_access)
+        simulator.register("wf.line", Wavefront._lines_complete)
         simulator.register("iommu.xlate", self._iommu_translate)
         # Translations without a per-request callback come back here.
         iommu.reply_to = self._translation_done
-
-    # ------------------------------------------------------------------
-    # Event routing (wf.* kinds → live wavefront objects)
-    # ------------------------------------------------------------------
-
-    def _wf_issue(self, wavefront_id: int) -> None:
-        self._wavefronts[wavefront_id]._issue_now()
-
-    def _wf_translate(
-        self, wavefront_id: int, vpn: int, lines, inflight: _InflightInstruction
-    ) -> None:
-        self._wavefronts[wavefront_id]._translate_page(vpn, lines, inflight)
-
-    def _wf_l2_lookup(
-        self, wavefront_id: int, vpn: int, lines, inflight: _InflightInstruction
-    ) -> None:
-        self._wavefronts[wavefront_id]._l2_tlb_lookup(vpn, lines, inflight)
-
-    def _wf_data(
-        self, wavefront_id: int, pfn: int, lines, inflight: _InflightInstruction
-    ) -> None:
-        self._wavefronts[wavefront_id]._data_phase(pfn, lines, inflight)
-
-    def _wf_install(
-        self,
-        wavefront_id: int,
-        vpn: int,
-        pfn: int,
-        lines,
-        inflight: _InflightInstruction,
-    ) -> None:
-        self._wavefronts[wavefront_id]._install_and_access(
-            vpn, pfn, lines, inflight
-        )
-
-    def _wf_line(self, wavefront_id: int, inflight: _InflightInstruction) -> None:
-        self._wavefronts[wavefront_id]._line_complete(inflight)
 
     def _iommu_translate(self, request: TranslationRequest) -> None:
         self.iommu.translate(request)
 
     def _translation_done(self, request: TranslationRequest, pfn: int) -> None:
-        """IOMMU reply sink for requests carrying plain-data context."""
-        lines, inflight = request.context
-        self._wavefronts[request.wavefront_id]._iommu_reply(
-            request, pfn, lines, inflight
-        )
+        """IOMMU reply sink: the request's context names the wavefront
+        and the instruction state the reply continues."""
+        wavefront, lines, inflight = request.context
+        wavefront._iommu_reply(request, pfn, lines, inflight)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -197,8 +156,6 @@ class GPU:
             self._wavefront_counter, cu_id, trace, self, app_id=app_id
         )
         self._wavefront_counter += 1
-        self._wavefront_cu[wavefront.wavefront_id] = cu_id
-        self._wavefronts[wavefront.wavefront_id] = wavefront
         self._running_wavefronts += 1
         self.cus[cu_id].wavefront_arrived(active=True)
         wavefront.start()
@@ -208,7 +165,6 @@ class GPU:
         cu_id = wavefront.cu_id
         self.cus[cu_id].wavefront_departed(was_active=not wavefront.blocked)
         self._running_wavefronts -= 1
-        self._wavefronts.pop(wavefront.wavefront_id, None)
         remaining = self._app_remaining.get(wavefront.app_id, 0) - 1
         self._app_remaining[wavefront.app_id] = remaining
         if remaining == 0:
@@ -249,7 +205,7 @@ class GPU:
         the returned delay (0 when the port is idle) on top of the TLB's
         hit latency.
         """
-        now = self.sim.now
+        now = self.sim._now
         start = max(now, self._l2_tlb_next_free)
         self._l2_tlb_next_free = start + 1.0 / self.config.gpu.l2_tlb_lookups_per_cycle
         return int(start) - now

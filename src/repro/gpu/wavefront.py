@@ -13,10 +13,11 @@ A wavefront is *blocked* (for CU stall accounting) while it cannot issue:
 either its in-flight window is full or it has drained its trace but still
 has instructions outstanding.
 
-All deferred work is posted as tagged events (``wf.*`` kinds, routed by
-the GPU's wavefront registry) carrying only plain data and the in-flight
-instruction context — never closures — so a mid-run checkpoint can pickle
-the event queue wholesale.
+All deferred work is posted as tagged events (``wf.*`` kinds, bound by
+the GPU to the ``Wavefront`` methods below) whose payload starts with the
+wavefront itself, followed by plain data and the in-flight instruction
+context — never closures — so a mid-run checkpoint can pickle the event
+queue wholesale.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class Wavefront:
         if self._issue_pending:
             return
         self._issue_pending = True
-        self._gpu.sim.post(delay, "wf.issue", self.wavefront_id)
+        self._gpu.sim.post(delay, "wf.issue", self)
 
     def _issue_now(self) -> None:
         self._issue_pending = False
@@ -155,23 +156,23 @@ class Wavefront:
         record = InstructionRecord(
             instruction_id=gpu.next_instruction_id(),
             wavefront_id=self.wavefront_id,
-            issue_time=gpu.sim.now,
+            issue_time=gpu.sim._now,
         )
         gpu.instruction_records.append(record)
 
         access = coalesce(lane_addresses)
         record.num_pages = access.num_pages
-        record.num_lines = access.num_lines
+        record.num_lines = num_lines = access.num_lines
 
-        if access.num_lines == 0:
+        if num_lines == 0:
             # A no-op instruction (all lanes inactive): retires instantly
             # and never occupies an in-flight slot.
-            record.complete_time = gpu.sim.now
+            record.complete_time = gpu.sim._now
             gpu.note_instruction_retired()
             return
 
         self._outstanding += 1
-        inflight = _InflightInstruction(record, access.num_lines)
+        inflight = _InflightInstruction(record, num_lines)
         # Regroup the coalescer's per-4KB-page line lists into translation
         # units (identical under 4 KB pages; 512 pages merge per unit
         # under 2 MB large pages).
@@ -183,15 +184,9 @@ class Wavefront:
         # so a divergent instruction's translation requests trickle out
         # over several cycles rather than appearing as one atomic burst.
         per_cycle = gpu.config.gpu.coalescer_pages_per_cycle
+        post = gpu.sim.post
         for index, (vpn, lines) in enumerate(groups.items()):
-            gpu.sim.post(
-                index // per_cycle,
-                "wf.xlate",
-                self.wavefront_id,
-                vpn,
-                lines,
-                inflight,
-            )
+            post(index // per_cycle, "wf.xlate", self, vpn, lines, inflight)
 
     # ------------------------------------------------------------------
     # Translation (paper steps 3-4: GPU TLB hierarchy)
@@ -210,11 +205,7 @@ class Wavefront:
         pfn = cu.l1_tlb.lookup(vpn)
         if pfn is not None:
             gpu.sim.post(
-                gpu.config.gpu_l1_tlb.hit_latency,
-                "wf.data",
-                self.wavefront_id,
-                pfn,
-                lines,
+                gpu.config.gpu_l1_tlb.hit_latency, "wf.data", self, pfn, lines,
                 inflight,
             )
             return
@@ -222,12 +213,8 @@ class Wavefront:
         # port wait multiplexes concurrent wavefronts' request streams.
         port_wait = gpu.l2_tlb_port_delay()
         gpu.sim.post(
-            port_wait + gpu.config.gpu_l2_tlb.hit_latency,
-            "wf.l2",
-            self.wavefront_id,
-            vpn,
-            lines,
-            inflight,
+            port_wait + gpu.config.gpu_l2_tlb.hit_latency, "wf.l2", self, vpn,
+            lines, inflight,
         )
 
     def _l2_tlb_lookup(
@@ -241,21 +228,22 @@ class Wavefront:
             return
         record = inflight.record
         record.walk_requests += 1
+        now = gpu.sim._now
         tracer = gpu.tracer
         if tracer is not None and tracer.cat_job:
-            tracer.job_walk_issue(record.instruction_id, gpu.sim.now)
+            tracer.job_walk_issue(record.instruction_id, now)
         request = TranslationRequest(
             vpn=vpn,
             instruction_id=record.instruction_id,
             wavefront_id=self.wavefront_id,
             cu_id=self.cu_id,
-            issue_time=gpu.sim.now,
+            issue_time=now,
             app_id=self.app_id,
         )
         # No reply closure: the IOMMU routes the reply through its
         # ``reply_to`` sink (the GPU), which recovers the continuation
-        # from this plain-data context.
-        request.context = (lines, inflight)
+        # from this context.
+        request.context = (self, lines, inflight)
         gpu.sim.post(
             gpu.config.iommu.request_latency, "iommu.xlate", request
         )
@@ -269,7 +257,7 @@ class Wavefront:
     ) -> None:
         gpu = self._gpu
         response_latency = gpu.config.iommu.response_latency
-        request.complete_time = gpu.sim.now + response_latency
+        request.complete_time = gpu.sim._now + response_latency
         record = inflight.record
         record.walk_latencies.append(request.complete_time - request.issue_time)
         record.walk_accesses += request.walk_accesses
@@ -277,13 +265,7 @@ class Wavefront:
         if tracer is not None and tracer.cat_job:
             tracer.job_walk_complete(record.instruction_id, request.complete_time)
         gpu.sim.post(
-            response_latency,
-            "wf.install",
-            self.wavefront_id,
-            request.vpn,
-            pfn,
-            lines,
-            inflight,
+            response_latency, "wf.install", self, request.vpn, pfn, lines, inflight
         )
 
     def _install_and_access(
@@ -301,17 +283,20 @@ class Wavefront:
     def _data_phase(
         self, pfn: int, lines: List[int], inflight: _InflightInstruction
     ) -> None:
+        """Fetch the page's lines; ``wf.line`` completions count them off
+        (one per page or one per line, as the memory model decides)."""
         gpu = self._gpu
-        geometry = gpu.geometry
-        frame_base = geometry.frame_base(pfn)
-        offset = geometry.offset
-        data_access = gpu.memory.data_access
-        target = ("wf.line", self.wavefront_id, inflight)
-        for line_va in lines:
-            data_access(self.cu_id, frame_base + offset(line_va), target)
+        page_shift = gpu.geometry.page_shift
+        frame_base = pfn << page_shift
+        offset_mask = (1 << page_shift) - 1
+        gpu.memory.data_access_batch(
+            self.cu_id,
+            [frame_base + (line_va & offset_mask) for line_va in lines],
+            ("wf.line", self, inflight),
+        )
 
-    def _line_complete(self, inflight: _InflightInstruction) -> None:
-        inflight.outstanding_lines -= 1
+    def _lines_complete(self, inflight: _InflightInstruction, count: int) -> None:
+        inflight.outstanding_lines -= count
         if inflight.outstanding_lines > 0:
             return
         self._instruction_complete(inflight)
@@ -323,11 +308,11 @@ class Wavefront:
     def _instruction_complete(self, inflight: _InflightInstruction) -> None:
         gpu = self._gpu
         record = inflight.record
-        record.complete_time = gpu.sim.now
+        record.complete_time = now = gpu.sim._now
         tracer = gpu.tracer
         if tracer is not None and tracer.cat_job:
             tracer.job_retired(
-                gpu.sim.now, self.cu_id, record.instruction_id,
+                now, self.cu_id, record.instruction_id,
                 record.wavefront_id, record.issue_time,
                 record.walk_accesses, record.walk_requests, record.num_pages,
             )

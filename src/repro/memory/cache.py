@@ -28,12 +28,9 @@ class SetAssociativeCache:
         self.misses = 0
         self.evictions = 0
 
-    def _set_for(self, line: int) -> "OrderedDict[int, None]":
-        return self._sets[line % self._num_sets]
-
     def access(self, line: int) -> bool:
         """Look up a line; returns True on hit.  Misses do NOT auto-fill."""
-        entries = self._set_for(line)
+        entries = self._sets[line % self._num_sets]
         if line in entries:
             entries.move_to_end(line)
             self.hits += 1
@@ -43,7 +40,7 @@ class SetAssociativeCache:
 
     def fill(self, line: int) -> None:
         """Install a line fetched from the next level."""
-        entries = self._set_for(line)
+        entries = self._sets[line % self._num_sets]
         if line in entries:
             entries.move_to_end(line)
             return
@@ -54,7 +51,7 @@ class SetAssociativeCache:
 
     def contains(self, line: int) -> bool:
         """Presence check without LRU/stat side effects."""
-        return line in self._set_for(line)
+        return line in self._sets[line % self._num_sets]
 
     @property
     def accesses(self) -> int:

@@ -17,11 +17,15 @@ from repro.memory.dram import DRAM
 
 
 class MemorySubsystem:
-    """Glues caches and DRAM together behind two entry points.
+    """Glues caches and DRAM together behind these entry points.
 
     ``data_access``
         A coalesced lane access from a CU: L1 → L2 → DRAM, with a
         completion callback.
+
+    ``data_access_batch``
+        The accesses of one page, in order, counted off by completions
+        that carry how many accesses they finish (wavefronts use this).
 
     ``page_table_access``
         A page-table read from an IOMMU walker.  Walkers sit in the CPU
@@ -93,41 +97,66 @@ class MemorySubsystem:
     def _data_access(
         self, cu_id: int, physical_address: int, on_complete: Any
     ) -> None:
+        ready = self._line_ready(cu_id, physical_address, on_complete)
+        if ready is not None:
+            self._sim.at(ready, on_complete)
+
+    def data_access_batch(
+        self, cu_id: int, physical_addresses: Sequence[int], on_complete: tuple
+    ) -> None:
+        """Issue one coalesced data access per address, in list order.
+
+        ``on_complete`` is an event tuple ``(kind, *payload)``; it fires
+        with one more argument, the number of the accesses it completes.
+        The reservation DRAM model knows every access's ready time at
+        issue, so the batch posts one completion, at the latest of them,
+        carrying ``len(physical_addresses)``.  That event takes the
+        first of the sequence numbers the per-access events would have
+        taken back to back, so it fires at the place in (time, sequence)
+        order where the last of them would have fired.  The queued
+        controller resolves reads later, so there every access completes
+        on its own, carrying 1.
+        """
+        if self.dram is None:
+            target = on_complete + (1,)
+            for physical_address in physical_addresses:
+                self._data_access(cu_id, physical_address, target)
+            return
+        latest = -1
+        for physical_address in physical_addresses:
+            ready = self._line_ready(cu_id, physical_address, on_complete)
+            if ready > latest:
+                latest = ready
+        if latest >= 0:
+            self._sim.at(latest, on_complete + (len(physical_addresses),))
+
+    def _line_ready(
+        self, cu_id: int, physical_address: int, on_complete: Any
+    ) -> Optional[int]:
+        """Look one line up through L1 → L2 → DRAM.  Returns the cycle
+        its data is ready, or None when the queued controller will fire
+        ``on_complete`` itself once the read is served."""
         self.data_accesses += 1
         line = physical_address // LINE_SIZE
+        config = self._config
+        now = self._sim._now
         l1 = self.l1_caches[cu_id]
         if l1.access(line):
-            self._sim.after(self._config.l1_cache.hit_latency, on_complete)
-            return
-        l2_latency = self._config.l1_cache.hit_latency + self._config.l2_cache.hit_latency
+            return now + config.l1_cache.hit_latency
+        l2_latency = config.l1_cache.hit_latency + config.l2_cache.hit_latency
         if self.l2_cache.access(line):
             l1.fill(line)
-            self._sim.after(l2_latency, on_complete)
-            return
+            return now + l2_latency
         self.l2_cache.fill(line)
         l1.fill(line)
         if self.dram is not None:
-            start = self._sim.now + l2_latency
+            start = now + l2_latency
             done = self.dram.access(physical_address, start)
             if self._injector is not None:
                 done += self._injector.dram_padding(start)
-            self._sim.at(done, on_complete)
-        else:
-            assert self.controller is not None
-            self._sim.post(
-                l2_latency, "mem.ctrl_read", physical_address, on_complete
-            )
-
-    def data_access_batch(
-        self, cu_id: int, physical_addresses: Sequence[int], on_complete: Any
-    ) -> None:
-        """Issue one :meth:`data_access` per address, in list order.
-
-        No model component calls this; it stays for callers written
-        against it (perfbench wraps it).
-        """
-        for physical_address in physical_addresses:
-            self._data_access(cu_id, physical_address, on_complete)
+            return done
+        self._sim.post(l2_latency, "mem.ctrl_read", physical_address, on_complete)
+        return None
 
     def page_table_read(
         self, physical_address: int, on_complete: Any
@@ -144,7 +173,7 @@ class MemorySubsystem:
     ) -> None:
         self.page_table_reads += 1
         if self.dram is not None:
-            now = self._sim.now
+            now = self._sim._now
             queue_before = self.dram.total_queue_delay
             done = self.dram.access(physical_address, now)
             self.pt_queue_cycles += self.dram.total_queue_delay - queue_before

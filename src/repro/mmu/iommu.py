@@ -79,11 +79,9 @@ class IOMMU:
             seed=config.scheduler_seed,
             aging_threshold=config.aging_threshold,
         )
-        # Policies that ignore scores (fcfs/random/batch) skip the
-        # buffer's score-index maintenance on their hot path.
-        self.buffer = PendingWalkBuffer(
-            config.buffer_entries, track_scores=self.scheduler.needs_scores
-        )
+        # The buffer builds each optional index on the first query that
+        # needs it, so a policy pays only for the indexes it reads.
+        self.buffer = PendingWalkBuffer(config.buffer_entries)
         self.walkers: List[PageTableWalker] = [
             PageTableWalker(
                 i, simulator, page_table, self.pwc, page_table_read,
@@ -180,7 +178,7 @@ class IOMMU:
     def translate(self, request: TranslationRequest) -> None:
         """Handle a translation request arriving from the GPU (step 5)."""
         self.requests += 1
-        request.iommu_arrival_time = self._sim.now
+        request.iommu_arrival_time = self._sim._now
 
         pfn = self.l1_tlb.lookup(request.vpn)
         if pfn is None:
@@ -216,9 +214,10 @@ class IOMMU:
         return True
 
     def _handle_tlb_miss(self, request: TranslationRequest) -> None:
-        if self.tracer is not None:
-            self.tracer.walk_created(
-                self._sim.now, request.vpn, request.instruction_id,
+        tracer = self.tracer
+        if tracer is not None and tracer.cat_walk:
+            tracer.walk_created(
+                self._sim._now, request.vpn, request.instruction_id,
                 request.wavefront_id,
             )
         if self._try_coalesce(request):
@@ -254,7 +253,7 @@ class IOMMU:
         idle = self._idle_walker()
         if idle is not None:
             entry = WalkBufferEntry(
-                request, arrival_seq=-1, arrival_time=self._sim.now
+                request, arrival_seq=-1, arrival_time=self._sim._now
             )
             if self.scheduler.needs_scores:
                 # Keep the instruction's aggregate score complete even
@@ -301,20 +300,18 @@ class IOMMU:
         pinned: tuple = ()
         if self.scheduler.needs_scores:
             estimate, pinned = self.pwc.score(request.vpn)
-        entry = self.buffer.add(
-            request, arrival_time=self._sim.now, estimated_accesses=estimate
-        )
+        now = self._sim._now
+        entry = self.buffer.add(request, now, estimate)
         entry.pinned_levels = pinned
         self.scheduler.on_arrival(entry, self.buffer)
         tracer = self.tracer
         if tracer is not None:
-            tracer.walk_enqueued(
-                self._sim.now, request.vpn, request.instruction_id, estimate
-            )
-            if tracer.cat_counter:
-                tracer.counter(
-                    self._sim.now, "pending_walks", len(self.buffer)
+            if tracer.cat_walk:
+                tracer.walk_enqueued(
+                    now, request.vpn, request.instruction_id, estimate
                 )
+            if tracer.cat_counter:
+                tracer.counter(now, "pending_walks", len(self.buffer))
 
     # ------------------------------------------------------------------
     # Walker management
@@ -325,7 +322,7 @@ class IOMMU:
         # so a full pool means no scan.  (The count cannot tell a merely
         # *stalled* walker apart, so a partial pool still scans — with
         # the same first-free-index selection as always.)
-        if self._busy_walkers >= len(self.walkers):
+        if self._busy_walkers >= self.config.num_walkers:
             return None
         now = self._sim._now
         for walker in self.walkers:
@@ -335,16 +332,16 @@ class IOMMU:
 
     def _dispatch(self, walker: PageTableWalker, entry: WalkBufferEntry) -> None:
         self._busy_walkers += 1
-        entry.dispatch_time = self._sim.now
-        entry.dispatch_seq = self._dispatch_seq
-        self._dispatch_seq += 1
+        now = entry.dispatch_time = self._sim._now
+        seq = entry.dispatch_seq = self._dispatch_seq
+        self._dispatch_seq = seq + 1
         if entry.is_prefetch:
             self.prefetch_walks += 1
         else:
             self.walks_dispatched += 1
             self.dispatches_by_instruction.setdefault(
                 entry.instruction_id, []
-            ).append(entry.dispatch_seq)
+            ).append(seq)
             if entry.arrival_seq == -1:
                 # Direct dispatch bypassed the scheduler; let it observe
                 # the instruction for batching continuity.
@@ -352,55 +349,58 @@ class IOMMU:
         self._walking.setdefault(entry.vpn, []).append(entry)
         tracer = self.tracer
         if tracer is not None:
-            tracer.walk_scheduled(
-                self._sim.now, entry.vpn, entry.instruction_id,
-                entry.arrival_time, walker.walker_id, entry.dispatch_seq,
-            )
-            if tracer.cat_counter:
-                tracer.counter(
-                    self._sim.now, "pending_walks", len(self.buffer)
+            if tracer.cat_walk:
+                tracer.walk_scheduled(
+                    now, entry.vpn, entry.instruction_id,
+                    entry.arrival_time, walker.walker_id, seq,
                 )
+            if tracer.cat_counter:
+                tracer.counter(now, "pending_walks", len(self.buffer))
         walker.start(entry, self._walk_complete)
 
     def _walk_complete(
         self, walker: PageTableWalker, entry: WalkBufferEntry, pfn: int, accesses: int
     ) -> None:
         self._busy_walkers -= 1
-        in_flight = self._walking[entry.vpn]
+        vpn = entry.vpn
+        in_flight = self._walking[vpn]
         in_flight.remove(entry)
         if not in_flight:
-            del self._walking[entry.vpn]
-        if self.scheduler.needs_scores and not entry.is_prefetch:
-            self.buffer.complete_walk(entry.instruction_id)
-        if not entry.is_prefetch and entry.dispatch_time is not None:
-            self.total_queue_wait += entry.dispatch_time - entry.arrival_time
-            self.total_service_time += self._sim.now - entry.dispatch_time
-        if self.tracer is not None:
-            self.tracer.walk_completed(
-                self._sim.now, entry.vpn, entry.instruction_id, accesses
-            )
-        self.l2_tlb.insert(entry.vpn, pfn)
-        if entry.is_prefetch:
+            del self._walking[vpn]
+        now = self._sim._now
+        prefetch = entry.is_prefetch
+        if not prefetch:
+            if self.scheduler.needs_scores:
+                self.buffer.complete_walk(entry.instruction_id)
+            if entry.dispatch_time is not None:
+                self.total_queue_wait += entry.dispatch_time - entry.arrival_time
+                self.total_service_time += now - entry.dispatch_time
+        tracer = self.tracer
+        if tracer is not None and tracer.cat_walk:
+            tracer.walk_completed(now, vpn, entry.instruction_id, accesses)
+        self.l2_tlb.insert(vpn, pfn)
+        if prefetch:
             # Prefetched translations stay in the (larger) L2 TLB until
             # demanded.  Demand requests that coalesced onto the prefetch
             # while it was in flight still get their replies.
-            for request in entry.requests[1:]:
-                self._reply(request, pfn, walk_accesses=accesses)
+            replies = entry.requests[1:]
+        else:
+            self.l1_tlb.insert(vpn, pfn)
+            if self._promote_threshold:
+                self._note_region_walk(vpn)
+            replies = entry.requests
+        for request in replies:
+            self._reply(request, pfn, accesses)
+        if self._overflow:
             self._drain_overflow()
-            self._schedule_next()
-            return
-        self.l1_tlb.insert(entry.vpn, pfn)
-        if self._promote_threshold:
-            self._note_region_walk(entry.vpn)
-        for request in entry.requests:
-            self._reply(request, pfn, walk_accesses=accesses)
-        self._drain_overflow()
         self._schedule_next()
-        # WaSP-style distance-ahead walk prefetch (distance 1 is the
-        # legacy ``prefetch_next_page`` behaviour).  Each step re-checks
-        # for an idle walker, so demand traffic still always wins.
-        for step in range(1, self._prefetch_distance + 1):
-            self._maybe_prefetch(entry.vpn + step)
+        if not prefetch:
+            # WaSP-style distance-ahead walk prefetch (distance 1 is the
+            # legacy ``prefetch_next_page`` behaviour).  Each step
+            # re-checks for an idle walker, so demand traffic still
+            # always wins.
+            for step in range(1, self._prefetch_distance + 1):
+                self._maybe_prefetch(vpn + step)
 
     def _note_region_walk(self, vpn: int) -> None:
         """Mosaic promotion bookkeeping after a demand walk completes.
@@ -430,7 +430,7 @@ class IOMMU:
         while self._overflow and not self.buffer.is_full:
             request = self._overflow.popleft()
             self.total_overflow_wait += (
-                self._sim.now - request.iommu_arrival_time
+                self._sim._now - request.iommu_arrival_time
             )
             # Re-run the coalescing check: the landscape may have changed
             # while the request sat in the overflow queue.
@@ -464,7 +464,8 @@ class IOMMU:
             self.buffer.remove(entry)
             self.scheduler.resync(self.buffer)
             self._dispatch(walker, entry)
-            self._drain_overflow()
+            if self._overflow:
+                self._drain_overflow()
 
     def _finish_scan(self) -> None:
         """Complete one delayed scheduler scan and dispatch its pick."""
@@ -478,7 +479,8 @@ class IOMMU:
         self.buffer.remove(entry)
         self.scheduler.resync(self.buffer)
         self._dispatch(walker, entry)
-        self._drain_overflow()
+        if self._overflow:
+            self._drain_overflow()
         self._schedule_next()
 
     def _maybe_prefetch(self, vpn: int) -> None:
@@ -495,18 +497,21 @@ class IOMMU:
             or self._iru_staging
         ):
             return
-        if vpn in self._walking or self.buffer.find_by_vpn(vpn) is not None:
+        # The buffer is empty here, so only an in-flight walk can
+        # already be fetching this page.
+        if vpn in self._walking:
             return
         if self.l2_tlb.probe(vpn) or self.l1_tlb.probe(vpn):
             return
+        now = self._sim._now
         request = TranslationRequest(
             vpn=vpn,
             instruction_id=0,
             wavefront_id=PREFETCH_WAVEFRONT,
             cu_id=-1,
-            issue_time=self._sim.now,
+            issue_time=now,
         )
-        entry = WalkBufferEntry(request, arrival_seq=-1, arrival_time=self._sim.now)
+        entry = WalkBufferEntry(request, arrival_seq=-1, arrival_time=now)
         self._dispatch(walker, entry)
 
     def resume_walkers(self) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import PAGE_SIZE, PAGE_TABLE_LEVELS
-from repro.mmu.address import PAGE_SHIFT, pte_address
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
+from repro.mmu.address import LEVEL_MASK, PAGE_SHIFT, PTE_SIZE
 from repro.mmu.geometry import BASE_4K, PageGeometry
 
 
@@ -113,10 +113,10 @@ class PageTable:
         return self._mappings.get(vpn)
 
     def _map(self, vpn: int) -> int:
-        geometry = self.geometry
+        leaf = self.geometry.leaf_level
         node = self._root
-        for level in range(PAGE_TABLE_LEVELS, geometry.leaf_level, -1):
-            index = geometry.level_index(vpn, level)
+        for level in range(PAGE_TABLE_LEVELS, leaf, -1):
+            index = (vpn >> (BITS_PER_LEVEL * (level - leaf))) & LEVEL_MASK
             child = node.children.get(index)
             if child is None:
                 child = _Node(self._allocate_node_address())
@@ -132,23 +132,21 @@ class PageTable:
 
         Ordered root-first: level 4 down to the geometry's leaf level.
         Ensures the mapping exists (allocating if needed) so that the
-        addresses are defined.
+        addresses are defined.  Each level's radix index and PTE address
+        is computed inline (see :func:`~repro.mmu.address.pte_address`).
         """
         cached = self._walk_cache.get(vpn)
         if cached is not None:
             return cached
         self.translate(vpn)
-        geometry = self.geometry
+        leaf = self.geometry.leaf_level
         addresses: List[Tuple[int, int]] = []
         node = self._root
-        for level in range(PAGE_TABLE_LEVELS, geometry.leaf_level, -1):
-            index = geometry.level_index(vpn, level)
-            addresses.append((level, pte_address(node.base_address, index)))
+        for level in range(PAGE_TABLE_LEVELS, leaf, -1):
+            index = (vpn >> (BITS_PER_LEVEL * (level - leaf))) & LEVEL_MASK
+            addresses.append((level, node.base_address + index * PTE_SIZE))
             node = node.children[index]
-        leaf = geometry.leaf_level
-        addresses.append(
-            (leaf, pte_address(node.base_address, geometry.level_index(vpn, leaf)))
-        )
+        addresses.append((leaf, node.base_address + (vpn & LEVEL_MASK) * PTE_SIZE))
         path = tuple(addresses)
         self._walk_cache[vpn] = path
         return path

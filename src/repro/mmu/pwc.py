@@ -62,20 +62,8 @@ class _LevelCache:
     def _set_for(self, tag: int) -> "OrderedDict[int, _Entry]":
         return self._sets[tag % self._num_sets]
 
-    def touch(self, tag: int) -> None:
-        entries = self._set_for(tag)
-        if tag in entries:
-            entries.move_to_end(tag)
-
-    def bump_counter(self, tag: int, delta: int) -> None:
-        entries = self._set_for(tag)
-        entry = entries.get(tag)
-        if entry is None:
-            return
-        entry.counter = max(0, min(self._counter_max, entry.counter + delta))
-
     def insert(self, tag: int) -> None:
-        entries = self._set_for(tag)
+        entries = self._sets[tag % self._num_sets]
         if tag in entries:
             entries.move_to_end(tag)
             return
@@ -122,6 +110,20 @@ class PageWalkCache:
             (self._levels[level], self._shifts[level])
             for level in self._cached_levels
         )
+        #: hit level -> the ``(cache, shift)`` of that level and every
+        #: level above it: the entries a hit there pins and touches.
+        self._hit_chain: Dict[int, Tuple[Tuple[_LevelCache, int], ...]] = {
+            level: tuple(
+                (self._levels[above], self._shifts[above])
+                for above in range(level, PAGE_TABLE_LEVELS + 1)
+            )
+            for level in self._cached_levels
+        }
+        #: hit level (0 for a miss) -> memory accesses the walk needs.
+        self._accesses_after = {
+            level: self.accesses_for_hit_level(level)
+            for level in (0,) + self._cached_levels
+        }
         #: Optional :class:`~repro.obs.trace.Tracer` plus the clock whose
         #: ``now`` stamps its events, set via :meth:`attach_tracer`.
         self.tracer = None
@@ -173,10 +175,12 @@ class PageWalkCache:
         pinned_levels: Tuple[int, ...] = ()
         if level:
             pinned_levels = tuple(range(level, PAGE_TABLE_LEVELS + 1))
-            shifts = self._shifts
-            for pinned in pinned_levels:
-                self._levels[pinned].bump_counter(vpn >> shifts[pinned], +1)
-        accesses = self.accesses_for_hit_level(level)
+            for cache, shift in self._hit_chain[level]:
+                tag = vpn >> shift
+                entry = cache._sets[tag % cache._num_sets].get(tag)
+                if entry is not None and entry.counter < cache._counter_max:
+                    entry.counter += 1
+        accesses = self._accesses_after[level]
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(
@@ -202,13 +206,21 @@ class PageWalkCache:
         prefetch) passes the default empty tuple and unpins nothing.
         """
         level = self._deepest_hit(vpn, count_stats=True)
+        levels = self._levels
         shifts = self._shifts
         for pinned in pinned_levels:
-            self._levels[pinned].bump_counter(vpn >> shifts[pinned], -1)
+            cache = levels[pinned]
+            tag = vpn >> shifts[pinned]
+            entry = cache._sets[tag % cache._num_sets].get(tag)
+            if entry is not None and entry.counter:
+                entry.counter -= 1
         if level:
-            for hit in range(level, PAGE_TABLE_LEVELS + 1):
-                self._levels[hit].touch(vpn >> shifts[hit])
-        accesses = self.accesses_for_hit_level(level)
+            for cache, shift in self._hit_chain[level]:
+                tag = vpn >> shift
+                entries = cache._sets[tag % cache._num_sets]
+                if tag in entries:
+                    entries.move_to_end(tag)
+        accesses = self._accesses_after[level]
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(

@@ -43,12 +43,9 @@ class TLB:
         self.tracer = tracer
         self._trace_clock = clock
 
-    def _set_for(self, vpn: int) -> "OrderedDict[int, int]":
-        return self._sets[vpn % self._num_sets]
-
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the cached PFN for ``vpn`` (updating LRU) or None."""
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn % self._num_sets]
         pfn = entries.get(vpn)
         tracer = self.tracer
         if pfn is None:
@@ -66,11 +63,11 @@ class TLB:
 
     def probe(self, vpn: int) -> bool:
         """True if ``vpn`` is resident, without touching LRU state or stats."""
-        return vpn in self._set_for(vpn)
+        return vpn in self._sets[vpn % self._num_sets]
 
     def insert(self, vpn: int, pfn: int) -> None:
         """Install a translation, evicting the set's LRU entry if full."""
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn % self._num_sets]
         if vpn in entries:
             entries[vpn] = pfn
             entries.move_to_end(vpn)
@@ -82,7 +79,7 @@ class TLB:
 
     def invalidate(self, vpn: int) -> bool:
         """Drop ``vpn`` if present.  Returns whether an entry was removed."""
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn % self._num_sets]
         if vpn in entries:
             del entries[vpn]
             return True

@@ -23,7 +23,7 @@ dispatches without affecting a walk already in progress.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.request import WalkBufferEntry
 from repro.engine.simulator import Simulator
@@ -67,11 +67,13 @@ class PageTableWalker:
         #: the rest of the run (fault injection: ``drop_walk_completion``).
         self.wedged = False
         self._walk_start = 0
-        #: ``(level, address)`` pairs still to read for the current walk
-        #: (the one in flight excluded — its completion event is already
-        #: queued).  Levels ride along so read spans can attribute
-        #: cycles per page-table level.
-        self._remaining: List[Tuple[int, int]] = []
+        #: The current walk's root-to-leaf ``(level, address)`` path and
+        #: how many of its deepest reads are still to issue (the one in
+        #: flight excluded — its completion event is already queued).
+        #: Levels ride along so read spans can attribute cycles per
+        #: page-table level.
+        self._path: Tuple[Tuple[int, int], ...] = ()
+        self._reads_left = 0
         self._total_accesses = 0
         #: ``(pfn, accesses)`` held back by a delayed-completion fault.
         self._pending: Optional[Tuple[int, int]] = None
@@ -112,15 +114,15 @@ class PageTableWalker:
         if self._current is not None:
             raise RuntimeError(f"walker {self.walker_id} is already busy")
         self._current = entry
-        self._walk_start = self._sim.now
+        self._walk_start = self._sim._now
         self._on_complete = on_complete
 
         accesses_needed = self._pwc.walk_lookup(entry.vpn, entry.pinned_levels)
         # The full root-to-leaf (level, address) list; a PWC hit skips
         # the upper levels, leaving only the deepest `accesses_needed`
         # reads.
-        path = self._page_table.walk_addresses(entry.vpn)
-        self._remaining = list(path[-accesses_needed:])
+        self._path = self._page_table.walk_addresses(entry.vpn)
+        self._reads_left = accesses_needed
         self._total_accesses = accesses_needed
         self._read_issue = -1
         self._read_meta = None
@@ -130,16 +132,18 @@ class PageTableWalker:
         tracer = self._tracer
         if tracer is not None and tracer.cat_walk and self._read_issue >= 0:
             self._emit_read_span(tracer)
-        if not self._remaining:
+        reads_left = self._reads_left
+        if not reads_left:
             self._finish()
             return
-        level, address = self._remaining.pop(0)
+        level, address = self._path[-reads_left]
+        self._reads_left = reads_left - 1
         self.memory_accesses += 1
         if tracer is not None:
             if tracer.cat_memory:
-                tracer.ptw_read(self._sim.now, self.walker_id, address)
+                tracer.ptw_read(self._sim._now, self.walker_id, address)
             if tracer.cat_walk:
-                self._read_issue = self._sim.now
+                self._read_issue = self._sim._now
                 self._read_level = level
                 self._read_address = address
                 # The reservation DRAM computes timing synchronously and
@@ -160,7 +164,7 @@ class PageTableWalker:
         page-table-read hook, as in unit tests) reports the whole span
         as row access with ``bank = -1``.
         """
-        now = self._sim.now
+        now = self._sim._now
         issue = self._read_issue
         self._read_issue = -1
         meta = self._read_meta
@@ -190,10 +194,10 @@ class PageTableWalker:
         accesses = self._total_accesses
         pfn = self._page_table.translate(entry.vpn)
         self._pwc.fill(entry.vpn)
-        self._finish_time = self._sim.now
+        self._finish_time = now = self._sim._now
         if self._injector is not None:
             action, extra = self._injector.on_walk_completion(
-                self.walker_id, entry, self._sim.now
+                self.walker_id, entry, now
             )
             if action == "drop":
                 # The completion signal is lost: the walker wedges with
@@ -213,13 +217,15 @@ class PageTableWalker:
         pfn, accesses = self._pending
         self._pending = None
         entry = self._current
+        now = self._sim._now
         self.walks_completed += 1
-        self.busy_cycles += self._sim.now - self._walk_start
-        self.held_cycles += self._sim.now - self._finish_time
+        self.busy_cycles += now - self._walk_start
+        self.held_cycles += now - self._finish_time
         self._current = None
-        if self._tracer is not None:
-            self._tracer.walk_span(
-                self._walk_start, self._sim.now, self.walker_id,
+        tracer = self._tracer
+        if tracer is not None and tracer.cat_walk:
+            tracer.walk_span(
+                self._walk_start, now, self.walker_id,
                 entry.vpn, entry.instruction_id, accesses,
             )
         self._on_complete(self, entry, pfn, accesses)

@@ -1,5 +1,7 @@
 """Unit tests for the IOMMU pending-walk buffer."""
 
+import random
+
 import pytest
 
 from repro.core.buffer import PendingWalkBuffer
@@ -197,10 +199,74 @@ def test_pending_apps_ordered_by_oldest_entry():
     assert buffer.pending_apps() == [0, 3]
 
 
-def test_track_scores_false_skips_score_index():
-    buffer = PendingWalkBuffer(8, track_scores=False)
-    entry = buffer.add(make_request(vpn=1), 0, estimated_accesses=2)
-    assert buffer.oldest() is entry  # arrival-order queries still work
-    assert buffer.score_of(entry) == 2  # plain score lookups still work
-    with pytest.raises(RuntimeError):
-        buffer.min_score_entry()
+def _answers(buffer):
+    """Every indexed query's answer, entries named by arrival sequence."""
+
+    def seq(entry):
+        return None if entry is None else entry.arrival_seq
+
+    return (
+        seq(buffer.min_score_entry()),
+        [seq(buffer.min_score_entry_for_app(app)) for app in range(3)],
+        buffer.pending_apps(),
+        [seq(buffer.find_by_vpn(vpn)) for vpn in range(12)],
+    )
+
+
+def _lockstep(first_query_step, steps=90, seed=2018):
+    """Drive one seeded op stream through two buffers.  ``always`` is
+    queried at every step, so its optional indexes exist from the start;
+    ``late`` is first queried at ``first_query_step``.  Returns both
+    buffers' answers at every step from then on."""
+    rng = random.Random(seed)
+    always, late = PendingWalkBuffer(10), PendingWalkBuffer(10)
+    in_flight = {}  # instruction -> dispatched-but-incomplete walks
+    seen = []
+    for step in range(steps):
+        op = rng.random()
+        live = list(always)
+        if op < 0.45 and not always.is_full:
+            request = dict(
+                vpn=rng.randrange(12), instruction_id=rng.randrange(6),
+                app_id=rng.randrange(3),
+            )
+            estimate = rng.randrange(5)
+            for buffer in (always, late):
+                buffer.add(make_request(**request), step, estimate)
+        elif op < 0.55 and live:
+            index = rng.randrange(len(live))
+            instruction_id = rng.randrange(6)
+            for buffer in (always, late):
+                entry = list(buffer)[index]
+                buffer.attach(entry, make_request(entry.vpn, instruction_id))
+        elif op < 0.8 and live:
+            index = rng.randrange(len(live))
+            instruction_id = live[index].instruction_id
+            for buffer in (always, late):
+                buffer.remove(list(buffer)[index])
+            in_flight[instruction_id] = in_flight.get(instruction_id, 0) + 1
+        elif op < 0.9:
+            instruction_id, estimate = rng.randrange(6), rng.randrange(1, 5)
+            for buffer in (always, late):
+                buffer.account_direct_dispatch(instruction_id, estimate)
+            in_flight[instruction_id] = in_flight.get(instruction_id, 0) + 1
+        else:
+            busy = sorted(i for i, n in in_flight.items() if n)
+            if busy:
+                instruction_id = rng.choice(busy)
+                for buffer in (always, late):
+                    buffer.complete_walk(instruction_id)
+                in_flight[instruction_id] -= 1
+        answer = _answers(always)
+        if step >= first_query_step:
+            seen.append((step, answer, _answers(late)))
+    return seen
+
+
+def test_indexes_built_on_first_query_match_maintained_ones():
+    """A buffer builds its per-VPN, score and per-application indexes on
+    the first query that needs them.  Built at any step, they must
+    answer exactly as indexes maintained from the first add."""
+    for first_query_step in range(91):
+        for step, always, late in _lockstep(first_query_step):
+            assert late == always, f"first queried at {first_query_step}, step {step}"

@@ -151,7 +151,7 @@ class TestStaleBatchPointer:
     )
     def test_simt_pointer_retires_when_instruction_drains(self, factory):
         scheduler = factory(aging_threshold=1_000)
-        buffer = PendingWalkBuffer(8, track_scores=True)
+        buffer = PendingWalkBuffer(8)
         # Instruction 7's walk is cheap, instruction 3's cheaper still —
         # after 7 drains the SJF stage must win, not a stale batch hit.
         first = add(buffer, vpn=1, instruction_id=7, estimate=2)
@@ -299,7 +299,7 @@ def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
     warmup, tail = _ops(rng, 120), _ops(rng, 120)
 
     scheduler = make_scheduler(name, seed=11, aging_threshold=6)
-    buffer = PendingWalkBuffer(32, track_scores=scheduler.needs_scores)
+    buffer = PendingWalkBuffer(32)
     _drive(scheduler, buffer, warmup)
 
     twin, twin_buffer = pickle.loads(pickle.dumps((scheduler, buffer)))

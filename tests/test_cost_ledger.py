@@ -31,7 +31,7 @@ from typing import Dict
 import pytest
 
 import repro
-from repro import TraceConfig, run_simulation
+from repro import TraceConfig, baseline_config, run_simulation
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cost.json"
 
@@ -54,6 +54,13 @@ SCENARIOS: Dict[str, dict] = {
     ),
     "xsb-simt-metrics": dict(
         workload="XSB", scheduler="simt", num_wavefronts=8, metrics=True,
+    ),
+    # Everything observed at once, on the queued FR-FCFS controller:
+    # every trace category, the metrics sampler and the watchdog.
+    "xsb-simt-observed": dict(
+        workload="XSB", scheduler="simt", num_wavefronts=8,
+        config=baseline_config().with_dram_controller("frfcfs"),
+        trace=TraceConfig(), metrics=True, watchdog_cycles=5_000_000,
     ),
 }
 

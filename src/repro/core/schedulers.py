@@ -9,10 +9,6 @@ ablations (SJF-only, batch-only).
 All schedulers share one tiny interface so the IOMMU can host any of
 them:
 
-``on_arrival(entry, buffer)``
-    Called after a new walk request is buffered (the entry's PWC-based
-    estimate has already been folded into its instruction's score).
-
 ``select(buffer)``
     Called when a walker is free; returns the entry to service next (the
     IOMMU removes it from the buffer) or None to idle.
@@ -20,7 +16,8 @@ them:
 ``needs_scores``
     Whether the IOMMU should spend a PWC probe on every arriving request
     to maintain scores.  Baselines that ignore scores skip the probe so
-    they do not perturb PWC counters.
+    they do not perturb PWC counters, and their walks stay out of the
+    buffer's score table.
 """
 
 from __future__ import annotations
@@ -68,9 +65,6 @@ class WalkScheduler(ABC):
     #: Capacity of the region TLB holding promoted 2 MB entries (LRU;
     #: a capacity eviction is a demotion).
     region_tlb_entries = 0
-
-    def on_arrival(self, entry: WalkBufferEntry, buffer: PendingWalkBuffer) -> None:
-        """Hook for arrival-time bookkeeping.  Default: nothing."""
 
     @abstractmethod
     def select(self, buffer: PendingWalkBuffer) -> Optional[WalkBufferEntry]:

@@ -108,6 +108,9 @@ class QueuedMemoryController:
         #: its data returns — checkpointable in-flight state.
         self._in_service: Dict[int, _Request] = {}
         self._arrival_seq = 0
+        #: Requests waiting in any bank queue: one added per enqueue, one
+        #: taken per issue, so the depth reads in O(1).
+        self._waiting = 0
         #: SMS batch former: bank index -> [source, remaining credits]
         #: for the batch that bank is currently committed to.
         self._sms_batch: Dict[int, List[int]] = {}
@@ -131,7 +134,7 @@ class QueuedMemoryController:
 
     @property
     def queued_requests(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._waiting
 
     def read(
         self, address: int, on_complete: Any, source: int = SOURCE_DATA
@@ -141,21 +144,20 @@ class QueuedMemoryController:
         ``source`` tags the request for the SMS batch former (page-walk
         reads pass :data:`SOURCE_WALK`); other policies ignore it."""
         bank, row = self._map(address)
+        now = self._sim._now
         request = _Request(
-            address, bank, row, self._arrival_seq, self._sim.now,
-            on_complete, source,
+            address, bank, row, self._arrival_seq, now, on_complete, source,
         )
         self._arrival_seq += 1
         if source == SOURCE_WALK:
             self.walk_reads += 1
         self._queues.setdefault(bank, []).append(request)
-        self.peak_queue_depth = max(self.peak_queue_depth, self.queued_requests)
+        waiting = self._waiting = self._waiting + 1
+        if waiting > self.peak_queue_depth:
+            self.peak_queue_depth = waiting
         tracer = self.tracer
         if tracer is not None and tracer.cat_counter:
-            tracer.counter(
-                self._sim.now, "dram_queue_depth", self.queued_requests,
-                pid=PID_MEMORY,
-            )
+            tracer.counter(now, "dram_queue_depth", waiting, pid=PID_MEMORY)
         self._try_issue(bank)
 
     def _select(
@@ -204,6 +206,7 @@ class QueuedMemoryController:
             return
         request = self._select(queue, bank, bank_index)
         queue.remove(request)
+        self._waiting -= 1
         cfg = self.config
         if request.row == bank.open_row:
             latency = cfg.t_cas
@@ -213,14 +216,15 @@ class QueuedMemoryController:
             latency = cfg.t_rp + cfg.t_rcd + cfg.t_cas
             self.row_conflicts += 1
             bank.open_row = request.row
+        now = self._sim._now
         if self._latency_padding is not None:
-            extra = self._latency_padding(self._sim.now)
+            extra = self._latency_padding(now)
             if extra > 0:
                 latency += extra
                 self.padded_accesses += 1
         bank.busy = True
         self.reads += 1
-        request.service_start = self._sim.now
+        request.service_start = now
         self._in_service[bank_index] = request
         self._sim.post(latency, "dram.complete", bank_index)
 
@@ -228,20 +232,21 @@ class QueuedMemoryController:
         request = self._in_service.pop(bank_index)
         tracer = self.tracer
         if tracer is not None:
+            now = self._sim._now
             if tracer.cat_memory:
                 tracer.dram_read_span(
-                    request.arrival_time, self._sim.now, request.bank,
+                    request.arrival_time, now, request.bank,
                     request.address, request.row_hit,
                 )
                 tracer.dram_service(
-                    request.service_start, self._sim.now, request.bank,
+                    request.service_start, now, request.bank,
                     request.address, request.row_hit,
                 )
             if tracer.cat_walk:
                 # Timing receipt for a walker completing this read in
                 # the dispatch below (see Tracer.last_dram_access).
                 tracer.last_dram_access = (
-                    request.service_start, self._sim.now, request.bank,
+                    request.service_start, now, request.bank,
                     request.row_hit,
                 )
         self._sim.dispatch(request.on_complete)

@@ -296,14 +296,16 @@ class IOMMU:
         return False
 
     def _buffer_request(self, request: TranslationRequest) -> None:
-        estimate = 0
-        pinned: tuple = ()
+        now = self._sim._now
         if self.scheduler.needs_scores:
             estimate, pinned = self.pwc.score(request.vpn)
-        now = self._sim._now
-        entry = self.buffer.add(request, now, estimate)
-        entry.pinned_levels = pinned
-        self.scheduler.on_arrival(entry, self.buffer)
+            entry = self.buffer.add(request, now, estimate)
+            entry.pinned_levels = pinned
+        else:
+            # A policy that reads no scores leaves the score table
+            # alone: no estimate in, no complete_walk owed.
+            estimate = 0
+            self.buffer.add(request, now)
         tracer = self.tracer
         if tracer is not None:
             if tracer.cat_walk:

@@ -118,6 +118,19 @@ class TestRing:
         assert len(tracer.tail(100)) == 5
         assert tracer.tail(0) == []
 
+    def test_mutating_exported_events_leaves_the_ring_alone(self):
+        tracer = Tracer(TraceConfig())
+        tracer.walk_created(0, 1, 2, 3)
+        detail = {"site": "pwc"}
+        tracer.fault_injected(5, "flush_pwc", detail)
+        detail["site"] = "changed"
+        before = tracer.to_jsonl()
+        assert '"changed"' not in before
+        for event in tracer.events() + tracer.tail(2):
+            event["ts"] = 99
+            event["args"].clear()
+        assert tracer.to_jsonl() == before
+
     def test_category_gating(self):
         tracer = Tracer(TraceConfig(categories={"walk"}))
         tracer.tlb_lookup(0, "iommu_l1", 1, True)

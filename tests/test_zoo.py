@@ -271,11 +271,10 @@ def _drive(scheduler, buffer, ops):
             if buffer.is_full:
                 continue
             vpn, iid, estimate, app = payload
-            entry = add(
+            add(
                 buffer, vpn=vpn, instruction_id=iid, estimate=estimate,
                 app_id=app,
             )
-            scheduler.on_arrival(entry, buffer)
         else:
             if buffer.is_empty:
                 continue

@@ -43,6 +43,22 @@ def tiny_config(scheduler: str = "fcfs") -> SystemConfig:
     )
 
 
+def dispatched_system(config, workload, scale=0.1, seed=0, num_wavefronts=8,
+                      trace=None):
+    """``build_system(config)`` with ``workload``'s trace dispatched on
+    it, ready for ``system.simulator.run()``."""
+    from repro.experiments.runner import build_system
+    from repro.workloads.registry import get_workload
+
+    system = build_system(config, trace=trace)
+    bench = get_workload(workload, scale=scale, seed=seed)
+    system.gpu.dispatch(bench.build_trace(
+        num_wavefronts=num_wavefronts,
+        wavefront_size=config.gpu.wavefront_size,
+    ))
+    return system
+
+
 @pytest.fixture
 def config():
     return tiny_config()

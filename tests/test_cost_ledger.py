@@ -7,7 +7,9 @@ ledger row records total calls, calls per walk, calls per instruction,
 the engine's event count and calls by ``repro`` module.  A builtin (C)
 function's calls are charged to the module that made them, so a
 ``dict.get`` inside the walk buffer counts as buffer work; Python
-functions outside the package count as ``other``.
+functions outside the package count as ``other``.  Counts are summed
+per code object, so they do not depend on the process that measures
+them: a fresh interpreter and a pytest session agree.
 
 Call counts differ between Python versions, so the golden
 (``tests/golden_cost.json``) is checked exactly only on the interpreter
@@ -16,13 +18,16 @@ deliberate re-capture, recorded like any golden's:
 
     PYTHONPATH=src:. python -c "import tests.test_cost_ledger as t; t.write_golden()"
 
-The inert-tracer check at the bottom holds on any interpreter.
+The inert-tracer and fresh-interpreter checks at the bottom hold on any
+interpreter.
 """
 
 from __future__ import annotations
 
 import cProfile
 import json
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -34,6 +39,7 @@ import repro
 from repro import TraceConfig, baseline_config, run_simulation
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cost.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Every scenario runs at this slice and seed.
 COMMON = dict(scale=0.1, seed=0)
@@ -71,9 +77,7 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 def _module_of(filename: str) -> str:
     """The ``repro`` module defining a profiled function, ``other`` for
-    Python code outside the package, ``""`` for builtins."""
-    if filename == "~":
-        return ""
+    Python code outside the package."""
     path = Path(filename).resolve()
     if PACKAGE_DIR not in path.parents:
         return "other"
@@ -84,27 +88,34 @@ def _module_of(filename: str) -> str:
 
 
 def measure(**kwargs) -> dict:
-    """One scenario's ledger row (``kwargs`` go to ``run_simulation``)."""
+    """One scenario's ledger row (``kwargs`` go to ``run_simulation``).
+
+    The counts come from ``Profile.getstats()``, one entry per code
+    object.  The ``pstats`` view keys functions by ``(file, line,
+    name)`` instead, where every dataclass ``__init__`` is
+    ``<string>:2`` and all but one of them are lost.
+    """
     kwargs = dict(COMMON, **kwargs)
     run_simulation(**kwargs)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_simulation(**kwargs)
     profiler.disable()
-    profiler.create_stats()
     by_module: Dict[str, int] = defaultdict(int)
     total = 0
-    for (filename, _, _), (_, calls, _, _, callers) in profiler.stats.items():
-        total += calls
-        module = _module_of(filename)
-        if module:
-            by_module[module] += calls
+    for entry in profiler.getstats():
+        total += entry.callcount
+        if isinstance(entry.code, str):
+            # A builtin: its Python callers take their share below; a
+            # call from the unprofiled caller of ``enable`` stays here.
+            by_module["builtin"] += entry.callcount
             continue
-        # A builtin: charge each caller's share to the caller's module.
-        for (caller_file, _, _), caller_stats in callers.items():
-            by_module[_module_of(caller_file) or "builtin"] += caller_stats[0]
-        if not callers:
-            by_module["builtin"] += calls
+        module = _module_of(entry.code.co_filename)
+        by_module[module] += entry.callcount
+        for callee in entry.calls or ():
+            if isinstance(callee.code, str):
+                by_module[module] += callee.callcount
+                by_module["builtin"] -= callee.callcount
     walks = result.walks_dispatched
     return {
         "calls": total,
@@ -113,7 +124,7 @@ def measure(**kwargs) -> dict:
         "events": result.detail["engine"]["events_processed"],
         "calls_per_walk": round(total / walks, 1) if walks else 0.0,
         "calls_per_instruction": round(total / result.instructions, 1),
-        "by_module": dict(sorted(by_module.items())),
+        "by_module": {k: n for k, n in sorted(by_module.items()) if n},
     }
 
 
@@ -160,3 +171,19 @@ def test_inert_tracer_cost_does_not_grow_with_the_run():
         return inert["calls"] - measure(**spec)["calls"]
 
     assert inert_extra(8) == inert_extra(16)
+
+
+def test_a_fresh_interpreter_counts_the_same_calls():
+    """The ledger must not depend on the process that measures it: the
+    docstring's one-liner runs in a fresh interpreter, the golden check
+    in this one, and both must see the same row."""
+    code = (
+        "import json, tests.test_cost_ledger as t; "
+        "print(json.dumps(t.measure(**t.SCENARIOS['xsb-simt'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(fresh.stdout) == measure(**SCENARIOS["xsb-simt"])

@@ -28,23 +28,21 @@ unnecessary:
 Together these reduce the whole policy to one counter incremented per
 dispatch and one subtraction per starving check — O(1) each, with
 decisions bit-identical to the per-entry loop (see the differential
-tests in ``tests/test_scheduler_equivalence.py``).
-
-The pre-existing per-entry API (mutating ``entry.bypass_count`` over a
-plain iterable) is retained for diagnostics and unit tests; a manually
-seeded ``entry.bypass_count`` acts as an offset on top of the derived
-count, which keeps hand-built scheduler tests meaningful.
+tests in ``tests/test_scheduler_equivalence.py``).  The per-entry loop
+itself survives only as the executable specification,
+:class:`~repro.core.reference.NaiveAgingPolicy`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
+from repro.core.buffer import PendingWalkBuffer
 from repro.core.request import WalkBufferEntry
 
 
 class AgingPolicy:
-    """Counts bypasses and promotes starving entries."""
+    """Counts dispatches and promotes the oldest entry once it starves."""
 
     def __init__(self, threshold: int) -> None:
         if threshold <= 0:
@@ -68,71 +66,19 @@ class AgingPolicy:
         if dispatched.arrival_seq >= 0:
             self._records += 1
 
-    def record_bypasses(
-        self, entries: Iterable[WalkBufferEntry], dispatched: WalkBufferEntry
-    ) -> None:
-        """Credit a bypass to every entry older than the dispatched one.
-
-        Legacy API.  For an indexed buffer this degenerates to
-        :meth:`record_dispatch`; for a plain iterable (unit tests,
-        diagnostics) it performs the original per-entry loop.
-        """
-        if hasattr(entries, "oldest"):
-            self.record_dispatch(dispatched)
-            return
-        seq = dispatched.arrival_seq
-        for entry in entries:
-            if entry.arrival_seq < seq:
-                entry.bypass_count += 1
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def bypass_count_of(
-        self, entry: WalkBufferEntry, buffer: Optional[Iterable[WalkBufferEntry]] = None
-    ) -> int:
-        """The entry's effective bypass count (diagnostic; O(n)).
-
-        Derived as recorded dispatches of younger entries plus any
-        manually seeded ``entry.bypass_count``.  ``buffer`` must be the
-        buffer holding the entry; when omitted the entry is assumed to
-        be the oldest buffered one.
-        """
-        older_buffered = 0
-        if buffer is not None:
-            older_buffered = sum(
-                1 for other in buffer if other.arrival_seq < entry.arrival_seq
-            )
-        older_dispatched = entry.arrival_seq - older_buffered
-        derived = self._records - older_dispatched
-        return entry.bypass_count + max(0, derived)
-
-    def starving(
-        self, entries: Iterable[WalkBufferEntry]
-    ) -> Optional[WalkBufferEntry]:
+    def starving(self, buffer: PendingWalkBuffer) -> Optional[WalkBufferEntry]:
         """The oldest entry past the threshold, or None.
 
-        With an indexed buffer this inspects only the arrival frontier
-        (O(1)); bypass-count monotonicity guarantees no younger entry
-        can qualify when the oldest does not.
+        Inspects only the arrival frontier (O(1)): bypass-count
+        monotonicity guarantees no younger entry can qualify when the
+        oldest does not.
         """
-        oldest = getattr(entries, "oldest", None)
-        if oldest is not None:
-            victim = oldest()
-            if victim is None:
-                return None
-            derived = self._records - victim.arrival_seq
-            count = victim.bypass_count + (derived if derived > 0 else 0)
-            if count < self.threshold:
-                return None
-            self.promotions += 1
-            return victim
-        victim: Optional[WalkBufferEntry] = None
-        for entry in entries:
-            if entry.bypass_count >= self.threshold:
-                if victim is None or entry.arrival_seq < victim.arrival_seq:
-                    victim = entry
-        if victim is not None:
-            self.promotions += 1
+        victim = buffer.oldest()
+        if victim is None or self._records - victim.arrival_seq < self.threshold:
+            return None
+        self.promotions += 1
         return victim

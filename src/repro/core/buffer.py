@@ -4,9 +4,9 @@ The buffer is what a scheduler scans: the paper calls its size the
 scheduler's *lookahead* (Fig 14).  Entries are kept in arrival order.
 
 Unlike the hardware's associative scan of buffer slots, this model keeps
-*indexes* alongside the entries so every scheduler query is sub-linear
-(the policy decisions are bit-identical to a linear scan — see
-``docs/PERFORMANCE.md`` and the differential tests):
+*indexes* alongside the entries so the paper's scheduler queries are
+sub-linear (the policy decisions are bit-identical to a linear scan —
+see ``docs/PERFORMANCE.md`` and the differential tests):
 
 * a global arrival deque and per-instruction arrival deques (lazily
   pruned) make ``oldest`` and ``oldest_for_instruction`` amortised O(1);
@@ -14,15 +14,15 @@ Unlike the hardware's associative scan of buffer slots, this model keeps
   sequence, so coalescing lookups and removals are O(1);
 * a lazy min-heap over ``(score, oldest_seq, instruction)`` keys (see
   :class:`~repro.core.scoring.ScoreIndex`) answers the shortest-job-first
-  query in amortised O(log n) instead of an O(n) rescan;
-* per-application arrival deques and score heaps answer the fair-share
-  policy's queries the same way.
+  query in amortised O(log n) instead of an O(n) rescan.
 
 Only the arrival and per-instruction deques are kept from the start.
 Each other index is built from the live entries by the first query that
 needs it and maintained from then on, so a policy pays only for the
-indexes it reads: FCFS builds none, SIMT the score heap, fair-share the
-per-application indexes, and pending-walk coalescing the per-VPN dict.
+indexes it reads: FCFS builds none, SIMT the score heap, and pending-walk
+coalescing the per-VPN dict.  There is no per-application index: the
+fair-share policy answers its own tier with one pass over the buffer,
+which measured no slower than maintaining one on every add and remove.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class PendingWalkBuffer:
         # by arrival sequence; insertion order keeps the oldest first.
         self._by_vpn: Optional[Dict[int, Dict[int, WalkBufferEntry]]] = None
         self._score_index: Optional[ScoreIndex] = None
-        #: app -> arrival deque; its presence marks the per-application
-        #: indexes below as built.
-        self._by_app: Optional[Dict[int, Deque[WalkBufferEntry]]] = None
-        self._per_app: Dict[int, Dict[int, Deque[WalkBufferEntry]]] = {}
-        #: instruction -> {app -> pending-entry count}; lets a score
-        #: change (direct dispatch) refresh every affected app index.
-        self._instruction_apps: Dict[int, Dict[int, int]] = {}
-        self._app_score_index: Dict[int, ScoreIndex] = {}
         self.peak_occupancy = 0
         self.total_insertions = 0
         self.total_coalesced = 0
@@ -105,22 +97,6 @@ class PendingWalkBuffer:
             queue.popleft()
         return None
 
-    def _oldest_of_app_instruction(
-        self, app_id: int, instruction_id: int
-    ) -> Optional[WalkBufferEntry]:
-        per_instruction = self._per_app.get(app_id)
-        if per_instruction is None:
-            return None
-        queue = per_instruction.get(instruction_id)
-        if queue is None:
-            return None
-        entry = self._front(queue)
-        if entry is None:
-            del per_instruction[instruction_id]
-            if not per_instruction:
-                del self._per_app[app_id]
-        return entry
-
     def _push_instruction_key(self, instruction_id: int) -> None:
         """Refresh the global score-index truth for an instruction."""
         entry = self.oldest_for_instruction(instruction_id)
@@ -133,37 +109,10 @@ class PendingWalkBuffer:
         if size > _INDEX_MIN and size > _INDEX_SLACK * len(self._by_instruction):
             index.rebuild(self._current_keys())
 
-    def _push_app_key(self, app_id: int, instruction_id: int) -> None:
-        """Refresh one application's score-index truth for an instruction."""
-        entry = self._oldest_of_app_instruction(app_id, instruction_id)
-        if entry is None:
-            return
-        index = self._app_score_index.setdefault(app_id, ScoreIndex())
-        size = index.push(
-            self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
-        )
-        per_instruction = self._per_app.get(app_id, {})
-        if size > _INDEX_MIN and size > _INDEX_SLACK * len(per_instruction):
-            index.rebuild(self._current_app_keys(app_id))
-
     def _current_keys(self) -> List[ScoreKey]:
         keys: List[ScoreKey] = []
         for instruction_id in list(self._by_instruction):
             entry = self.oldest_for_instruction(instruction_id)
-            if entry is not None:
-                keys.append(
-                    (
-                        self._scores.score_of(instruction_id),
-                        entry.arrival_seq,
-                        instruction_id,
-                    )
-                )
-        return keys
-
-    def _current_app_keys(self, app_id: int) -> List[ScoreKey]:
-        keys: List[ScoreKey] = []
-        for instruction_id in list(self._per_app.get(app_id, {})):
-            entry = self._oldest_of_app_instruction(app_id, instruction_id)
             if entry is not None:
                 keys.append(
                     (
@@ -191,44 +140,6 @@ class PendingWalkBuffer:
         index = self._score_index = ScoreIndex()
         index.rebuild(self._current_keys())
         return index
-
-    def _build_app_indexes(self) -> None:
-        self._by_app = {}
-        for entry in self._entries.values():
-            self._index_app_entry(entry, push=False)
-        for app_id in self._per_app:
-            self._app_score_index[app_id] = index = ScoreIndex()
-            index.rebuild(self._current_app_keys(app_id))
-
-    def _index_app_entry(self, entry: WalkBufferEntry, push: bool = True) -> None:
-        app_id = entry.app_id
-        instruction_id = entry.instruction_id
-        self._by_app.setdefault(app_id, deque()).append(entry)
-        self._per_app.setdefault(app_id, {}).setdefault(
-            instruction_id, deque()
-        ).append(entry)
-        apps = self._instruction_apps.setdefault(instruction_id, {})
-        apps[app_id] = apps.get(app_id, 0) + 1
-        if push:
-            # The instruction's score just changed, so every application
-            # holding pending entries of it needs a fresh key — not only
-            # the arriving entry's application.
-            for holder in list(apps):
-                self._push_app_key(holder, instruction_id)
-
-    def _unindex_app_entry(self, entry: WalkBufferEntry) -> None:
-        apps = self._instruction_apps.get(entry.instruction_id)
-        if apps is not None:
-            remaining = apps.get(entry.app_id, 0) - 1
-            if remaining > 0:
-                apps[entry.app_id] = remaining
-            else:
-                apps.pop(entry.app_id, None)
-                if not apps:
-                    del self._instruction_apps[entry.instruction_id]
-        # The instruction's oldest pending entry in this application may
-        # have changed; refresh its key (stale keys expire lazily).
-        self._push_app_key(entry.app_id, entry.instruction_id)
 
     def _build_vpn_index(self) -> Dict[int, Dict[int, WalkBufferEntry]]:
         by_vpn: Dict[int, Dict[int, WalkBufferEntry]] = {}
@@ -280,8 +191,6 @@ class PendingWalkBuffer:
             self._by_vpn.setdefault(entry.vpn, {})[seq] = entry
         if self._score_index is not None:
             self._push_instruction_key(instruction_id)
-        if self._by_app is not None:
-            self._index_app_entry(entry)
         self.total_insertions += 1
         if len(entries) > self.peak_occupancy:
             self.peak_occupancy = len(entries)
@@ -317,8 +226,6 @@ class PendingWalkBuffer:
         # refresh its index truths (stale keys expire lazily).
         if self._score_index is not None:
             self._push_instruction_key(entry.instruction_id)
-        if self._by_app is not None:
-            self._unindex_app_entry(entry)
 
     def account_direct_dispatch(
         self, instruction_id: int, estimated_accesses: int
@@ -333,9 +240,6 @@ class PendingWalkBuffer:
         # entries (possible when a scan is in progress): refresh.
         if self._score_index is not None:
             self._push_instruction_key(instruction_id)
-        if self._by_app is not None:
-            for app_id in list(self._instruction_apps.get(instruction_id, ())):
-                self._push_app_key(app_id, instruction_id)
 
     def complete_walk(self, instruction_id: int) -> None:
         """Release one walk's score accounting (after the walk finishes)."""
@@ -393,44 +297,3 @@ class PendingWalkBuffer:
         if key is None:
             raise RuntimeError("score index out of sync with buffer")
         return self.oldest_for_instruction(key[2])
-
-    def min_score_entry_for_app(self, app_id: int) -> Optional[WalkBufferEntry]:
-        """Same as :meth:`min_score_entry`, restricted to one application."""
-        if self._by_app is None:
-            self._build_app_indexes()
-        index = self._app_score_index.get(app_id)
-        if index is None:
-            return None
-
-        def is_current(key: ScoreKey) -> bool:
-            score, oldest_seq, instruction_id = key
-            entry = self._oldest_of_app_instruction(app_id, instruction_id)
-            return (
-                entry is not None
-                and entry.arrival_seq == oldest_seq
-                and self._scores.score_of(instruction_id) == score
-            )
-
-        key = index.peek_valid(is_current)
-        if key is None:
-            return None
-        return self._oldest_of_app_instruction(app_id, key[2])
-
-    def pending_apps(self) -> List[int]:
-        """Applications with pending entries, ordered by oldest entry.
-
-        The order matches the first-occurrence order of a linear scan of
-        the buffer, which is what the fair-share policy's original set
-        comprehension produced.
-        """
-        if self._by_app is None:
-            self._build_app_indexes()
-        fronts = []
-        for app_id in list(self._by_app):
-            entry = self._front(self._by_app[app_id])
-            if entry is None:
-                del self._by_app[app_id]
-            else:
-                fronts.append((entry.arrival_seq, app_id))
-        fronts.sort()
-        return [app_id for _, app_id in fronts]

@@ -19,11 +19,6 @@ Reference policies are intentionally *not* registered in the scheduler
 registry; build them directly and pass the instance to
 :func:`repro.run_simulation` (or ``build_system``) via the ``scheduler``
 argument.
-
-Do not run a reference policy and an incremental
-:class:`~repro.core.aging.AgingPolicy` against the same buffer: the
-reference mutates ``entry.bypass_count``, which the incremental policy
-treats as a manual offset.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from itertools import islice
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.aging import AgingPolicy
 from repro.core.buffer import PendingWalkBuffer
@@ -151,17 +151,15 @@ class SJFScheduler(WalkScheduler):
         return choice
 
 
-class BatchScheduler(WalkScheduler):
-    """Batching only (key idea 2, ablation).
+class _BatchingScheduler(WalkScheduler):
+    """The batch pointer shared by the batching policies (action 2-a).
 
-    Prefers walks from the same instruction as the most recently
-    scheduled walk; otherwise falls back to FCFS.
+    It names the instruction of the most recently dispatched walk and
+    retires once that instruction has no pending walk left.
     """
 
-    name = "batch"
-
-    def __init__(self) -> None:
-        self._last_instruction: Optional[int] = None
+    #: Instruction of the most recent dispatch; None when retired.
+    _last_instruction: Optional[int] = None
 
     def note_dispatch(self, entry: WalkBufferEntry) -> None:
         """Track the most recently dispatched instruction (batching)."""
@@ -174,6 +172,16 @@ class BatchScheduler(WalkScheduler):
             and buffer.oldest_for_instruction(self._last_instruction) is None
         ):
             self._last_instruction = None
+
+
+class BatchScheduler(_BatchingScheduler):
+    """Batching only (key idea 2, ablation).
+
+    Prefers walks from the same instruction as the most recently
+    scheduled walk; otherwise falls back to FCFS.
+    """
+
+    name = "batch"
 
     def select(self, buffer: PendingWalkBuffer) -> Optional[WalkBufferEntry]:
         """Choose the next pending walk under this policy."""
@@ -190,7 +198,7 @@ class BatchScheduler(WalkScheduler):
         return choice
 
 
-class SIMTAwareScheduler(WalkScheduler):
+class SIMTAwareScheduler(_BatchingScheduler):
     """The paper's SIMT-aware page-table walk scheduler (§IV).
 
     Selection order when a walker frees up:
@@ -208,21 +216,8 @@ class SIMTAwareScheduler(WalkScheduler):
 
     def __init__(self, aging_threshold: int = 2_000_000) -> None:
         self.aging = AgingPolicy(aging_threshold)
-        self._last_instruction: Optional[int] = None
         self.batch_hits = 0
         self.sjf_picks = 0
-
-    def note_dispatch(self, entry: WalkBufferEntry) -> None:
-        """Track the most recently dispatched instruction (batching)."""
-        self._last_instruction = entry.instruction_id
-
-    def resync(self, buffer: PendingWalkBuffer) -> None:
-        """Retire the batch pointer once its instruction has drained."""
-        if (
-            self._last_instruction is not None
-            and buffer.oldest_for_instruction(self._last_instruction) is None
-        ):
-            self._last_instruction = None
 
     def select(self, buffer: PendingWalkBuffer) -> Optional[WalkBufferEntry]:
         """Choose the next pending walk under this policy."""
@@ -241,7 +236,7 @@ class SIMTAwareScheduler(WalkScheduler):
         return choice
 
 
-class FairShareScheduler(WalkScheduler):
+class FairShareScheduler(_BatchingScheduler):
     """QoS extension: SIMT-aware scheduling with per-application fairness.
 
     The paper closes by inviting follow-on work on page-walk scheduling
@@ -258,25 +253,16 @@ class FairShareScheduler(WalkScheduler):
 
     def __init__(self, aging_threshold: int = 2_000_000) -> None:
         self.aging = AgingPolicy(aging_threshold)
-        self._last_instruction: Optional[int] = None
         #: Walk-work (estimated accesses) served so far, per application.
         self.attained_service: Dict[int, int] = {}
 
     def note_dispatch(self, entry: WalkBufferEntry) -> None:
-        """Track the most recently dispatched instruction (batching)."""
-        self._last_instruction = entry.instruction_id
+        """Track the batch pointer and the application's service."""
+        super().note_dispatch(entry)
         self.attained_service[entry.app_id] = (
             self.attained_service.get(entry.app_id, 0)
             + max(1, entry.estimated_accesses)
         )
-
-    def resync(self, buffer: PendingWalkBuffer) -> None:
-        """Retire the batch pointer once its instruction has drained."""
-        if (
-            self._last_instruction is not None
-            and buffer.oldest_for_instruction(self._last_instruction) is None
-        ):
-            self._last_instruction = None
 
     def select(self, buffer: PendingWalkBuffer) -> Optional[WalkBufferEntry]:
         """Choose the next pending walk under this policy."""
@@ -286,14 +272,24 @@ class FairShareScheduler(WalkScheduler):
         if choice is None and self._last_instruction is not None:
             choice = buffer.oldest_for_instruction(self._last_instruction)
         if choice is None:
-            # Build the candidate set in buffer first-occurrence order so
-            # tie-breaking via set iteration matches the original
-            # ``{entry.app_id for entry in buffer}`` comprehension.
-            pending_apps = set(buffer.pending_apps())
+            # One pass in arrival order keeps each application's first
+            # entry of least score: its ``(score, arrival_seq)`` minimum.
+            picks: Dict[int, Tuple[int, WalkBufferEntry]] = {}
+            for entry in buffer:
+                score = buffer.score_of(entry)
+                pick = picks.get(entry.app_id)
+                if pick is None or score < pick[0]:
+                    picks[entry.app_id] = (score, entry)
+            # ``min`` breaks ties among equally served applications in set
+            # iteration order, which depends on how the set was built.
+            # Add them one by one in first-occurrence order, as the twin's
+            # comprehension does: ``set(picks)`` pre-sizes its table and
+            # can iterate colliding ids in another order.
             neediest = min(
-                pending_apps, key=lambda app: self.attained_service.get(app, 0)
+                {app for app in picks},
+                key=lambda app: self.attained_service.get(app, 0),
             )
-            choice = buffer.min_score_entry_for_app(neediest)
+            choice = picks[neediest][1]
         self.aging.record_dispatch(choice)
         self.note_dispatch(choice)
         return choice

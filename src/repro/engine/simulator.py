@@ -188,35 +188,17 @@ class Simulator:
     # Monitors
     # ------------------------------------------------------------------
 
-    def set_monitor(
-        self, callback: Optional[Callable[[], Any]], interval_events: int = 10_000
-    ) -> None:
-        """Install (or clear, with ``None``) the periodic monitor hook.
-
-        ``callback`` runs every ``interval_events`` fired events during
-        :meth:`run` — the attachment point for watchdogs and invariant
-        checkers.  A monitor may raise to abort the run; the clock and
-        event counts stay consistent.  With no monitor installed the
-        event loop is the original tight loop.
-
-        This replaces *every* installed monitor; use :meth:`add_monitor`
-        to attach several (e.g. a watchdog plus a metrics sampler).
-        """
-        if callback is not None and interval_events <= 0:
-            raise ValueError(
-                f"interval_events must be positive, got {interval_events}"
-            )
-        self._monitors.clear()
-        if callback is not None:
-            self.add_monitor(callback, interval_events)
-
     def add_monitor(
         self, callback: Callable[[], Any], interval_events: int = 10_000
     ) -> None:
-        """Attach one more periodic monitor, each with its own cadence.
+        """Attach a periodic monitor, each with its own cadence.
 
-        Monitors fire in installation order when their countdowns expire
-        on the same event.  On a simulator loaded from a checkpoint, the
+        ``callback`` runs every ``interval_events`` fired events during
+        :meth:`run` — the attachment point for watchdogs, invariant
+        checkers and samplers.  A monitor may raise to abort the run;
+        the clock and event counts stay consistent.  Monitors fire in
+        installation order when their countdowns expire on the same
+        event.  On a simulator loaded from a checkpoint, the
         first monitors attached take the saved slots' intervals and
         countdowns, in order, so a resumed run keeps the original
         cadence.

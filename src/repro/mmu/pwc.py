@@ -188,10 +188,6 @@ class PageWalkCache:
             )
         return accesses, pinned_levels
 
-    def estimate_accesses(self, vpn: int) -> int:
-        """Back-compat wrapper over :meth:`score` (drops the pin record)."""
-        return self.score(vpn)[0]
-
     def peek_accesses(self, vpn: int) -> int:
         """Estimate accesses without touching counters or stats."""
         return self.accesses_for_hit_level(self._deepest_hit(vpn, count_stats=False))

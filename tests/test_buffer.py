@@ -8,14 +8,13 @@ from repro.core.buffer import PendingWalkBuffer
 from repro.core.request import TranslationRequest
 
 
-def make_request(vpn=1, instruction_id=1, app_id=0):
+def make_request(vpn=1, instruction_id=1):
     return TranslationRequest(
         vpn=vpn,
         instruction_id=instruction_id,
         wavefront_id=0,
         cu_id=0,
         issue_time=0,
-        app_id=app_id,
     )
 
 
@@ -167,38 +166,6 @@ def test_min_score_entry_sees_score_growth():
     assert buffer.min_score_entry() is b
 
 
-def test_min_score_entry_for_app():
-    buffer = PendingWalkBuffer(8)
-    buffer.add(make_request(vpn=1, instruction_id=1, app_id=0), 0, estimated_accesses=1)
-    heavy = buffer.add(
-        make_request(vpn=2, instruction_id=2, app_id=1), 0, estimated_accesses=9
-    )
-    assert buffer.min_score_entry_for_app(1) is heavy
-    assert buffer.min_score_entry_for_app(7) is None
-
-
-def test_app_index_sees_other_apps_score_changes():
-    # Regression: instruction 1 spans two apps; adding more of its work
-    # via app 1 must refresh app 0's index too.
-    buffer = PendingWalkBuffer(8)
-    mine = buffer.add(
-        make_request(vpn=1, instruction_id=1, app_id=0), 0, estimated_accesses=1
-    )
-    buffer.add(make_request(vpn=2, instruction_id=1, app_id=1), 0, estimated_accesses=5)
-    assert buffer.min_score_entry_for_app(0) is mine
-
-
-def test_pending_apps_ordered_by_oldest_entry():
-    buffer = PendingWalkBuffer(8)
-    assert buffer.pending_apps() == []
-    first = buffer.add(make_request(vpn=1, instruction_id=1, app_id=3), 0)
-    buffer.add(make_request(vpn=2, instruction_id=2, app_id=0), 0)
-    buffer.add(make_request(vpn=3, instruction_id=3, app_id=3), 0)
-    assert buffer.pending_apps() == [3, 0]
-    buffer.remove(first)
-    assert buffer.pending_apps() == [0, 3]
-
-
 def _answers(buffer):
     """Every indexed query's answer, entries named by arrival sequence."""
 
@@ -207,8 +174,6 @@ def _answers(buffer):
 
     return (
         seq(buffer.min_score_entry()),
-        [seq(buffer.min_score_entry_for_app(app)) for app in range(3)],
-        buffer.pending_apps(),
         [seq(buffer.find_by_vpn(vpn)) for vpn in range(12)],
     )
 
@@ -226,10 +191,7 @@ def _lockstep(first_query_step, steps=90, seed=2018):
         op = rng.random()
         live = list(always)
         if op < 0.45 and not always.is_full:
-            request = dict(
-                vpn=rng.randrange(12), instruction_id=rng.randrange(6),
-                app_id=rng.randrange(3),
-            )
+            request = dict(vpn=rng.randrange(12), instruction_id=rng.randrange(6))
             estimate = rng.randrange(5)
             for buffer in (always, late):
                 buffer.add(make_request(**request), step, estimate)
@@ -264,9 +226,9 @@ def _lockstep(first_query_step, steps=90, seed=2018):
 
 
 def test_indexes_built_on_first_query_match_maintained_ones():
-    """A buffer builds its per-VPN, score and per-application indexes on
-    the first query that needs them.  Built at any step, they must
-    answer exactly as indexes maintained from the first add."""
+    """A buffer builds its per-VPN and score indexes on the first query
+    that needs them.  Built at any step, they must answer exactly as
+    indexes maintained from the first add."""
     for first_query_step in range(91):
         for step, always, late in _lockstep(first_query_step):
             assert late == always, f"first queried at {first_query_step}, step {step}"

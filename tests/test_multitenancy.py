@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.buffer import PendingWalkBuffer
 from repro.core.request import TranslationRequest
+from repro.core.reference import NaiveFairShareScheduler
 from repro.core.schedulers import FairShareScheduler
 from repro.experiments.multitenancy import MultiAppResult, run_multi_simulation
 from repro.workloads.synthetic import ParametricWorkload
@@ -65,6 +66,35 @@ class TestFairShareScheduler:
         add(buffer, 1, 1, app_id=0, estimate=4)
         light = add(buffer, 2, 2, app_id=0, estimate=1)
         assert scheduler.select(buffer) is light
+
+    def test_work_added_through_another_app_changes_the_pick(self):
+        # Instruction 1 spans both apps: the work it gains through app 1
+        # makes it the longer job in app 0's tier too.
+        buffer = PendingWalkBuffer(8)
+        mine = add(buffer, 1, 1, app_id=0, estimate=1)
+        other = add(buffer, 2, 2, app_id=0, estimate=3)
+
+        def pick():
+            scheduler = FairShareScheduler()
+            scheduler.attained_service[1] = 10  # app 0 is the neediest
+            return scheduler.select(buffer)
+
+        assert pick() is mine
+        add(buffer, 3, 1, app_id=1, estimate=5)  # instruction 1 now scores 6
+        assert pick() is other
+
+    @pytest.mark.parametrize("apps", [(8, 0), (14, 22, 39, 37, 29, 18)])
+    def test_equally_served_apps_tie_break_like_the_twin(self, apps):
+        # The set of pending apps decides ties among equally served apps
+        # by its iteration order, which depends on the order the ids were
+        # added: 8 and 0 collide in a small table, and a set built from a
+        # six-key dict is pre-sized and iterates 18 first, not 37.
+        buffer = PendingWalkBuffer(8)
+        for vpn, app in enumerate(apps):
+            add(buffer, vpn, vpn, app_id=app, estimate=1)
+        picked = FairShareScheduler().select(buffer)
+        assert picked is NaiveFairShareScheduler().select(buffer)
+        assert picked.app_id == list({app for app in apps})[0]
 
 
 def small_app(seed):

@@ -55,12 +55,12 @@ class TestEstimateVsWalkLookups:
     def test_estimate_matches_peek(self):
         pwc = make_pwc()
         pwc.fill(0x400)
-        assert pwc.estimate_accesses(0x400) == pwc.peek_accesses(0x400)
+        assert pwc.score(0x400)[0] == pwc.peek_accesses(0x400)
 
     def test_walk_lookup_matches_estimate_when_unchanged(self):
         pwc = make_pwc()
         pwc.fill(0x400)
-        estimate = pwc.estimate_accesses(0x400)
+        estimate = pwc.score(0x400)[0]
         assert pwc.walk_lookup(0x400) == estimate
 
 
@@ -72,7 +72,7 @@ class TestCounterGuard:
         pwc = make_pwc(entries=2, ways=2, guard=True)
         a, b, c = 1 << 27, 2 << 27, 3 << 27
         pwc.fill(a)
-        pwc.estimate_accesses(a)  # pin A's entries
+        pwc.score(a)  # pin A's entries
         # These fills target other tags and must victimise the unpinned.
         pwc.fill(b)
         pwc.fill(c)
@@ -126,7 +126,7 @@ class TestCounterGuard:
         pwc = make_pwc(entries=2, ways=2, guard=False)
         vpn_a = 1 << 27
         pwc.fill(vpn_a)
-        pwc.estimate_accesses(vpn_a)
+        pwc.score(vpn_a)
         pwc.fill(2 << 27)
         pwc.fill(3 << 27)
         assert pwc.peek_accesses(vpn_a) == 4
@@ -136,8 +136,8 @@ class TestCounterGuard:
         a, b, c = 1 << 27, 2 << 27, 3 << 27
         pwc.fill(a)
         pwc.fill(b)
-        pwc.estimate_accesses(a)
-        pwc.estimate_accesses(b)
+        pwc.score(a)
+        pwc.score(b)
         pwc.fill(c)  # every entry pinned: plain LRU must still evict
         stats = pwc.stats()
         assert any(
@@ -160,7 +160,7 @@ class TestCounterGuard:
 class TestStats:
     def test_stats_shape(self):
         pwc = make_pwc()
-        pwc.estimate_accesses(123)
+        pwc.score(123)
         stats = pwc.stats()
         assert set(stats) == {"level4", "level3", "level2"}
         for level in stats.values():

@@ -119,20 +119,26 @@ class TestSJF:
         scheduler = SJFScheduler(aging_threshold=2)
         buffer = PendingWalkBuffer(8)
         heavy = add(buffer, 1, 1, estimate=200)
-        heavy.bypass_count = 2
-        add(buffer, 2, 2, estimate=1)
+        for vpn in (2, 3):  # two lighter walks pass the heavy one
+            light = add(buffer, vpn, vpn, estimate=1)
+            assert scheduler.select(buffer) is light
+            buffer.remove(light)
+        add(buffer, 4, 4, estimate=1)
         assert scheduler.select(buffer) is heavy
 
     def test_bypasses_recorded_on_selection(self):
-        scheduler = SJFScheduler()
+        scheduler = SJFScheduler(aging_threshold=1)
         buffer = PendingWalkBuffer(8)
         old_heavy = add(buffer, 1, 1, estimate=100)
         light = add(buffer, 2, 2, estimate=1)
         chosen = scheduler.select(buffer)
         assert chosen is light
         buffer.remove(light)  # the IOMMU removes a selected entry
-        # Bypass counts are derived incrementally, not stored per entry.
-        assert scheduler.aging.bypass_count_of(old_heavy, buffer) == 1
+        # That dispatch bypassed the older heavy walk once, which is the
+        # threshold: it now goes ahead of a lighter newcomer.
+        add(buffer, 3, 3, estimate=1)
+        assert scheduler.select(buffer) is old_heavy
+        assert scheduler.aging.promotions == 1
 
 
 class TestBatch:
@@ -186,9 +192,10 @@ class TestSIMTAware:
         scheduler = SIMTAwareScheduler(aging_threshold=1)
         buffer = PendingWalkBuffer(8)
         starving = add(buffer, 1, 1, estimate=200)
-        starving.bypass_count = 5
-        mate = add(buffer, 2, 2, estimate=1)
-        scheduler.note_dispatch(mate)
+        light = add(buffer, 2, 2, estimate=1)
+        assert scheduler.select(buffer) is light  # bypasses the heavy walk
+        buffer.remove(light)
+        add(buffer, 3, 2, estimate=1)  # a batch mate of the dispatched walk
         assert scheduler.select(buffer) is starving
 
     def test_oldest_of_batch_selected(self):

@@ -181,7 +181,7 @@ def test_monitor_fires_every_interval():
     ticks = []
     for i in range(10):
         sim.after(i, lambda: None)
-    sim.set_monitor(lambda: ticks.append(sim.events_processed), interval_events=3)
+    sim.add_monitor(lambda: ticks.append(sim.events_processed), interval_events=3)
     sim.run()
     # Fires after the 3rd, 6th and 9th events (counter snapshots taken
     # mid-run read the pre-run total).
@@ -196,20 +196,16 @@ def test_monitor_exception_aborts_run_with_consistent_counts():
     def tripwire():
         raise RuntimeError("tripped")
 
-    sim.set_monitor(tripwire, interval_events=4)
+    sim.add_monitor(tripwire, interval_events=4)
     with pytest.raises(RuntimeError, match="tripped"):
         sim.run()
     assert sim.events_processed == 4
     assert sim.pending_events == 6
-    # Clearing the monitor lets the run finish.
-    sim.set_monitor(None)
-    sim.run()
-    assert sim.events_processed == 10
 
 
 def test_monitor_invalid_interval_rejected():
     with pytest.raises(ValueError):
-        Simulator().set_monitor(lambda: None, interval_events=0)
+        Simulator().add_monitor(lambda: None, interval_events=0)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +263,7 @@ def test_monitor_cadence_identical_under_batching():
             sim, batched_kinds=("tick", "tock") if mode == "batched" else ()
         )
         ticks = []
-        sim.set_monitor(lambda: ticks.append(sim.events_processed), 7)
+        sim.add_monitor(lambda: ticks.append(sim.events_processed), 7)
         system.post_script(rng_seed=3, events=100)
         if mode == "stepped":
             while sim.step():
@@ -317,7 +313,7 @@ def test_dispatch_ticks_monitor_countdowns():
     sim = Simulator()
     sim.register("done", lambda: None)
     ticks = []
-    sim.set_monitor(lambda: ticks.append(sim.events_processed), 3)
+    sim.add_monitor(lambda: ticks.append(sim.events_processed), 3)
     # Two synchronous dispatches + one queued event reach the interval:
     # the monitor fires at the queued event's boundary, not mid-handler.
     sim.dispatch(("done",))

@@ -83,20 +83,6 @@ class PendingWalkBuffer:
     # Index plumbing
     # ------------------------------------------------------------------
 
-    def _front(self, queue: Deque[WalkBufferEntry]) -> Optional[WalkBufferEntry]:
-        """The oldest still-buffered entry of ``queue`` (prunes stale).
-
-        Arrival sequences are never reused, so an entry is live exactly
-        when its sequence is still a key of ``_entries``.
-        """
-        entries = self._entries
-        while queue:
-            entry = queue[0]
-            if entry.arrival_seq in entries:
-                return entry
-            queue.popleft()
-        return None
-
     def _push_instruction_key(self, instruction_id: int) -> None:
         """Refresh the global score-index truth for an instruction."""
         entry = self.oldest_for_instruction(instruction_id)
@@ -264,8 +250,20 @@ class PendingWalkBuffer:
         return next(iter(entries.values()))
 
     def oldest(self) -> Optional[WalkBufferEntry]:
-        """The entry that arrived first (FCFS choice).  Amortised O(1)."""
-        return self._front(self._arrival)
+        """The entry that arrived first (FCFS choice).  Amortised O(1).
+
+        Pops stale heads: arrival sequences are never reused, so an
+        entry is live exactly when its sequence is still a key of
+        ``_entries``.
+        """
+        queue = self._arrival
+        entries = self._entries
+        while queue:
+            entry = queue[0]
+            if entry.arrival_seq in entries:
+                return entry
+            queue.popleft()
+        return None
 
     def oldest_for_instruction(self, instruction_id: int) -> Optional[WalkBufferEntry]:
         """The oldest pending entry of ``instruction_id``.  Amortised O(1)."""

@@ -9,7 +9,7 @@ entries.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.config import INSTRUCTION_ID_BITS
 
@@ -35,7 +35,6 @@ class TranslationRequest:
         "iommu_arrival_time",
         "complete_time",
         "walk_accesses",
-        "on_complete",
         "context",
     )
 
@@ -46,7 +45,6 @@ class TranslationRequest:
         wavefront_id: int,
         cu_id: int,
         issue_time: int,
-        on_complete: Optional[Callable[["TranslationRequest", int], None]] = None,
         app_id: int = 0,
     ) -> None:
         self.vpn = vpn
@@ -61,16 +59,11 @@ class TranslationRequest:
         #: Page-table memory accesses the serving walk performed (0 when
         #: the translation was satisfied by a TLB instead of a walk).
         self.walk_accesses = 0
-        #: Called as ``on_complete(request, pfn)`` when the translation is
-        #: available at the requester.  When ``None``, the IOMMU routes
-        #: the reply through its ``reply_to`` sink instead — the
-        #: serialisable path, since the sink is a bound method that
-        #: pickles with the system while a stored closure cannot.
-        self.on_complete = on_complete
         #: Opaque requester-owned data carried through the translation
-        #: round trip (the GPU stores ``(wavefront, lines, inflight)``
-        #: here).  Must pickle with the system for the request to be
-        #: checkpointable: plain data or model objects, no closures.
+        #: round trip to the IOMMU's ``reply_to`` sink (the GPU stores
+        #: ``(wavefront, lines, inflight)`` here).  Must pickle with the
+        #: system for the request to be checkpointable: plain data or
+        #: model objects, no closures.
         self.context: tuple = ()
 
     @property

@@ -35,14 +35,12 @@ The fourth family named by the issue — SMS-style staged batching/QoS
 not the walk buffer, so it lives in :mod:`repro.memory.controller` as
 memory-controller policy ``"sms"`` (``DRAMConfig.controller``).
 
-All knobs are class attributes read by the IOMMU at construction
-(see ``mmu/iommu.py``); they are configuration, not run state, and a
-checkpoint carries them with the pickled scheduler instance.
+All knobs are fixed class attributes read by the IOMMU at construction
+(see ``mmu/iommu.py``), and the naive twins in ``core/reference.py``
+mirror them; they are configuration, not run state.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.schedulers import (
     _FACTORIES,
@@ -57,17 +55,6 @@ class WaSPScheduler(SIMTAwareScheduler):
     name = "wasp"
     prefetch_distance = 4
 
-    def __init__(
-        self,
-        aging_threshold: int = 2_000_000,
-        prefetch_distance: Optional[int] = None,
-    ) -> None:
-        super().__init__(aging_threshold)
-        if prefetch_distance is not None:
-            if prefetch_distance < 0:
-                raise ValueError("prefetch distance must be non-negative")
-            self.prefetch_distance = prefetch_distance
-
 
 class IRUScheduler(SJFScheduler):
     """Pre-buffer reorder/coalesce unit feeding plain SJF (``iru``)."""
@@ -75,17 +62,6 @@ class IRUScheduler(SJFScheduler):
     name = "iru"
     reorder_window_cycles = 8
     coalesce_pending = True
-
-    def __init__(
-        self,
-        aging_threshold: int = 2_000_000,
-        reorder_window: Optional[int] = None,
-    ) -> None:
-        super().__init__(aging_threshold)
-        if reorder_window is not None:
-            if reorder_window <= 0:
-                raise ValueError("reorder window must be positive")
-            self.reorder_window_cycles = reorder_window
 
 
 class MosaicScheduler(SIMTAwareScheduler):
@@ -95,40 +71,18 @@ class MosaicScheduler(SIMTAwareScheduler):
     promote_threshold = 8
     region_tlb_entries = 16
 
-    def __init__(
-        self,
-        aging_threshold: int = 2_000_000,
-        promote_threshold: Optional[int] = None,
-        region_tlb_entries: Optional[int] = None,
-    ) -> None:
-        super().__init__(aging_threshold)
-        if promote_threshold is not None:
-            if promote_threshold <= 0:
-                raise ValueError("promotion threshold must be positive")
-            self.promote_threshold = promote_threshold
-        if region_tlb_entries is not None:
-            if region_tlb_entries <= 0:
-                raise ValueError("region TLB needs at least one entry")
-            self.region_tlb_entries = region_tlb_entries
-
-
-ZOO_FACTORIES = {
-    "wasp": lambda **kw: WaSPScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000),
-        prefetch_distance=kw.get("prefetch_distance"),
-    ),
-    "iru": lambda **kw: IRUScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000),
-        reorder_window=kw.get("reorder_window"),
-    ),
-    "mosaic": lambda **kw: MosaicScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000),
-        promote_threshold=kw.get("promote_threshold"),
-        region_tlb_entries=kw.get("region_tlb_entries"),
-    ),
-}
 
 # Self-registration: importing this module (which
 # ``schedulers._ensure_zoo`` does on every registry access) makes the
 # zoo selectable by name everywhere a baseline policy is.
-_FACTORIES.update(ZOO_FACTORIES)
+_FACTORIES.update(
+    wasp=lambda **kw: WaSPScheduler(
+        aging_threshold=kw.get("aging_threshold", 2_000_000)
+    ),
+    iru=lambda **kw: IRUScheduler(
+        aging_threshold=kw.get("aging_threshold", 2_000_000)
+    ),
+    mosaic=lambda **kw: MosaicScheduler(
+        aging_threshold=kw.get("aging_threshold", 2_000_000)
+    ),
+)

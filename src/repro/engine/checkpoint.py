@@ -21,9 +21,13 @@ The envelope around the pickled objects:
   count at the dump;
 * ``state`` — the pickled objects.
 
-Events must be tagged data events — a pending ``"__call__"`` closure
-event makes the state unpicklable, and :func:`save_checkpoint_file`
-reports it as such.
+Every pending event is a registered ``(kind, *payload)`` tuple, so the
+event queue pickles whenever its payloads do; a payload that does not
+makes :func:`save_checkpoint_file` raise :class:`CheckpointError`.
+
+:func:`atomic_write` is the package's one way to replace a file: the
+checkpoint files here, and the result and work-queue JSON files of the
+resilient runner and the sweep service.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import os
 import pickle
 import uuid
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 #: Identifies a repro checkpoint blob (first dict key checked on load).
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -74,7 +78,7 @@ def dump_checkpoint(
     except Exception as exc:  # closures in event payloads, locks, ...
         raise CheckpointError(
             f"simulation state is not serialisable: {exc!r}; checkpointing "
-            "requires data-only events (no '__call__' closures pending)"
+            "requires every pending event payload to pickle"
         ) from exc
     return buffer.getvalue()
 
@@ -97,34 +101,42 @@ def load_checkpoint(blob: bytes) -> Dict[str, Any]:
     return payload
 
 
+def atomic_write(path: Union[str, Path], data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` atomically.
+
+    Callers serialise first, so a value that does not serialise never
+    opens a file.  The bytes go to a uniquely-named temp file beside
+    ``path`` (pid + uuid, so two writers racing on the same target never
+    share one), are fsynced, and ``os.replace`` moves them into place:
+    readers see the old file or the new one, never a torn write, and a
+    process killed mid-write leaves the previous file intact.  On any
+    failure the temp file is deleted.
+    """
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def save_checkpoint_file(
     path: str,
     state: Dict[str, Any],
     meta: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Write a checkpoint blob to ``path`` atomically.
-
-    The blob is fully serialised before any file is opened, so an
-    unserialisable state never truncates an existing checkpoint; the
-    write itself goes through a uniquely-named temp file (pid + uuid,
-    collision-proof against a racing second writer of the same spec)
-    and an ``os.replace``, so a process SIGKILLed mid-dump leaves the
+    """Write a checkpoint blob to ``path`` with :func:`atomic_write`, so
+    an unserialisable state or a process SIGKILLed mid-dump leaves the
     *previous* checkpoint intact rather than a torn file that would
-    poison every later resume.
-    """
-    blob = dump_checkpoint(state, meta)
-    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    poison every later resume."""
+    atomic_write(path, dump_checkpoint(state, meta))
 
 
 def load_checkpoint_file(path: str) -> Dict[str, Any]:

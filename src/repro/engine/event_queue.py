@@ -12,15 +12,14 @@ increasing sequence number).  ``(time, sequence)`` is unique, so the
 heap never compares kinds or payloads, and event ordering — and
 therefore every simulation statistic — is reproducible.
 
-The queue also tracks the *floor* — the timestamp of the event most
-recently popped.  Pushing below the floor would schedule into the past,
-so :meth:`push` rejects it; this also subsumes a non-negative-time
-check.
+:class:`~repro.engine.simulator.Simulator` pushes onto and pops from
+``_heap`` itself, one event at a time, and guards the clock: nothing is
+scheduled before the current cycle.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 from typing import List, Tuple
 
 #: One scheduled event: ``(time, sequence, kind, payload)``.
@@ -30,14 +29,11 @@ Event = Tuple[int, int, str, tuple]
 class EventQueue:
     """Binary min-heap of :data:`Event`s ordered by (time, sequence)."""
 
-    __slots__ = ("_heap", "_sequence", "_floor")
+    __slots__ = ("_heap", "_sequence")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._sequence = 0
-        #: Timestamp of the most recently popped event; pushes below
-        #: this would schedule into the past.
-        self._floor = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -45,42 +41,16 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, time: int, kind: str, payload: tuple = ()) -> None:
-        """Schedule ``kind`` with ``payload`` at absolute cycle ``time``.
-
-        ``time`` must be an integer cycle count no earlier than the last
-        popped timestamp; fractional or past timestamps would break the
-        determinism guarantees of the engine.
-        """
-        if time < self._floor:
-            raise ValueError(
-                f"cannot schedule event at {time}: events up to "
-                f"{self._floor} have already fired"
-            )
-        heappush(self._heap, (time, self._sequence, kind, payload))
-        self._sequence += 1
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        event = heappop(self._heap)
-        self._floor = event[0]
-        return event
-
     def pop_bucket(self) -> Tuple[int, List[Tuple[int, str, tuple]]]:
         """Remove and return ``(time, [(sequence, kind, payload), ...])``
-        for every event pending at the earliest cycle, in pop order."""
+        for every event pending at the earliest cycle, in pop order.
+
+        No simulation calls this; it stays for callers written against
+        it (perfbench wraps it)."""
         heap = self._heap
         time = heap[0][0]
         events = []
         while heap and heap[0][0] == time:
             _, sequence, kind, payload = heappop(heap)
             events.append((sequence, kind, payload))
-        self._floor = time
         return time, events
-
-    def peek_time(self) -> int:
-        """Timestamp of the earliest pending event.
-
-        Raises :class:`IndexError` when the queue is empty.
-        """
-        return self._heap[0][0]

@@ -9,14 +9,14 @@ one event at a time.  Because events are plain data and handlers are
 bound methods, a mid-run simulator pickles together with the system it
 drives, and the unpickled copy replays bit-identically.
 
+An event is scheduled by :meth:`post` (relative) or :meth:`post_at`
+(absolute); a component that hands a completion target to another
+stores it as a ``(kind, *payload)`` tuple, which :meth:`at` schedules
+and :meth:`dispatch` fires at once.  There is no other event shape.
+
 Monitors (watchdog, metrics sampler, periodic checkpoints) count fired
 events and run at event boundaries, after the handler that exhausted
 their countdown.
-
-For convenience (and the unit tests' sake) plain callables still work:
-:meth:`at` / :meth:`after` wrap a callable in the builtin ``"__call__"``
-kind.  Such closure events run fine but cannot be serialised — a
-checkpointable model must schedule only registered kinds.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.event_queue import EventQueue
-
-#: The builtin event kind that carries a plain callable as its payload.
-CALLABLE_KIND = "__call__"
 
 
 class Simulator:
@@ -45,13 +42,7 @@ class Simulator:
         #: carried, taken in order by the next :meth:`add_monitor` calls.
         self._cadences: List[Tuple[int, int]] = []
         #: Event dispatch table: kind -> handler(*payload).
-        self._handlers: Dict[str, Callable[..., Any]] = {
-            CALLABLE_KIND: self._run_callable,
-        }
-
-    @staticmethod
-    def _run_callable(fn: Callable[[], Any]) -> None:
-        fn()
+        self._handlers: Dict[str, Callable[..., Any]] = {}
 
     @property
     def now(self) -> int:
@@ -103,10 +94,10 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    # The four scheduling entry points inline the heap push
-    # (EventQueue.push) — they run once per event, and the extra call
-    # frame is measurable on the hot path.  The clock stands in for the
-    # queue's floor check: nothing may be scheduled before ``now``.
+    # The three scheduling entry points push onto the queue's heap
+    # directly: they run once per event, and a call frame per push is
+    # measurable on the hot path.  Nothing may be scheduled before
+    # ``now``.
 
     def post_at(self, time: int, kind: str, *payload: Any) -> None:
         """Schedule event ``kind`` at absolute cycle ``time``.
@@ -132,42 +123,21 @@ class Simulator:
         )
         queue._sequence += 1
 
-    def at(self, time: int, callback: Any) -> None:
-        """Schedule a completion target at absolute cycle ``time``.
-
-        ``callback`` is either a plain callable (wrapped in the builtin
-        ``"__call__"`` kind — convenient, but *not* checkpointable) or a
-        ``(kind, *payload)`` event tuple, which is.
-        """
+    def at(self, time: int, target: tuple) -> None:
+        """Schedule a stored completion target, a ``(kind, *payload)``
+        event tuple, at absolute cycle ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event at {time}, current time is {self._now}"
             )
         queue = self._queue
-        if callable(callback):
-            event = (time, queue._sequence, CALLABLE_KIND, (callback,))
-        else:
-            event = (time, queue._sequence, callback[0], callback[1:])
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, queue._sequence, target[0], target[1:]))
         queue._sequence += 1
 
-    def after(self, delay: int, callback: Any) -> None:
-        """Schedule a completion target ``delay`` cycles from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        queue = self._queue
-        time = self._now + delay
-        if callable(callback):
-            event = (time, queue._sequence, CALLABLE_KIND, (callback,))
-        else:
-            event = (time, queue._sequence, callback[0], callback[1:])
-        heappush(queue._heap, event)
-        queue._sequence += 1
+    def dispatch(self, target: tuple) -> None:
+        """Fire a stored completion target immediately (same cycle).
 
-    def dispatch(self, target: Any) -> None:
-        """Invoke a completion target immediately (same cycle).
-
-        Accepts the same shapes as :meth:`at` / :meth:`after`; used by
+        Takes the same ``(kind, *payload)`` tuple as :meth:`at`; used by
         models that complete a request synchronously instead of through
         the queue.  A dispatched completion is real work, so it counts
         toward :attr:`events_processed` and ticks monitor countdowns —
@@ -176,10 +146,7 @@ class Simulator:
         *boundaries* in :meth:`run` (firing mid-handler could observe —
         or checkpoint — half-updated component state).
         """
-        if callable(target):
-            target()
-        else:
-            self._handlers[target[0]](*target[1:])
+        self._handlers[target[0]](*target[1:])
         self._events_processed += 1
         for slot in self._monitors:
             slot[2] -= 1

@@ -63,11 +63,7 @@ from repro.resilience.outcomes import (
     SpecExecutionError,
     describe_spec,
 )
-from repro.resilience.watchdog import (
-    DEFAULT_CHECK_INTERVAL_EVENTS,
-    Watchdog,
-    WatchdogError,
-)
+from repro.resilience.watchdog import Watchdog, WatchdogError
 from repro.stats.export import walk_latency_percentiles
 from repro.stats.metrics import (
     SimulationResult,
@@ -270,7 +266,6 @@ def run_simulation(
     seed: int = 0,
     max_cycles: int = MAX_CYCLES,
     watchdog_cycles: Optional[int] = None,
-    watchdog_interval_events: int = DEFAULT_CHECK_INTERVAL_EVENTS,
     trace: Optional[TraceConfig] = None,
     trace_path: Optional[str] = None,
     trace_jsonl_path: Optional[str] = None,
@@ -335,11 +330,7 @@ def run_simulation(
 
     watchdog: Optional[Watchdog] = None
     if watchdog_cycles is not None:
-        watchdog = Watchdog(
-            system,
-            stall_cycles=watchdog_cycles,
-            check_interval_events=watchdog_interval_events,
-        )
+        watchdog = Watchdog(system, stall_cycles=watchdog_cycles)
     registry = MetricsRegistry() if metrics else None
     meta: Dict[str, Any] = {
         "workload": bench.abbrev,

@@ -240,9 +240,8 @@ class Wavefront:
             issue_time=now,
             app_id=self.app_id,
         )
-        # No reply closure: the IOMMU routes the reply through its
-        # ``reply_to`` sink (the GPU), which recovers the continuation
-        # from this context.
+        # The IOMMU replies through its ``reply_to`` sink (the GPU),
+        # which recovers the continuation from this context.
         request.context = (self, lines, inflight)
         gpu.sim.post(
             gpu.config.iommu.request_latency, "iommu.xlate", request

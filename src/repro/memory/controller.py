@@ -24,16 +24,15 @@ policies:
     otherwise drowns out.  Within a batch, first-ready then oldest.
 
 The controller exposes a completion-target API (``read(address, done)``
-where ``done`` is a ``(kind, *payload)`` event tuple or a legacy
-callable), so it can stand in wherever the reservation-based model is
-used.  Bank service and release advance through registered event kinds
+where ``done`` is a ``(kind, *payload)`` event tuple), so it can stand
+in wherever the reservation-based model is used.  Bank service and release advance through registered event kinds
 with the in-service request held as controller state, so queued and
 in-flight reads serialise into checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import LINE_SIZE, DRAMConfig
 from repro.engine.simulator import Simulator
@@ -137,11 +136,10 @@ class QueuedMemoryController:
         return self._waiting
 
     def read(
-        self, address: int, on_complete: Any, source: int = SOURCE_DATA
+        self, address: int, on_complete: tuple, source: int = SOURCE_DATA
     ) -> None:
-        """Enqueue one read; the ``on_complete`` target fires when data
-        returns (an event tuple, or a callable for legacy callers).
-        ``source`` tags the request for the SMS batch former (page-walk
+        """Enqueue one read; the ``on_complete`` event tuple fires when
+        data returns.  ``source`` tags the request for the SMS batch former (page-walk
         reads pass :data:`SOURCE_WALK`); other policies ignore it."""
         bank, row = self._map(address)
         now = self._sim._now

@@ -7,7 +7,7 @@ invoked with *physical* addresses, downstream of the MMU.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import LINE_SIZE, SystemConfig
 from repro.engine.simulator import Simulator
@@ -21,7 +21,7 @@ class MemorySubsystem:
 
     ``data_access``
         A coalesced lane access from a CU: L1 → L2 → DRAM, with a
-        completion callback.
+        completion event.
 
     ``data_access_batch``
         The accesses of one page, in order, counted off by completions
@@ -83,19 +83,18 @@ class MemorySubsystem:
         self.data_access = self._data_access  # type: ignore[method-assign]
         self.page_table_read = self._page_table_read  # type: ignore[method-assign]
 
-    def _controller_read(self, physical_address: int, on_complete: Any) -> None:
+    def _controller_read(self, physical_address: int, on_complete: tuple) -> None:
         self.controller.read(physical_address, on_complete)
 
     def data_access(
-        self, cu_id: int, physical_address: int, on_complete: Any
+        self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> None:
-        """Issue one coalesced data access; the ``on_complete`` target
-        (an event tuple, or a callable for legacy callers) fires when
-        the data returns."""
+        """Issue one coalesced data access; the ``on_complete`` event
+        tuple fires when the data returns."""
         self._data_access(cu_id, physical_address, on_complete)
 
     def _data_access(
-        self, cu_id: int, physical_address: int, on_complete: Any
+        self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> None:
         ready = self._line_ready(cu_id, physical_address, on_complete)
         if ready is not None:
@@ -131,7 +130,7 @@ class MemorySubsystem:
             self._sim.at(latest, on_complete + (len(physical_addresses),))
 
     def _line_ready(
-        self, cu_id: int, physical_address: int, on_complete: Any
+        self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> Optional[int]:
         """Look one line up through L1 → L2 → DRAM.  Returns the cycle
         its data is ready, or None when the queued controller will fire
@@ -159,17 +158,17 @@ class MemorySubsystem:
         return None
 
     def page_table_read(
-        self, physical_address: int, on_complete: Any
+        self, physical_address: int, on_complete: tuple
     ) -> None:
         """One sequential page-table read; ``on_complete`` fires when done.
 
         Walkers chain these: the next level's read is issued only from
-        the previous one's completion callback.
+        the previous one's completion event.
         """
         self._page_table_read(physical_address, on_complete)
 
     def _page_table_read(
-        self, physical_address: int, on_complete: Any
+        self, physical_address: int, on_complete: tuple
     ) -> None:
         self.page_table_reads += 1
         if self.dram is not None:

@@ -51,7 +51,7 @@ class IOMMU:
         simulator: Simulator,
         config: IOMMUConfig,
         page_table: PageTable,
-        page_table_read: Callable[[int, Callable[[], None]], None],
+        page_table_read: Callable[[int, tuple], None],
         scheduler: Optional[WalkScheduler] = None,
         geometry: PageGeometry = BASE_4K,
         injector=None,
@@ -160,10 +160,9 @@ class IOMMU:
         #: the interleaving metric (paper Fig 5).
         self.dispatches_by_instruction: Dict[int, List[int]] = {}
 
-        #: Reply sink used when a request carries no ``on_complete``
-        #: closure: called as ``reply_to(request, pfn)``.  The GPU sets
-        #: this once at construction — a bound method, it pickles with
-        #: the system where a stored closure cannot.
+        #: Reply sink, called as ``reply_to(request, pfn)`` for every
+        #: completed translation.  The GPU sets it once at construction —
+        #: a bound method, so it pickles with the system.
         self.reply_to: Optional[Callable[[TranslationRequest, int], None]] = None
 
         simulator.register("iommu.reply", self._reply)
@@ -588,10 +587,7 @@ class IOMMU:
 
     def _reply(self, request: TranslationRequest, pfn: int, walk_accesses: int) -> None:
         request.walk_accesses = walk_accesses
-        if request.on_complete is not None:
-            request.on_complete(request, pfn)
-        elif self.reply_to is not None:
-            self.reply_to(request, pfn)
+        self.reply_to(request, pfn)
 
     # ------------------------------------------------------------------
     # Statistics

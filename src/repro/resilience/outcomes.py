@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
+from repro.engine.checkpoint import atomic_write
 from repro.stats.metrics import SimulationResult
 
 #: RunOutcome.status values.
@@ -208,16 +207,8 @@ class CheckpointStore:
             "spec_summary": describe_spec(spec),
             "result": result_to_dict(result),
         }
-        # Write-then-rename so an interrupt mid-write never leaves a
-        # half-checkpoint that poisons the next resume.  The temp name
-        # must be unique per writer: two workers persisting the same
-        # spec concurrently (a re-leased shard racing its presumed-dead
-        # owner) would otherwise tear each other's write through the
-        # shared `.tmp` name.  fsync before the rename so a crash right
-        # after the replace can't surface an empty file.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        # An interrupt mid-write never leaves a half-written result that
+        # poisons the next resume, and two workers persisting the same
+        # spec (a re-leased shard racing its presumed-dead owner) never
+        # tear each other's write.
+        atomic_write(path, json.dumps(payload).encode())

@@ -16,11 +16,11 @@ perturb simulated results.
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
+
+from repro.engine.checkpoint import atomic_write
 
 
 @dataclass
@@ -36,21 +36,11 @@ class Lease:
 
 
 def atomic_write_json(path: Union[str, Path], payload: dict) -> None:
-    """Write ``payload`` as JSON via a uniquely-named temp + rename.
-
-    The temp name carries pid and a uuid so concurrent writers of the
-    *same* target can never tear each other's write-then-rename; the
-    rename is atomic on POSIX, so readers see either the old file or the
-    new one, never a torn half-write.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-    data = json.dumps(payload, sort_keys=True)
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    """Write ``payload`` as sorted-key JSON with
+    :func:`~repro.engine.checkpoint.atomic_write`: readers see the old
+    file or the new one, never a torn half-write, even when concurrent
+    writers race on the same target."""
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode())
 
 
 def write_lease(path: Union[str, Path], lease: Lease) -> None:

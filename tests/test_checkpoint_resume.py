@@ -294,15 +294,28 @@ def test_checkpoint_every_requires_path():
 
 
 def test_closure_event_makes_the_dump_fail(tmp_path):
-    # A pending "__call__" closure event cannot be pickled: the dump
-    # fails with CheckpointError and the previous file stays intact.
+    # A pending event whose payload is a closure cannot be pickled: the
+    # dump fails with CheckpointError and the previous file stays intact.
     from repro.engine.checkpoint import CheckpointError, save_checkpoint_file
     from repro.experiments.runner import build_system
 
     path = tmp_path / "run.ckpt"
     path.write_bytes(b"previous")
     system = build_system(tiny_config())
-    system.simulator.after(5, lambda: None)
-    with pytest.raises(CheckpointError, match="__call__"):
+    system.simulator.post(5, "iommu.kick", lambda: None)
+    with pytest.raises(CheckpointError, match="not serialisable"):
         save_checkpoint_file(str(path), {"system": system})
     assert path.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+
+def test_atomic_write_failure_removes_the_temp_file(tmp_path):
+    # The replace fails (the target is a directory): the error reaches
+    # the caller and the temp file written beside the target is gone.
+    from repro.engine.checkpoint import atomic_write
+
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write(target, b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]

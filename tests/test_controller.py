@@ -32,10 +32,17 @@ def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
 
 
 def completion_recorder(sim, order):
-    def make(tag):
-        return lambda: order.append((tag, sim.now))
+    """Register ``"test.done"`` on ``sim``; ``make(tag)`` is the
+    completion target that appends ``(tag, now)`` to ``order``."""
+    sim.register("test.done", lambda tag: order.append((tag, sim.now)))
+    return lambda tag: ("test.done", tag)
 
-    return make
+
+def ignored_completion(sim):
+    """Register ``"test.ignore"`` on ``sim`` and return its completion
+    target, which does nothing."""
+    sim.register("test.ignore", lambda: None)
+    return ("test.ignore",)
 
 
 def test_unknown_policy_rejected():
@@ -107,7 +114,7 @@ def test_frfcfs_achieves_higher_row_hit_rate_than_fcfs():
         # buffer; FR-FCFS batches same-row requests.
         for i in range(8):
             address = (far_row if i % 2 else 0) + 128 * (i // 2)
-            ctrl.read(address, lambda: None)
+            ctrl.read(address, ignored_completion(sim))
         sim.run()
         return ctrl.row_hit_rate
 
@@ -117,7 +124,7 @@ def test_frfcfs_achieves_higher_row_hit_rate_than_fcfs():
 def test_queue_depth_tracked():
     sim, ctrl = make_controller()
     for i in range(5):
-        ctrl.read(0, lambda: None)
+        ctrl.read(0, ignored_completion(sim))
     assert ctrl.peak_queue_depth >= 4
     sim.run()
     assert ctrl.queued_requests == 0
@@ -125,7 +132,7 @@ def test_queue_depth_tracked():
 
 def test_stats_shape():
     sim, ctrl = make_controller()
-    ctrl.read(0, lambda: None)
+    ctrl.read(0, ignored_completion(sim))
     sim.run()
     stats = ctrl.stats()
     assert stats["reads"] == 1
@@ -191,7 +198,7 @@ def test_sms_sticks_with_batch_for_row_hits():
 
 def test_sms_source_defaults_to_data():
     sim, ctrl = make_controller(policy="sms")
-    ctrl.read(0, lambda: None)
+    ctrl.read(0, ignored_completion(sim))
     sim.run()
     assert ctrl.walk_reads == 0
     assert ctrl.stats()["walk_reads"] == 0

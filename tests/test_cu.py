@@ -13,7 +13,8 @@ def make_cu():
 
 
 def advance(sim, cycles):
-    sim.after(cycles, lambda: None)
+    sim.register("test.noop", lambda: None)
+    sim.post(cycles, "test.noop")
     sim.run()
 
 

@@ -1,10 +1,14 @@
-"""Unit tests for the event queue: ordering, stability, pickling.
+"""Unit tests for event ordering, stability and pickling.
 
-Alongside the unit tests there is a differential fuzz section popping
-the queue against a bare ``heapq`` reference twin — same-cycle ties,
-interleaved push/pop, and pickle round trips mid-stream included.
+Events go in through the simulator's scheduling entry points (``post``,
+``post_at``, ``at``) and come out through ``run`` and ``step``: the
+heap code under test is the heap code every simulation runs.  Alongside
+the unit tests there is a differential fuzz section firing events
+against a bare ``heapq`` reference twin — same-cycle ties, interleaved
+scheduling and firing, and pickle round trips mid-stream included.
 """
 
+import functools
 import pickle
 import random
 from heapq import heappop, heappush
@@ -12,6 +16,22 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.engine.event_queue import EventQueue
+from repro.engine.simulator import Simulator
+
+
+class _Recorder:
+    """Registers ``kinds`` on ``sim`` and logs each fired event as
+    ``(time, kind, payload)``.  Its handlers are bound methods, so the
+    recorder pickles together with the simulator."""
+
+    def __init__(self, sim, kinds=("a", "b", "c")):
+        self.sim = sim
+        self.log = []
+        for kind in kinds:
+            sim.register(kind, functools.partial(self.fire, kind))
+
+    def fire(self, kind, *payload):
+        self.log.append((self.sim.now, kind, payload))
 
 
 def test_empty_queue_is_falsy():
@@ -21,118 +41,107 @@ def test_empty_queue_is_falsy():
 
 
 def test_push_pop_single_event():
-    queue = EventQueue()
-    queue.push(5, "walker.step", (3,))
-    time, seq, kind, payload = queue.pop()
-    assert time == 5
-    assert kind == "walker.step"
-    assert payload == (3,)
+    sim = Simulator()
+    recorder = _Recorder(sim, ("walker.step",))
+    sim.post(5, "walker.step", 3)
+    sim.run()
+    assert recorder.log == [(5, "walker.step", (3,))]
 
 
 def test_payload_defaults_to_empty_tuple():
-    queue = EventQueue()
-    queue.push(0, "iommu.kick")
-    _time, _seq, kind, payload = queue.pop()
-    assert kind == "iommu.kick"
-    assert payload == ()
+    sim = Simulator()
+    recorder = _Recorder(sim, ("iommu.kick",))
+    sim.post(0, "iommu.kick")
+    assert sim._queue._heap == [(0, 0, "iommu.kick", ())]
+    sim.run()
+    assert recorder.log == [(0, "iommu.kick", ())]
 
 
 def test_events_pop_in_time_order():
-    queue = EventQueue()
-    queue.push(30, "late")
-    queue.push(10, "early")
-    queue.push(20, "middle")
-    times = [queue.pop()[0] for _ in range(3)]
-    assert times == [10, 20, 30]
+    sim = Simulator()
+    recorder = _Recorder(sim, ("late", "early", "middle"))
+    sim.post_at(30, "late")
+    sim.post(10, "early")
+    sim.at(20, ("middle",))
+    sim.run()
+    assert [time for time, _, _ in recorder.log] == [10, 20, 30]
 
 
 def test_same_time_events_are_fifo():
-    queue = EventQueue()
-    for tag in ("first", "second", "third"):
-        queue.push(7, tag)
-    kinds = [queue.pop()[2] for _ in range(3)]
-    assert kinds == ["first", "second", "third"]
+    sim = Simulator()
+    recorder = _Recorder(sim, ("first", "second", "third"))
+    sim.post(7, "first")
+    sim.post_at(7, "second")
+    sim.at(7, ("third",))
+    while sim.step():
+        pass
+    assert [kind for _, kind, _ in recorder.log] == ["first", "second", "third"]
 
 
 def test_payloads_never_compared_for_ordering():
     # Payload objects need not be orderable; the (time, seq) prefix is
     # always unique, so the heap must not look past it.
-    queue = EventQueue()
-    queue.push(7, "a", (object(),))
-    queue.push(7, "a", (object(),))
-    queue.push(7, "a", (object(),))
-    assert [queue.pop()[1] for _ in range(3)] == [0, 1, 2]
-
-
-def test_peek_time_returns_earliest():
-    queue = EventQueue()
-    queue.push(42, "x")
-    queue.push(17, "y")
-    assert queue.peek_time() == 17
-    assert len(queue) == 2  # peek does not consume
-
-
-def test_peek_time_on_empty_raises():
-    with pytest.raises(IndexError):
-        EventQueue().peek_time()
+    sim = Simulator()
+    recorder = _Recorder(sim, ("a",))
+    payloads = [object() for _ in range(3)]
+    for payload in payloads:
+        sim.post_at(7, "a", payload)
+    sim.run()
+    assert [payload for _, _, (payload,) in recorder.log] == payloads
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        EventQueue().push(-1, "x")
+        Simulator().post_at(-1, "x")
 
 
 def test_len_tracks_pushes_and_pops():
-    queue = EventQueue()
+    sim = Simulator()
+    _Recorder(sim, ("tick",))
     for i in range(10):
-        queue.push(i, "tick")
-    assert len(queue) == 10
-    queue.pop()
-    assert len(queue) == 9
+        sim.post_at(i, "tick")
+    assert len(sim._queue) == sim.pending_events == 10
+    sim.step()
+    assert len(sim._queue) == sim.pending_events == 9
 
 
 def test_snapshot_restore_roundtrip():
-    queue = EventQueue()
-    queue.push(10, "a", (1,))
-    queue.push(5, "b", (2,))
-    queue.pop()
+    sim = Simulator()
+    recorder = _Recorder(sim)
+    sim.post_at(10, "a", 1)
+    sim.post_at(5, "b", 2)
+    sim.step()
 
-    other = pickle.loads(pickle.dumps(queue))
-    assert len(other) == 1
-    time, _seq, kind, payload = other.pop()
-    assert (time, kind, payload) == (10, "a", (1,))
-
-    # Sequence numbering continues from the pickled queue (two pushes
-    # so far), preserving FIFO order across the round trip.
-    other.push(10, "c")
-    assert other.pop()[1] == 2
+    other, log = pickle.loads(pickle.dumps((sim, recorder)))
+    assert (other.pending_events, other.now) == (1, 5)
+    # Sequence numbering continues from the pickled queue (two posts so
+    # far), preserving FIFO order across the round trip: the new event
+    # fires after the pending one of the same cycle.
+    other.post_at(10, "c")
+    assert other._queue._sequence == 3
+    other.run()
+    assert log.log == [(5, "b", (2,)), (10, "a", (1,)), (10, "c", ())]
 
 
 def test_push_below_drained_time_raises():
-    # The floor guard lives in the queue itself (not just the
-    # simulator's post_at): once an event has fired, a direct push into
-    # the past would break pop order, so it is rejected.
-    queue = EventQueue()
-    queue.push(10, "a")
-    queue.push(20, "b")
-    queue.pop()  # fires the cycle-10 event; floor is now 10
+    # Once an event has fired, the clock is the floor: scheduling before
+    # it would break pop order, so every entry point rejects it.
+    sim = Simulator()
+    recorder = _Recorder(sim, ("a", "b", "late", "same-cycle-ok"))
+    sim.post_at(10, "a")
+    sim.post_at(20, "b")
+    sim.step()  # fires the cycle-10 event; the clock is now 10
     with pytest.raises(ValueError):
-        queue.push(9, "late")
-    queue.push(10, "same-cycle-ok")  # the floor itself stays legal
-    assert queue.pop()[0] == 10
-
-
-def test_pop_bucket_sets_floor():
-    queue = EventQueue()
-    queue.push(5, "a")
-    queue.push(5, "b")
-    queue.pop_bucket()
+        sim.post_at(9, "late")
     with pytest.raises(ValueError):
-        queue.push(4, "late")
+        sim.at(9, ("late",))
+    sim.post_at(10, "same-cycle-ok")  # the clock itself stays legal
+    sim.step()
+    assert recorder.log[-1] == (10, "same-cycle-ok", ())
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: EventQueue vs heapq reference twin
+# Differential fuzz: Simulator vs heapq reference twin
 # ----------------------------------------------------------------------
 
 
@@ -148,73 +157,102 @@ class _HeapTwin:
         self._sequence += 1
 
     def pop(self):
-        return heappop(self._heap)
+        time, _, kind, payload = heappop(self._heap)
+        return time, kind, payload
 
     def __len__(self):
         return len(self._heap)
 
 
+def _schedule(rng, sim, twin, delay, kind, payload):
+    """Schedule one event through a randomly chosen entry point."""
+    time = sim.now + delay
+    how = rng.randrange(3)
+    if how == 0:
+        sim.post(delay, kind, *payload)
+    elif how == 1:
+        sim.post_at(time, kind, *payload)
+    else:
+        sim.at(time, (kind, *payload))
+    twin.push(time, kind, payload)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_matches_heap_reference(seed):
-    """Interleaved pushes and pops, dense same-cycle ties."""
+    """Interleaved scheduling and firing, dense same-cycle ties."""
     rng = random.Random(seed)
-    queue, twin = EventQueue(), _HeapTwin()
-    now = 0
+    sim, twin = Simulator(), _HeapTwin()
+    recorder = _Recorder(sim)
+    expected = []
     for step in range(2_000):
-        if twin and rng.random() < 0.45:
-            expected = twin.pop()
-            got = queue.pop()
-            assert got == expected
-            now = expected[0]
+        roll = rng.random()
+        if twin and roll < 0.35:
+            sim.step()
+            expected.append(twin.pop())
+        elif twin and roll < 0.45:
+            count = rng.randrange(1, 6)
+            sim.run(max_events=count)
+            for _ in range(min(count, len(twin))):
+                expected.append(twin.pop())
+        elif twin and roll < 0.5:
+            until = sim.now + rng.randrange(4)
+            sim.run(until=until)
+            while twin and twin._heap[0][0] <= until:
+                expected.append(twin.pop())
         else:
             # Mostly near-future times with heavy collisions, plus the
             # occasional far-future outlier.
             delay = rng.choice((0, 0, 0, 1, 1, 2, 3, rng.randrange(500)))
-            kind = rng.choice(("a", "b", "c"))
-            payload = (step,)
-            queue.push(now + delay, kind, payload)
-            twin.push(now + delay, kind, payload)
-        assert len(queue) == len(twin)
+            _schedule(rng, sim, twin, delay, rng.choice("abc"), (step,))
+        assert recorder.log[-3:] == expected[-3:]
+        assert sim.pending_events == len(twin)
+    sim.run()
     while twin:
-        assert queue.pop() == twin.pop()
-    assert not queue
+        expected.append(twin.pop())
+    assert recorder.log == expected
+    assert sim.events_processed == len(expected)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzz_snapshot_restore_mid_stream(seed):
     """Pickle round trips at random points must not perturb pop order."""
     rng = random.Random(1_000 + seed)
-    queue, twin = EventQueue(), _HeapTwin()
-    now = 0
+    sim, twin = Simulator(), _HeapTwin()
+    recorder = _Recorder(sim, ("k",))
+    expected = []
     for step in range(1_500):
         roll = rng.random()
         if roll < 0.05:
-            # Round-trip through pickle into a fresh queue object.
-            queue = pickle.loads(pickle.dumps(queue))
+            # Round-trip through pickle into a fresh simulator object.
+            sim, recorder = pickle.loads(pickle.dumps((sim, recorder)))
         elif twin and roll < 0.5:
-            expected = twin.pop()
-            assert queue.pop() == expected
-            now = expected[0]
+            sim.step()
+            expected.append(twin.pop())
         else:
             delay = rng.choice((0, 0, 1, 2, rng.randrange(100)))
-            queue.push(now + delay, "k", (step,))
-            twin.push(now + delay, "k", (step,))
+            _schedule(rng, sim, twin, delay, "k", (step,))
+    sim.run()
     while twin:
-        assert queue.pop() == twin.pop()
+        expected.append(twin.pop())
+    assert recorder.log == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzz_pop_bucket_matches_scalar_pops(seed):
     """Draining whole buckets yields the same stream as scalar pops."""
     rng = random.Random(2_000 + seed)
-    queue, twin = EventQueue(), _HeapTwin()
+    sim, twin = Simulator(), _HeapTwin()
     for step in range(300):
         time = rng.choice((0, 0, 1, 2, 5)) + rng.randrange(4)
         kind = rng.choice(("x", "y"))
-        queue.push(time, kind, (step,))
+        sim.post_at(time, kind, step)
         twin.push(time, kind, (step,))
+    queue = sim._queue
+    sequences = []
     while queue:
         time, events = queue.pop_bucket()
         for seq, kind, payload in events:
-            assert (time, seq, kind, payload) == twin.pop()
+            assert (time, kind, payload) == twin.pop()
+            sequences.append(seq)
+    assert sorted(sequences) == list(range(300))
     assert not len(twin)

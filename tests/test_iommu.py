@@ -30,19 +30,31 @@ def make_iommu(
         scheduler=scheduler,
         coalesce_walks=coalesce,
     )
-    iommu = IOMMU(sim, config, table, lambda addr, cb: sim.after(latency, cb))
+    iommu = IOMMU(
+        sim, config, table, lambda addr, cb: sim.at(sim.now + latency, cb)
+    )
+    iommu.reply_to = reply
     return sim, table, iommu
 
 
+def reply(request, pfn):
+    """The IOMMU's reply sink: a request made with a ``done`` list
+    carries it as its context and records ``(vpn, pfn)`` there."""
+    if request.context:
+        request.context[0].append((request.vpn, pfn))
+
+
 def make_request(vpn, instruction_id=0, done=None):
-    return TranslationRequest(
+    request = TranslationRequest(
         vpn=vpn,
         instruction_id=instruction_id,
         wavefront_id=0,
         cu_id=0,
         issue_time=0,
-        on_complete=(lambda req, pfn: done.append((req.vpn, pfn))) if done is not None else None,
     )
+    if done is not None:
+        request.context = (done,)
+    return request
 
 
 def test_cold_request_walks_and_replies():

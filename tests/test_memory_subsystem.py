@@ -12,7 +12,8 @@ def make_subsystem():
 
 def run_access(sim, memory, cu, address):
     done_at = []
-    memory.data_access(cu, address, lambda: done_at.append(sim.now))
+    sim.register("test.done", lambda: done_at.append(sim.now))
+    memory.data_access(cu, address, ("test.done",))
     sim.run()
     return done_at[0]
 
@@ -54,7 +55,8 @@ def test_l1_caches_are_private():
 def test_page_table_read_completes_later():
     sim, memory = make_subsystem()
     done_at = []
-    memory.page_table_read(0x2000, lambda: done_at.append(sim.now))
+    sim.register("test.done", lambda: done_at.append(sim.now))
+    memory.page_table_read(0x2000, ("test.done",))
     start = sim.now
     sim.run()
     assert done_at and done_at[0] > start
@@ -63,8 +65,9 @@ def test_page_table_read_completes_later():
 
 def test_page_table_reads_bypass_caches():
     sim, memory = make_subsystem()
-    memory.page_table_read(0x2000, lambda: None)
-    memory.page_table_read(0x2000, lambda: None)
+    sim.register("test.ignore", lambda: None)
+    memory.page_table_read(0x2000, ("test.ignore",))
+    memory.page_table_read(0x2000, ("test.ignore",))
     sim.run()
     assert memory.l2_cache.accesses == 0
     assert memory.dram.accesses == 2

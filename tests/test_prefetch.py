@@ -20,19 +20,31 @@ def make_iommu(prefetch=True, num_walkers=2, latency=10):
         pwc=PWCConfig(entries_per_level=8, associativity=4),
         prefetch_next_page=prefetch,
     )
-    iommu = IOMMU(sim, config, table, lambda addr, cb: sim.after(latency, cb))
+    iommu = IOMMU(
+        sim, config, table, lambda addr, cb: sim.at(sim.now + latency, cb)
+    )
+    iommu.reply_to = reply
     return sim, iommu
 
 
+def reply(request, pfn):
+    """The IOMMU's reply sink: a request made with a ``done`` list
+    carries it as its context and records its page there."""
+    if request.context:
+        request.context[0].append(request.vpn)
+
+
 def request(vpn, done=None, instruction_id=0):
-    return TranslationRequest(
+    translation = TranslationRequest(
         vpn=vpn,
         instruction_id=instruction_id,
         wavefront_id=0,
         cu_id=0,
         issue_time=0,
-        on_complete=(lambda r, p: done.append(r.vpn)) if done is not None else None,
     )
+    if done is not None:
+        translation.context = (done,)
+    return translation
 
 
 def test_demand_walk_triggers_next_page_prefetch():

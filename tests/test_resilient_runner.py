@@ -6,6 +6,7 @@ hard-exit, hang) to prove one bad job can never take down a sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import time
@@ -453,3 +454,28 @@ def test_checkpoint_store_concurrent_writers_never_tear(tmp_path):
     assert loaded is not None
     assert _fingerprint(loaded) == _fingerprint(result)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_checkpoint_store_unserialisable_result_leaves_no_file(tmp_path):
+    # The result is serialised before any file is opened: one that does
+    # not serialise raises and leaves the store as it was, with no
+    # stray temp file beside the stored result.
+    from repro.resilience.outcomes import CheckpointStore
+    from repro.stats.metrics import SimulationResult
+
+    store = CheckpointStore(str(tmp_path))
+    spec = _good_spec()
+    result = SimulationResult(
+        workload="MVT", scheduler="fcfs", total_cycles=1, instructions=1,
+        wavefronts=1, stall_cycles=0, walks_dispatched=0,
+        walk_memory_accesses=0, interleaved_fraction=0.0,
+        first_walk_latency=0.0, last_walk_latency=0.0,
+        wavefronts_per_epoch=0.0,
+    )
+    store.store(spec, result)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    unserialisable = dataclasses.replace(result, detail={"x": {1, 2}})
+    with pytest.raises(TypeError):
+        store.store(spec, unserialisable)
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    assert store.load(spec) == result

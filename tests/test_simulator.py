@@ -5,156 +5,157 @@ import pytest
 from repro.engine.simulator import Simulator
 
 
+def logging_sim():
+    """A simulator whose ``"log"`` kind appends ``(tag, now)`` to the
+    returned list, and whose ``"noop"`` kind does nothing."""
+    sim = Simulator()
+    fired = []
+    sim.register("log", lambda tag: fired.append((tag, sim.now)))
+    sim.register("noop", lambda: None)
+    return sim, fired
+
+
 def test_clock_starts_at_zero():
     assert Simulator().now == 0
 
 
 def test_after_schedules_relative():
-    sim = Simulator()
-    fired = []
-    sim.after(10, lambda: fired.append(sim.now))
+    sim, fired = logging_sim()
+    sim.post(10, "log", "a")
     sim.run()
-    assert fired == [10]
+    assert fired == [("a", 10)]
     assert sim.now == 10
 
 
 def test_at_schedules_absolute():
-    sim = Simulator()
-    fired = []
-    sim.at(25, lambda: fired.append(sim.now))
+    sim, fired = logging_sim()
+    sim.post_at(25, "log", "a")
+    sim.at(30, ("log", "b"))
     sim.run()
-    assert fired == [25]
+    assert fired == [("a", 25), ("b", 30)]
 
 
 def test_scheduling_in_the_past_raises():
-    sim = Simulator()
-    sim.after(10, lambda: None)
+    sim, _ = logging_sim()
+    sim.post(10, "noop")
     sim.run()
     with pytest.raises(ValueError):
-        sim.at(5, lambda: None)
+        sim.at(5, ("noop",))
+    with pytest.raises(ValueError):
+        sim.post_at(5, "noop")
 
 
 def test_negative_delay_raises():
     with pytest.raises(ValueError):
-        Simulator().after(-1, lambda: None)
+        Simulator().post(-1, "noop")
 
 
 def test_events_cascade():
-    sim = Simulator()
-    trace = []
+    sim, fired = logging_sim()
 
     def first():
-        trace.append(("first", sim.now))
-        sim.after(5, second)
+        fired.append(("first", sim.now))
+        sim.post(5, "log", "second")
 
-    def second():
-        trace.append(("second", sim.now))
-
-    sim.after(3, first)
+    sim.register("first", first)
+    sim.post(3, "first")
     sim.run()
-    assert trace == [("first", 3), ("second", 8)]
+    assert fired == [("first", 3), ("second", 8)]
 
 
 def test_run_until_stops_before_later_events():
-    sim = Simulator()
-    fired = []
-    sim.after(10, lambda: fired.append("a"))
-    sim.after(100, lambda: fired.append("b"))
+    sim, fired = logging_sim()
+    sim.post(10, "log", "a")
+    sim.post(100, "log", "b")
     sim.run(until=50)
-    assert fired == ["a"]
+    assert fired == [("a", 10)]
     assert sim.now == 50
     assert sim.pending_events == 1
     sim.run()
-    assert fired == ["a", "b"]
+    assert [tag for tag, _ in fired] == ["a", "b"]
 
 
 def test_run_max_events_limits_work():
-    sim = Simulator()
-    fired = []
+    sim, fired = logging_sim()
     for i in range(5):
-        sim.after(i + 1, lambda i=i: fired.append(i))
+        sim.post(i + 1, "log", i)
     sim.run(max_events=2)
-    assert fired == [0, 1]
+    assert [tag for tag, _ in fired] == [0, 1]
 
 
 def test_step_fires_one_event():
-    sim = Simulator()
-    fired = []
-    sim.after(1, lambda: fired.append("x"))
+    sim, fired = logging_sim()
+    sim.post(1, "log", "x")
     assert sim.step() is True
-    assert fired == ["x"]
+    assert fired == [("x", 1)]
     assert sim.step() is False
 
 
 def test_events_processed_counter():
-    sim = Simulator()
+    sim, _ = logging_sim()
     for i in range(4):
-        sim.after(i, lambda: None)
+        sim.post(i, "noop")
     sim.run()
     assert sim.events_processed == 4
 
 
 def test_same_cycle_events_fifo_order():
-    sim = Simulator()
-    order = []
-    sim.after(5, lambda: order.append(1))
-    sim.after(5, lambda: order.append(2))
-    sim.after(5, lambda: order.append(3))
+    sim, fired = logging_sim()
+    for tag in (1, 2, 3):
+        sim.post(5, "log", tag)
     sim.run()
-    assert order == [1, 2, 3]
+    assert [tag for tag, _ in fired] == [1, 2, 3]
 
 
 def test_until_and_max_events_whichever_first():
     # max_events binds first: only 2 of the 4 events inside the window fire.
-    sim = Simulator()
-    fired = []
+    sim, fired = logging_sim()
     for i in range(4):
-        sim.after(i + 1, lambda i=i: fired.append(i))
+        sim.post(i + 1, "log", i)
     sim.run(until=10, max_events=2)
-    assert fired == [0, 1]
+    assert [tag for tag, _ in fired] == [0, 1]
     assert sim.now == 2
     assert sim.pending_events == 2
     # until binds first on the remainder: the clock lands on the cutoff.
     sim.run(until=3, max_events=100)
-    assert fired == [0, 1, 2]
+    assert [tag for tag, _ in fired] == [0, 1, 2]
     assert sim.now == 3
     assert sim.pending_events == 1
 
 
 def test_run_until_never_moves_the_clock_backwards():
-    sim = Simulator()
-    fired = []
-    sim.after(10, lambda: fired.append(10))
-    sim.after(20, lambda: fired.append(20))
+    sim, fired = logging_sim()
+    sim.post(10, "log", 10)
+    sim.post(20, "log", 20)
     sim.run(until=15)
-    assert (fired, sim.now) == ([10], 15)
+    assert (fired, sim.now) == ([(10, 10)], 15)
     with pytest.raises(ValueError):
         sim.run(until=5)
     assert sim.now == 15
     with pytest.raises(ValueError):
-        sim.at(7, lambda: None)
+        sim.at(7, ("noop",))
     assert sim.run(until=15) == 15  # the current time itself is legal
     sim.run()
-    assert fired == [10, 20]
+    assert [tag for tag, _ in fired] == [10, 20]
 
 
 def test_clock_stays_at_last_event_when_drained_before_until():
     # Deliberate semantics: a queue that empties before `until` leaves
     # the clock at the last fired event, not at the horizon — a deadlock
     # diagnosis needs the cycle work stopped, not the max_cycles bound.
-    sim = Simulator()
-    sim.after(7, lambda: None)
+    sim, _ = logging_sim()
+    sim.post(7, "noop")
     assert sim.run(until=1_000_000) == 7
     assert sim.now == 7
     assert sim.pending_events == 0
 
 
 def test_step_on_empty_queue_is_inert():
-    sim = Simulator()
+    sim, _ = logging_sim()
     assert sim.step() is False
     assert sim.now == 0
     assert sim.events_processed == 0
-    sim.after(3, lambda: None)
+    sim.post(3, "noop")
     sim.run()
     assert sim.step() is False
     assert sim.now == 3
@@ -162,25 +163,25 @@ def test_step_on_empty_queue_is_inert():
 
 
 def test_reentrant_callback_scheduling_at_now_fires_same_run():
-    sim = Simulator()
-    trace = []
+    sim, fired = logging_sim()
 
     def outer():
-        trace.append(("outer", sim.now))
-        sim.after(0, lambda: trace.append(("inner", sim.now)))
+        fired.append(("outer", sim.now))
+        sim.post(0, "log", "inner")
 
-    sim.after(5, outer)
+    sim.register("outer", outer)
+    sim.post(5, "outer")
     sim.run()
-    assert trace == [("outer", 5), ("inner", 5)]
+    assert fired == [("outer", 5), ("inner", 5)]
     assert sim.now == 5
     assert sim.events_processed == 2
 
 
 def test_monitor_fires_every_interval():
-    sim = Simulator()
+    sim, _ = logging_sim()
     ticks = []
     for i in range(10):
-        sim.after(i, lambda: None)
+        sim.post(i, "noop")
     sim.add_monitor(lambda: ticks.append(sim.events_processed), interval_events=3)
     sim.run()
     # Fires after the 3rd, 6th and 9th events (counter snapshots taken
@@ -189,9 +190,9 @@ def test_monitor_fires_every_interval():
 
 
 def test_monitor_exception_aborts_run_with_consistent_counts():
-    sim = Simulator()
+    sim, _ = logging_sim()
     for i in range(10):
-        sim.after(i, lambda: None)
+        sim.post(i, "noop")
 
     def tripwire():
         raise RuntimeError("tripped")
@@ -305,7 +306,8 @@ def test_dispatch_counts_toward_events_processed():
     sim.dispatch(("done", 42))
     assert hits == [(42,)]
     assert sim.events_processed == 1
-    sim.dispatch(lambda: hits.append("callable"))
+    sim.dispatch(("done",))
+    assert hits == [(42,), ()]
     assert sim.events_processed == 2
 
 

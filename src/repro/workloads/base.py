@@ -42,11 +42,20 @@ class MemoryRegion:
     def element(self, index: int, element_size: int = 8) -> int:
         """Virtual address of element ``index`` (bounds-checked)."""
         address = self.base + index * element_size
-        if not self.base <= address < self.end:
+        if not self.base <= address < self.base + self.size:
             raise IndexError(
                 f"{self.name}[{index}] (elem {element_size}B) outside region"
             )
         return address
+
+    def checked(self, addresses: LaneAddresses) -> LaneAddresses:
+        """``addresses``, after checking with one ``min`` and one ``max``
+        that every one lies inside the region (``IndexError`` if not)."""
+        if addresses and not (
+            self.base <= min(addresses) and max(addresses) < self.base + self.size
+        ):
+            raise IndexError(f"{self.name}: lane address outside region")
+        return addresses
 
     def __repr__(self) -> str:
         return f"MemoryRegion({self.name!r}, base={self.base:#x}, size={self.size})"

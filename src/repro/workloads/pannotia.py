@@ -48,6 +48,11 @@ class _CSRGraphWorkload(Workload):
         # frontier nodes are contiguous), so translations almost always
         # hit the TLBs — the paper's "regular" behaviour.
         advance = max(1, span_elements // 4)
+        # Each lane's element offset into the gathered run, before jitter.
+        spreads = [
+            (lane * span_elements) // wavefront_size for lane in range(wavefront_size)
+        ]
+        edges = self.edges
         trace: Trace = []
         for wavefront_index in range(num_wavefronts):
             rng = random.Random(f"{self.seed}:{self.abbrev}:{wavefront_index}")
@@ -70,16 +75,15 @@ class _CSRGraphWorkload(Workload):
                 )
                 # 2. Gather the nodes' edge lists: a short contiguous run
                 # of the edge array, with small per-lane jitter.
-                addresses = [
-                    self.edges.element(
-                        edge_cursor
-                        + (lane * span_elements) // wavefront_size
-                        + rng.randrange(8),
-                        INT,
+                start = edges.base + edge_cursor * INT
+                stream.append(
+                    edges.checked(
+                        [
+                            start + (spread + rng.randrange(8)) * INT
+                            for spread in spreads
+                        ]
                     )
-                    for lane in range(wavefront_size)
-                ]
-                stream.append(addresses)
+                )
                 edge_cursor += advance
             trace.append(stream)
         return trace

@@ -8,6 +8,12 @@ The benchmark models compose three primitive SIMD access shapes:
                   kernels fully divergent when rows exceed a page;
 ``random``     — each lane at an independent uniform element (XSBench).
 
+``coalesced`` and ``row_strided`` lanes form an arithmetic progression
+of addresses: each is built as one ``range`` after bounds-checking the
+progression's two ends (the region is contiguous, so every lane between
+them is in bounds too).  ``random`` lanes need no check at all, since
+``randrange`` already bounds every draw to the region.
+
 :class:`ParametricWorkload` exposes divergence directly (pages touched
 per instruction) and is used by tests, examples and ablation benches to
 sweep divergence without pretending to be a specific benchmark.
@@ -27,13 +33,34 @@ from repro.workloads.base import (
 )
 
 
+def _progression(
+    region: MemoryRegion,
+    first_element: int,
+    element_step: int,
+    lanes: int,
+    element_size: int,
+) -> LaneAddresses:
+    """Lane ``l`` at element ``first_element + l * element_step``.
+
+    Checks the first and last lane with :meth:`MemoryRegion.element`
+    (``IndexError`` when either is outside the region); a zero step
+    yields ``lanes`` copies of one address.
+    """
+    if lanes <= 0:
+        return []
+    first = region.element(first_element, element_size)
+    region.element(first_element + (lanes - 1) * element_step, element_size)
+    step = element_step * element_size
+    if not step:
+        return [first] * lanes
+    return list(range(first, first + lanes * step, step))
+
+
 def coalesced(
     region: MemoryRegion, start_element: int, lanes: int, element_size: int = 8
 ) -> LaneAddresses:
     """All lanes access consecutive elements from ``start_element``."""
-    return [
-        region.element(start_element + lane, element_size) for lane in range(lanes)
-    ]
+    return _progression(region, start_element, 1, lanes, element_size)
 
 
 def row_strided(
@@ -49,10 +76,9 @@ def row_strided(
     With ``row_elements * element_size`` ≥ one page, every lane lands on
     a distinct page: the fully divergent case.
     """
-    return [
-        region.element((first_row + lane) * row_elements + column, element_size)
-        for lane in range(lanes)
-    ]
+    return _progression(
+        region, first_row * row_elements + column, row_elements, lanes, element_size
+    )
 
 
 def random_lanes(
@@ -63,9 +89,9 @@ def random_lanes(
 ) -> LaneAddresses:
     """Each lane accesses an independent uniformly-random element."""
     max_element = region.size // element_size
+    base = region.base
     return [
-        region.element(rng.randrange(max_element), element_size)
-        for _ in range(lanes)
+        base + rng.randrange(max_element) * element_size for _ in range(lanes)
     ]
 
 

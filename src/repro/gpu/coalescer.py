@@ -16,41 +16,49 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.config import LINE_SIZE
-from repro.mmu.address import vpn_of
+from repro.mmu.address import PAGE_SHIFT
+
+#: ``address & LINE_MASK`` is the address of the line holding ``address``.
+LINE_MASK = -LINE_SIZE
 
 
 class CoalescedInstruction:
     """The coalescer's output for one SIMD memory instruction."""
 
-    __slots__ = ("lines_by_page", "num_lanes")
+    __slots__ = ("lines_by_page", "num_lanes", "num_lines")
 
-    def __init__(self, lines_by_page: Dict[int, List[int]], num_lanes: int) -> None:
+    def __init__(
+        self, lines_by_page: Dict[int, List[int]], num_lanes: int, num_lines: int
+    ) -> None:
         #: vpn -> unique line-aligned virtual addresses on that page,
         #: in first-touch lane order.
         self.lines_by_page = lines_by_page
         self.num_lanes = num_lanes
+        #: Distinct cache lines touched — the instruction's access count.
+        self.num_lines = num_lines
 
     @property
     def num_pages(self) -> int:
         """Distinct pages touched — the instruction's translation demand."""
         return len(self.lines_by_page)
 
-    @property
-    def num_lines(self) -> int:
-        """Distinct cache lines touched — the instruction's access count."""
-        return sum(map(len, self.lines_by_page.values()))
-
 
 def coalesce(lane_addresses: Iterable[int]) -> CoalescedInstruction:
-    """Merge per-lane addresses into per-page, per-line unique accesses."""
+    """Merge per-lane addresses into per-page, per-line unique accesses.
+
+    One pass keeps each line's first touch (``dict.fromkeys``); a second
+    groups those unique lines by page.  A negative address raises
+    ``ValueError``.
+    """
+    lane_lines = [address & LINE_MASK for address in lane_addresses]
+    lines = dict.fromkeys(lane_lines)
+    if lines and min(lines) < 0:
+        raise ValueError("virtual address must be non-negative")
     lines_by_page: Dict[int, List[int]] = {}
-    seen_lines: Dict[int, None] = {}
-    num_lanes = 0
-    for address in lane_addresses:
-        num_lanes += 1
-        line_address = (address // LINE_SIZE) * LINE_SIZE
-        if line_address in seen_lines:
-            continue
-        seen_lines[line_address] = None
-        lines_by_page.setdefault(vpn_of(address), []).append(line_address)
-    return CoalescedInstruction(lines_by_page, num_lanes)
+    for line in lines:
+        page = line >> PAGE_SHIFT
+        if page in lines_by_page:
+            lines_by_page[page].append(line)
+        else:
+            lines_by_page[page] = [line]
+    return CoalescedInstruction(lines_by_page, len(lane_lines), len(lines))

@@ -96,8 +96,8 @@ class MemorySubsystem:
     def _data_access(
         self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> None:
-        ready = self._line_ready(cu_id, physical_address, on_complete)
-        if ready is not None:
+        ready = self._lookup(cu_id, (physical_address,), 1, on_complete)
+        if ready >= 0:
             self._sim.at(ready, on_complete)
 
     def data_access_batch(
@@ -116,46 +116,63 @@ class MemorySubsystem:
         controller resolves reads later, so there every access completes
         on its own, carrying 1.
         """
+        count = len(physical_addresses)
         if self.dram is None:
-            target = on_complete + (1,)
-            for physical_address in physical_addresses:
-                self._data_access(cu_id, physical_address, target)
+            self._lookup(cu_id, physical_addresses, count, on_complete + (1,))
             return
+        latest = self._lookup(cu_id, physical_addresses, count, on_complete)
+        if latest >= 0:
+            self._sim.at(latest, on_complete + (count,))
+
+    def _lookup(
+        self,
+        cu_id: int,
+        physical_addresses: Sequence[int],
+        count: int,
+        on_complete: tuple,
+    ) -> int:
+        """Look each of the ``count`` lines up through L1 → L2 → DRAM, in
+        list order.
+
+        On the reservation DRAM model, returns the cycle the last of the
+        lines is ready (-1 for no lines) and fires nothing.  On the
+        queued controller, fires ``on_complete`` once per line, at its
+        ready cycle for a cache hit and when the controller serves it
+        for a DRAM read, and returns -1.
+        """
+        self.data_accesses += count
+        config = self._config
+        sim = self._sim
+        l1 = self.l1_caches[cu_id]
+        l2 = self.l2_cache
+        dram = self.dram
+        l1_ready = sim._now + config.l1_cache.hit_latency
+        l2_latency = config.l1_cache.hit_latency + config.l2_cache.hit_latency
+        l2_ready = sim._now + l2_latency
         latest = -1
         for physical_address in physical_addresses:
-            ready = self._line_ready(cu_id, physical_address, on_complete)
-            if ready > latest:
+            line = physical_address // LINE_SIZE
+            if l1.access(line):
+                ready = l1_ready
+            elif l2.access(line):
+                l1.fill(line)
+                ready = l2_ready
+            else:
+                l2.fill(line)
+                l1.fill(line)
+                if dram is None:
+                    sim.post(
+                        l2_latency, "mem.ctrl_read", physical_address, on_complete
+                    )
+                    continue
+                ready = dram.access(physical_address, l2_ready)
+                if self._injector is not None:
+                    ready += self._injector.dram_padding(l2_ready)
+            if dram is None:
+                sim.at(ready, on_complete)
+            elif ready > latest:
                 latest = ready
-        if latest >= 0:
-            self._sim.at(latest, on_complete + (len(physical_addresses),))
-
-    def _line_ready(
-        self, cu_id: int, physical_address: int, on_complete: tuple
-    ) -> Optional[int]:
-        """Look one line up through L1 → L2 → DRAM.  Returns the cycle
-        its data is ready, or None when the queued controller will fire
-        ``on_complete`` itself once the read is served."""
-        self.data_accesses += 1
-        line = physical_address // LINE_SIZE
-        config = self._config
-        now = self._sim._now
-        l1 = self.l1_caches[cu_id]
-        if l1.access(line):
-            return now + config.l1_cache.hit_latency
-        l2_latency = config.l1_cache.hit_latency + config.l2_cache.hit_latency
-        if self.l2_cache.access(line):
-            l1.fill(line)
-            return now + l2_latency
-        self.l2_cache.fill(line)
-        l1.fill(line)
-        if self.dram is not None:
-            start = now + l2_latency
-            done = self.dram.access(physical_address, start)
-            if self._injector is not None:
-                done += self._injector.dram_padding(start)
-            return done
-        self._sim.post(l2_latency, "mem.ctrl_read", physical_address, on_complete)
-        return None
+        return latest
 
     def page_table_read(
         self, physical_address: int, on_complete: tuple

@@ -22,10 +22,17 @@ their countdown.
 from __future__ import annotations
 
 import gc
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.event_queue import EventQueue
+
+
+def _call_batch(handler: Callable[[list], Any], *payload: Any) -> Any:
+    """Hand one event's payload to a batch handler as a one-element list
+    (a module-level function, so the binding pickles)."""
+    return handler([payload])
 
 
 class Simulator:
@@ -77,8 +84,9 @@ class Simulator:
 
         The loop fires one event at a time, so ``handler`` receives each
         payload as a one-element list, in (time, sequence) order.  The
-        binding replaces the scalar one, which must exist first.  No
-        model component uses this form; it stays for callers written
+        binding replaces the scalar one, which must exist first, and
+        pickles whenever ``handler`` does, so a checkpoint can carry it.
+        No model component uses this form; it stays for callers written
         against it (perfbench wraps it).
         """
         if not kind:
@@ -88,7 +96,7 @@ class Simulator:
                 f"register a scalar handler for {kind!r} before its "
                 f"batch handler"
             )
-        self._handlers[kind] = lambda *payload: handler([payload])
+        self._handlers[kind] = partial(_call_batch, handler)
 
     # ------------------------------------------------------------------
     # Scheduling

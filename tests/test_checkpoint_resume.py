@@ -309,6 +309,47 @@ def test_closure_event_makes_the_dump_fail(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
 
+class _EachPayload:
+    """A batch handler that hands each payload to a scalar handler."""
+
+    def __init__(self, handler):
+        self.handler = handler
+
+    def __call__(self, payloads):
+        for payload in payloads:
+            self.handler(*payload)
+
+
+def test_a_system_with_a_batch_handler_round_trips():
+    # The binding ``register_batch`` stores pickles with the simulator,
+    # so a system paused mid-run with batch handlers installed survives
+    # ``pickle.loads(pickle.dumps(...))`` and finishes exactly like a
+    # system that never had them.
+    import pickle
+
+    from repro.experiments.runner import collect_result
+    from tests.conftest import dispatched_system
+
+    def system():
+        return dispatched_system(
+            tiny_config("simt"), WORKLOAD, scale=SCALE, num_wavefronts=WAVEFRONTS
+        )
+
+    plain = system()
+    plain.simulator.run()
+    batched = system()
+    sim = batched.simulator
+    for kind in ("wf.line", "iommu.xlate"):
+        sim.register_batch(kind, _EachPayload(sim._handlers[kind]))
+    sim.run(max_events=plain.simulator.events_processed // 2)
+    resumed = pickle.loads(pickle.dumps(batched))
+    resumed.simulator.run()
+    assert resumed.gpu.finished
+    assert _fingerprint(collect_result(resumed, WORKLOAD)) == _fingerprint(
+        collect_result(plain, WORKLOAD)
+    )
+
+
 def test_atomic_write_failure_removes_the_temp_file(tmp_path):
     # The replace fails (the target is a directory): the error reaches
     # the caller and the temp file written beside the target is gone.

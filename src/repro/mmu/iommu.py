@@ -93,36 +93,29 @@ class IOMMU:
         self._scan_in_progress = False
 
         # --- Scheduler-zoo knobs, read off the policy instance ---------
+        # Every WalkScheduler defines all five, with integer defaults.
+        scheduler = self.scheduler
         # WaSP: distance-ahead walk prefetch.  The legacy
         # ``prefetch_next_page`` flag is the distance-1 case, so the two
         # mechanisms share one code path (and stay bit-identical).
         self._prefetch_distance = max(
-            int(getattr(self.scheduler, "prefetch_distance", 0) or 0),
-            1 if config.prefetch_next_page else 0,
+            scheduler.prefetch_distance, 1 if config.prefetch_next_page else 0
         )
         # IRU: arriving misses stage here for ``reorder_window_cycles``
         # and are admitted to the pending buffer sorted by
         # (instruction, page), coalescing against pending walks.
-        self._iru_window = int(
-            getattr(self.scheduler, "reorder_window_cycles", 0) or 0
-        )
+        self._iru_window = scheduler.reorder_window_cycles
         self._iru_staging: List[TranslationRequest] = []
-        self._coalesce_pending = bool(
-            getattr(self.scheduler, "coalesce_pending", False)
-        )
+        self._coalesce_pending = scheduler.coalesce_pending
         # Mosaic: promote a 2 MB region into the region TLB once enough
         # distinct base pages inside it have been walked.  Meaningless
         # when the geometry already maps 2 MB units, so it disables.
         self._region_shift = max(0, 21 - geometry.page_shift)
         self._promote_threshold = (
-            int(getattr(self.scheduler, "promote_threshold", 0) or 0)
-            if self._region_shift
-            else 0
+            scheduler.promote_threshold if self._region_shift else 0
         )
         self._region_tlb_entries = (
-            int(getattr(self.scheduler, "region_tlb_entries", 0) or 0)
-            if self._promote_threshold
-            else 0
+            scheduler.region_tlb_entries if self._promote_threshold else 0
         )
         #: region -> distinct walked base-page VPNs (promotion candidates).
         self._region_pages: Dict[int, set] = {}

@@ -12,15 +12,17 @@ failure) or :func:`run_many_resilient` (one :class:`RunOutcome` per
 spec: per-job worker processes, timeouts, bounded retry with
 decorrelated-jitter backoff, crash isolation and optional on-disk
 checkpointing — one dying worker loses one job, never the sweep).
-The durable multi-process layer above this lives in
-:mod:`repro.service`.
+One loop schedules every attempt, in-process or in a worker process,
+from one ready-time queue, so a retry waits behind the specs that are
+ready either way.  The durable multi-process layer above this lives
+in :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
-import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -556,81 +558,36 @@ def _run_one_spec(spec: Mapping[str, Any]) -> SimulationResult:
 # ----------------------------------------------------------------------
 
 
-def _spec_worker(
-    conn, spec: Mapping[str, Any], heartbeat_seconds: Optional[float] = None
-) -> None:
-    """Child-process entry: run one spec, ship the verdict up the pipe.
+def _spec_worker(conn, spec: Mapping[str, Any]) -> None:
+    """Child-process entry: run one spec, send its verdict up the pipe.
 
-    With ``heartbeat_seconds`` set (fleet telemetry enabled), a daemon
-    thread periodically piggybacks ``("hb", {...})`` liveness pings on
-    the same result pipe; the parent relays them to the
-    :class:`~repro.obs.fleet.FleetTelemetry` collector.  Heartbeats are
-    wall-clock bookkeeping around the simulation, never inside it, so
-    results stay bit-identical with telemetry on or off.
+    The verdict is ``("ok", result)`` or ``("error", type, message,
+    traceback)``; liveness is the parent's business (it watches the
+    process), so nothing else ever rides the pipe.
     """
-    send_lock = threading.Lock()
-    stop_beating: Optional[threading.Event] = None
-    if heartbeat_seconds is not None:
-        stop_beating = threading.Event()
-        started = time.monotonic()
-
-        def beat() -> None:
-            while not stop_beating.wait(heartbeat_seconds):
-                try:
-                    with send_lock:
-                        conn.send(
-                            (
-                                "hb",
-                                {
-                                    "pid": os.getpid(),
-                                    "elapsed_seconds": round(
-                                        time.monotonic() - started, 3
-                                    ),
-                                },
-                            )
-                        )
-                except Exception:
-                    return  # pipe gone: the parent stopped listening
-
-        threading.Thread(target=beat, daemon=True).start()
     try:
-        result = _run_one_spec(spec)
-        if stop_beating is not None:
-            stop_beating.set()
-        with send_lock:
-            conn.send(("ok", result))
+        conn.send(("ok", _run_one_spec(spec)))
     except BaseException as exc:  # report *everything*, then die quietly
-        if stop_beating is not None:
-            stop_beating.set()
         try:
-            with send_lock:
-                conn.send(
-                    (
-                        "error",
-                        type(exc).__name__,
-                        str(exc),
-                        traceback_module.format_exc(),
-                    )
-                )
+            conn.send(("error", type(exc).__name__, str(exc),
+                       traceback_module.format_exc()))
         except Exception:
             pass
     finally:
         conn.close()
 
 
+@dataclass(eq=False)
 class _LiveJob:
     """One spec attempt currently running in a child process."""
 
-    __slots__ = ("index", "spec", "attempt", "process", "conn", "deadline", "started")
-
-    def __init__(self, index, spec, attempt, process, conn, deadline, started):
-        self.index = index
-        self.spec = spec
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-        self.started = started
+    index: int
+    attempt: int
+    process: Any
+    conn: Any
+    started: float
+    deadline: Optional[float]
+    next_beat: Optional[float]
 
 
 def _backoff_delay(
@@ -685,16 +642,18 @@ def run_many_resilient(
       *resumes from the middle* instead of starting the simulation over.
       Results are bit-identical to an uninterrupted run.
     * ``telemetry`` is a :class:`~repro.obs.fleet.FleetTelemetry`
-      collector: every spec start/finish/retry/timeout — plus worker
-      heartbeats on the process path — is reported as it happens.
+      collector: every spec start/finish/retry/timeout — plus a
+      heartbeat per live worker process — is reported as it happens.
       Telemetry observes the sweep from outside the simulations, so
       results are bit-identical with it on or off.
 
-    Outcomes come back in spec order.  Serial runs without a timeout
-    execute in-process (identical to :func:`run_simulation` in a loop);
-    any parallelism or timeout switches to child processes — results are
-    identical either way because workers run the same deterministic
-    code on the same picklable specs.
+    Outcomes come back in spec order.  One loop schedules every attempt
+    from one queue ordered by ready time, so a retry waits out its
+    backoff behind the specs that are ready.  Serial runs without a
+    timeout execute each attempt in-process; any parallelism or timeout
+    runs each attempt in a child process — results are identical either
+    way because workers run the same deterministic code on the same
+    picklable specs.
     """
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
@@ -726,197 +685,119 @@ def run_many_resilient(
         for spec, path in zip(specs, inrun_paths)
     ]
 
-    todo: List[int] = []
+    #: (ready_time, index, attempt) waiting to start, as a heap.
+    queued: List[tuple] = []
     for index, spec in enumerate(specs):
-        if store is not None:
-            cached = store.load(spec)
-            if cached is not None:
-                outcomes[index] = RunOutcome(
-                    index=index,
-                    spec_summary=describe_spec(spec),
-                    status=STATUS_OK,
-                    result=cached,
-                    attempts=0,
-                    from_checkpoint=True,
-                )
-                continue
-        todo.append(index)
+        cached = store.load(spec) if store is not None else None
+        if cached is None:
+            queued.append((0.0, index, 1))
+            continue
+        outcomes[index] = RunOutcome(
+            index=index,
+            spec_summary=describe_spec(spec),
+            status=STATUS_OK,
+            result=cached,
+            attempts=0,
+            from_checkpoint=True,
+        )
 
+    max_workers = 1 if jobs is None else max(1, jobs)
     if telemetry is not None:
         telemetry.sweep_started(
             total=len(specs),
-            jobs=1 if jobs is None else max(1, jobs),
-            checkpointed=len(specs) - len(todo),
+            jobs=max_workers,
+            checkpointed=len(specs) - len(queued),
         )
-        for index, outcome in enumerate(outcomes):
+        for outcome in outcomes:
             if outcome is not None:
                 telemetry.spec_finished(outcome)
 
-    if todo:
+    ctx = None
+    if (jobs is not None and jobs > 1) or timeout is not None:
         # Asking for jobs > 1 is asking for isolation, even on a single
         # remaining spec — never let a crashing job share our process.
-        max_workers = 1 if jobs is None else max(1, jobs)
-        use_processes = (jobs is not None and jobs > 1) or timeout is not None
-        if use_processes:
-            _run_in_processes(
-                specs, exec_specs, inrun_paths, todo, outcomes, max_workers,
-                timeout, retries, backoff_seconds, store, telemetry,
-            )
-        else:
-            _run_in_process(
-                specs, exec_specs, inrun_paths, todo, outcomes, retries,
-                backoff_seconds, store, telemetry,
-            )
+        import multiprocessing
+        from multiprocessing.connection import wait as conn_wait
 
-    if telemetry is not None:
-        telemetry.sweep_finished()
-    assert all(outcome is not None for outcome in outcomes)
-    return outcomes  # type: ignore[return-value]
-
-
-def _finish_ok(
-    outcomes, store, specs, index, result, attempt, started, telemetry=None,
-    inrun_path=None,
-) -> None:
-    outcomes[index] = RunOutcome(
-        index=index,
-        spec_summary=describe_spec(specs[index]),
-        status=STATUS_OK,
-        result=result,
-        attempts=attempt,
-        elapsed_seconds=time.monotonic() - started,
+        ctx = multiprocessing.get_context()
+    heartbeat_seconds = (
+        telemetry.heartbeat_seconds if telemetry is not None else None
     )
-    if store is not None:
-        store.store(specs[index], result)
-    if inrun_path is not None:
-        # The run finished; its mid-run state file is no longer needed.
-        try:
-            os.unlink(inrun_path)
-        except OSError:
-            pass
-    if telemetry is not None:
-        telemetry.spec_finished(outcomes[index])
-
-
-def _run_in_process(
-    specs, exec_specs, inrun_paths, todo, outcomes, retries, backoff_seconds,
-    store, telemetry=None,
-) -> None:
-    """Serial fallback: same retry semantics, no process isolation."""
-    for index in todo:
-        started = time.monotonic()
-        previous_delay = backoff_seconds
-        for attempt in range(1, retries + 2):
-            if telemetry is not None:
-                telemetry.spec_started(
-                    index, describe_spec(specs[index]), attempt
-                )
-            try:
-                result = _run_one_spec(exec_specs[index])
-            except Exception as exc:
-                if attempt <= retries:
-                    delay = _backoff_delay(previous_delay, backoff_seconds)
-                    previous_delay = delay
-                    if telemetry is not None:
-                        telemetry.spec_retry(
-                            index, describe_spec(specs[index]), attempt,
-                            STATUS_FAILED, type(exc).__name__, str(exc),
-                            delay,
-                        )
-                    time.sleep(delay)
-                    continue
-                outcomes[index] = RunOutcome(
-                    index=index,
-                    spec_summary=describe_spec(specs[index]),
-                    status=STATUS_FAILED,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    traceback=traceback_module.format_exc(),
-                    attempts=attempt,
-                    elapsed_seconds=time.monotonic() - started,
-                )
-                if telemetry is not None:
-                    telemetry.spec_finished(outcomes[index])
-                break
-            else:
-                _finish_ok(
-                    outcomes, store, specs, index, result, attempt, started,
-                    telemetry, inrun_path=inrun_paths[index],
-                )
-                break
-
-
-def _run_in_processes(
-    specs, exec_specs, inrun_paths, todo, outcomes, max_workers, timeout,
-    retries, backoff_seconds, store, telemetry=None,
-) -> None:
-    """Process-per-job executor: crash isolation, timeouts, retries."""
-    import multiprocessing as mp
-    from multiprocessing.connection import wait as conn_wait
-
-    ctx = mp.get_context()
-    #: (ready_time, index, attempt) waiting to launch.
-    queued: List[tuple] = [(0.0, index, 1) for index in todo]
     live: List[_LiveJob] = []
     #: First-attempt start per index, for elapsed accounting.
     first_started: Dict[int, float] = {}
     #: Last backoff delay per index, feeding the decorrelated jitter.
     last_delay: Dict[int, float] = {}
-    heartbeat_seconds = (
-        telemetry.heartbeat_seconds if telemetry is not None else None
-    )
 
-    def launch(index: int, attempt: int) -> None:
+    def record(index, attempt, status, result, error_type=None, error=None,
+               tb=None) -> None:
+        """An attempt ended: keep a success, retry a failure within
+        budget, or record the failure."""
+        spec = specs[index]
+        if status != STATUS_OK and attempt <= retries:
+            delay = _backoff_delay(
+                last_delay.get(index, backoff_seconds), backoff_seconds
+            )
+            last_delay[index] = delay
+            heapq.heappush(queued, (time.monotonic() + delay, index, attempt + 1))
+            if telemetry is not None:
+                telemetry.spec_retry(
+                    index, describe_spec(spec), attempt, status, error_type,
+                    error, delay,
+                )
+            return
+        outcomes[index] = RunOutcome(
+            index=index,
+            spec_summary=describe_spec(spec),
+            status=status,
+            result=result,
+            error=error,
+            error_type=error_type,
+            traceback=tb,
+            attempts=attempt,
+            elapsed_seconds=time.monotonic() - first_started[index],
+        )
+        if status == STATUS_OK:
+            if store is not None:
+                store.store(spec, result)
+            if inrun_paths[index] is not None:
+                # The run finished; its mid-run state file is no longer needed.
+                try:
+                    os.unlink(inrun_paths[index])
+                except OSError:
+                    pass
+        if telemetry is not None:
+            telemetry.spec_finished(outcomes[index])
+
+    def start(index: int, attempt: int) -> None:
+        """Run an attempt in-process, or launch it in a child process."""
+        now = time.monotonic()
+        first_started.setdefault(index, now)
+        if telemetry is not None:
+            telemetry.spec_started(index, describe_spec(specs[index]), attempt)
+        if ctx is None:
+            try:
+                result = _run_one_spec(exec_specs[index])
+            except Exception as exc:
+                record(
+                    index, attempt, STATUS_FAILED, None, type(exc).__name__,
+                    str(exc), traceback_module.format_exc(),
+                )
+            else:
+                record(index, attempt, STATUS_OK, result)
+            return
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_spec_worker,
-            args=(child_conn, exec_specs[index], heartbeat_seconds),
+            target=_spec_worker, args=(child_conn, exec_specs[index]),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        first_started.setdefault(index, now)
-        live.append(
-            _LiveJob(
-                index=index,
-                spec=specs[index],
-                attempt=attempt,
-                process=process,
-                conn=parent_conn,
-                deadline=(now + timeout) if timeout is not None else None,
-                started=now,
-            )
-        )
-        if telemetry is not None:
-            telemetry.spec_started(index, describe_spec(specs[index]), attempt)
-
-    def settle(job: _LiveJob, status: str, error_type, error, tb) -> None:
-        """A job attempt ended badly: retry within budget or record it."""
-        if job.attempt <= retries:
-            delay = _backoff_delay(
-                last_delay.get(job.index, backoff_seconds), backoff_seconds
-            )
-            last_delay[job.index] = delay
-            queued.append((time.monotonic() + delay, job.index, job.attempt + 1))
-            if telemetry is not None:
-                telemetry.spec_retry(
-                    job.index, describe_spec(job.spec), job.attempt,
-                    status, error_type, error, delay,
-                )
-            return
-        outcomes[job.index] = RunOutcome(
-            index=job.index,
-            spec_summary=describe_spec(job.spec),
-            status=status,
-            error=error,
-            error_type=error_type,
-            traceback=tb,
-            attempts=job.attempt,
-            elapsed_seconds=time.monotonic() - first_started[job.index],
-        )
-        if telemetry is not None:
-            telemetry.spec_finished(outcomes[job.index])
+        live.append(_LiveJob(
+            index, attempt, process, parent_conn, started=now,
+            deadline=now + timeout if timeout is not None else None,
+            next_beat=now + heartbeat_seconds if heartbeat_seconds else None,
+        ))
 
     def reap(job: _LiveJob) -> None:
         live.remove(job)
@@ -928,12 +809,10 @@ def _run_in_processes(
 
     try:
         while queued or live:
-            now = time.monotonic()
-            # Launch everything ready while worker slots are free.
-            queued.sort()
-            while queued and len(live) < max_workers and queued[0][0] <= now:
-                _, index, attempt = queued.pop(0)
-                launch(index, attempt)
+            # Start everything ready while worker slots are free.
+            while queued and len(live) < max_workers and queued[0][0] <= time.monotonic():
+                _, index, attempt = heapq.heappop(queued)
+                start(index, attempt)
 
             if not live:
                 # Only backoff-delayed retries remain: sleep to the next.
@@ -941,74 +820,70 @@ def _run_in_processes(
                     time.sleep(max(0.0, queued[0][0] - time.monotonic()))
                 continue
 
-            # Wake on the first message, the nearest deadline, or the
-            # nearest queued retry becoming ready.
-            wake_at = [job.deadline for job in live if job.deadline is not None]
+            # Wake on the first verdict, the nearest deadline or
+            # heartbeat, or the nearest queued retry becoming ready.
+            wake_at = [moment for job in live for moment in (job.deadline, job.next_beat)
+                       if moment is not None]
             if queued and len(live) < max_workers:
                 wake_at.append(queued[0][0])
-            wait_timeout = None
-            if wake_at:
-                wait_timeout = max(0.0, min(wake_at) - time.monotonic())
-            ready = conn_wait([job.conn for job in live], timeout=wait_timeout)
+            ready = conn_wait(
+                [job.conn for job in live],
+                timeout=max(0.0, min(wake_at) - time.monotonic()) if wake_at else None,
+            )
 
             for conn in ready:
                 job = next(j for j in live if j.conn is conn)
                 try:
                     message = conn.recv()
                 except EOFError:
-                    # The worker died without reporting: crash isolation.
-                    reap(job)
-                    code = job.process.exitcode
-                    settle(
-                        job,
-                        STATUS_FAILED,
-                        "WorkerCrash",
-                        f"worker process died with exit code {code}",
-                        None,
-                    )
-                    continue
-                if message[0] == "hb":
-                    # Liveness ping piggybacked on the result pipe; the
-                    # worker is still running, so keep it live.
-                    if telemetry is not None:
-                        telemetry.heartbeat(job.index, job.attempt, message[1])
-                    continue
+                    message = None
                 reap(job)
-                if message[0] == "ok":
-                    _finish_ok(
-                        outcomes, store, specs, job.index, message[1],
-                        job.attempt, first_started[job.index], telemetry,
-                        inrun_path=inrun_paths[job.index],
+                if message is None:
+                    # The worker died without reporting: crash isolation.
+                    record(
+                        job.index, job.attempt, STATUS_FAILED, None,
+                        "WorkerCrash",
+                        f"worker process died with exit code "
+                        f"{job.process.exitcode}",
                     )
+                elif message[0] == "ok":
+                    record(job.index, job.attempt, STATUS_OK, message[1])
                 else:
-                    _, error_type, error, tb = message
-                    settle(job, STATUS_FAILED, error_type, error, tb)
+                    record(job.index, job.attempt, STATUS_FAILED, None,
+                           *message[1:])
 
+            now = time.monotonic()
             # Enforce deadlines on whoever is still running.
-            if timeout is not None:
-                now = time.monotonic()
-                for job in [j for j in live if j.deadline is not None and j.deadline <= now]:
-                    job.process.terminate()
-                    reap(job)
-                    if telemetry is not None:
-                        telemetry.spec_timeout(
-                            job.index, describe_spec(job.spec), job.attempt,
-                            timeout,
-                        )
-                    settle(
-                        job,
-                        STATUS_TIMEOUT,
-                        "Timeout",
-                        f"exceeded {timeout:g}s wall-clock budget",
-                        None,
+            for job in [j for j in live if j.deadline is not None and j.deadline <= now]:
+                job.process.terminate()
+                reap(job)
+                if telemetry is not None:
+                    telemetry.spec_timeout(
+                        job.index, describe_spec(specs[job.index]),
+                        job.attempt, timeout,
                     )
+                record(
+                    job.index, job.attempt, STATUS_TIMEOUT, None, "Timeout",
+                    f"exceeded {timeout:g}s wall-clock budget",
+                )
+            # Heartbeats: the parent vouches for each live worker process.
+            for job in live:
+                if job.next_beat is not None and job.next_beat <= now:
+                    job.next_beat = now + heartbeat_seconds
+                    if job.process.is_alive():
+                        telemetry.heartbeat(job.index, job.attempt, {
+                            "pid": job.process.pid,
+                            "elapsed_seconds": round(now - job.started, 3),
+                        })
     finally:
-        for job in live:
+        for job in list(live):
             job.process.terminate()
-            job.conn.close()
-            job.process.join(timeout=5)
-            if job.process.is_alive():
-                job.process.kill()
+            reap(job)
+
+    if telemetry is not None:
+        telemetry.sweep_finished()
+    assert all(outcome is not None for outcome in outcomes)
+    return outcomes  # type: ignore[return-value]
 
 
 def run_many(

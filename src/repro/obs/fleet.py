@@ -39,9 +39,10 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, TextIO
 
-#: Default cadence of per-worker heartbeats (wall-clock seconds).  A
-#: worker that stays silent for a few multiples of this is either dead
-#: (the executor sees EOF) or stuck (the deadline will catch it).
+#: Default cadence of per-worker heartbeats (wall-clock seconds): the
+#: sweep's parent emits one per live worker process this often.  A dead
+#: worker stops them (the executor sees EOF); a stuck one keeps them
+#: coming until its deadline terminates it.
 DEFAULT_HEARTBEAT_SECONDS = 5.0
 
 #: Ordered RunOutcome statuses for the sweep_finished summary.
@@ -81,12 +82,10 @@ class FleetTelemetry:
         self._lock = threading.Lock()
         self._events: List[Dict[str, Any]] = []
         self._log: Optional[TextIO] = None
-        self._log_path = log_path
         self._total = 0
         self._done = 0
         self._counts: Dict[str, int] = {status: 0 for status in _SUMMARY_STATUSES}
         self._retries = 0
-        self._heartbeats = 0
         if log_path:
             self._log = open(log_path, "w", encoding="utf-8")
 
@@ -139,9 +138,7 @@ class FleetTelemetry:
     def heartbeat(
         self, index: int, attempt: int, payload: Dict[str, Any]
     ) -> None:
-        """A worker-process liveness ping relayed off the result pipe."""
-        with self._lock:
-            self._heartbeats += 1
+        """A live worker process, reported by the sweep's parent."""
         self.emit("heartbeat", index=index, attempt=attempt, **payload)
         elapsed = payload.get("elapsed_seconds")
         pid = payload.get("pid")

@@ -156,6 +156,47 @@ def test_serial_retry_and_failure_emitted(tmp_path):
     assert summary["retried"] == 2
 
 
+def test_in_process_and_per_process_attempts_retry_the_same_way(tmp_path):
+    def sweep(sentinel, **kwargs):
+        specs = [
+            {"workload": BrokenWorkload("raise", sentinel=str(sentinel)),
+             "config": tiny_config(), "num_wavefronts": 4},
+            _spec(seed=1),
+        ]
+        with FleetTelemetry(heartbeat_seconds=None) as telemetry:
+            outcomes = run_many_resilient(
+                specs, retries=1, backoff_seconds=0.01, telemetry=telemetry,
+                **kwargs,
+            )
+        verdicts = [
+            (o.index, o.status, o.attempts, o.error_type,
+             o.result.total_cycles if o.ok else None)
+            for o in outcomes
+        ]
+        sequence = [
+            (e["event"], e.get("index"), e.get("attempt", e.get("attempts")))
+            for e in telemetry.events()
+        ]
+        return verdicts, sequence
+
+    in_process = sweep(tmp_path / "serial", jobs=1)
+    per_process = sweep(tmp_path / "forked", jobs=1, timeout=60)
+    assert in_process == per_process
+    verdicts, sequence = in_process
+    assert [v[:3] for v in verdicts] == [(0, "ok", 2), (1, "ok", 1)]
+    # The retry of spec 0 waits out its backoff behind the ready spec 1.
+    assert sequence == [
+        ("sweep_started", None, None),
+        ("spec_started", 0, 1),
+        ("spec_retry", 0, 1),
+        ("spec_started", 1, 1),
+        ("spec_finished", 1, 1),
+        ("spec_started", 0, 2),
+        ("spec_finished", 0, 2),
+        ("sweep_finished", None, None),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Process executor integration
 # ----------------------------------------------------------------------
@@ -190,6 +231,12 @@ def test_process_timeout_emits_timeout_and_heartbeats():
     heartbeats = _events_of(telemetry, "heartbeat")
     assert heartbeats, "a hanging worker should have heartbeated"
     assert all(e["pid"] > 0 for e in heartbeats)
+    # One attempt, one worker process: every beat names it, and its
+    # elapsed time only grows.
+    assert len({e["pid"] for e in heartbeats}) == 1
+    assert {(e["index"], e["attempt"]) for e in heartbeats} == {(0, 1)}
+    elapsed = [e["elapsed_seconds"] for e in heartbeats]
+    assert elapsed == sorted(set(elapsed))
     assert telemetry.summary()["timeout"] == 1
 
 

@@ -118,6 +118,12 @@ class CacheConfig:
             raise ValueError("cache size must be positive")
         if self.associativity <= 0:
             raise ValueError("associativity must be positive")
+        if self.line_size != LINE_SIZE:
+            # Every model indexes 64-byte lines; any other value would
+            # only change the set count, not the line the cache holds.
+            raise ValueError(
+                f"line_size must be {LINE_SIZE}, got {self.line_size}"
+            )
         if self.size_bytes % self.line_size != 0:
             raise ValueError("cache size must be a multiple of the line size")
 

@@ -4,8 +4,8 @@ from repro.config import CacheConfig
 from repro.memory.cache import SetAssociativeCache
 
 
-def make_cache(size=1024, ways=2, line=64):
-    return SetAssociativeCache(CacheConfig(size_bytes=size, associativity=ways, line_size=line))
+def make_cache(size=1024, ways=2):
+    return SetAssociativeCache(CacheConfig(size_bytes=size, associativity=ways))
 
 
 def test_miss_then_hit_after_fill():

@@ -12,6 +12,7 @@ from repro.config import (
     TLBConfig,
     baseline_config,
 )
+from repro.config_io import config_from_dict
 
 
 class TestTableIDefaults:
@@ -72,6 +73,19 @@ class TestValidation:
     def test_cache_rejects_non_line_multiple(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=100, associativity=4)
+
+    @pytest.mark.parametrize("line_size", [32, 128])
+    def test_cache_rejects_a_line_size_other_than_64(self, line_size):
+        # The coalescer, caches and DRAM all index 64-byte lines, so any
+        # other line size only shrank or grew the set count.
+        with pytest.raises(ValueError, match="line_size"):
+            CacheConfig(size_bytes=32 * 1024, associativity=16,
+                        line_size=line_size)
+        with pytest.raises(ValueError, match="line_size"):
+            config_from_dict({"l1_cache": {
+                "size_bytes": 32 * 1024, "associativity": 16,
+                "line_size": line_size,
+            }})
 
     def test_cache_rejects_zero_ways(self):
         with pytest.raises(ValueError):

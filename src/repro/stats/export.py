@@ -1,10 +1,6 @@
-"""Result export and distribution helpers.
+"""Distribution helpers and the benchmark report envelope.
 
-``SimulationResult`` objects flatten to plain dictionaries / JSON so
-experiment campaigns can be archived and post-processed outside Python
-(the benchmark harness stores one JSON per regenerated figure when asked
-to).  ``percentiles`` summarises latency distributions in plain
-Python.
+``percentiles`` summarises latency distributions in plain Python.
 
 This module also owns the **unified benchmark report schema** every
 ``BENCH_*.json`` file shares: :func:`write_bench_report` wraps a guard
@@ -26,12 +22,9 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Union
-
-from repro.stats.metrics import SimulationResult
 
 #: Identity of the unified benchmark report envelope.
 BENCH_FORMAT = "repro-bench"
@@ -89,28 +82,6 @@ def walk_latency_percentiles(
     return percentiles(samples, points)
 
 
-def result_to_dict(result: SimulationResult) -> Dict[str, object]:
-    """Flatten a result to JSON-serialisable primitives."""
-    data = asdict(result)
-    data["latency_gap"] = result.latency_gap
-    return data
-
-
-def save_results(
-    results: Union[SimulationResult, Sequence[SimulationResult]],
-    path: Union[str, Path],
-) -> None:
-    """Write one or more results to ``path`` as a JSON document."""
-    if isinstance(results, SimulationResult):
-        results = [results]
-    document = {
-        "format": "repro-results",
-        "version": 1,
-        "results": [result_to_dict(result) for result in results],
-    }
-    Path(path).write_text(json.dumps(document, indent=2, default=str))
-
-
 def bench_environment() -> Dict[str, Any]:
     """The machine/interpreter block every bench report carries.
 
@@ -148,14 +119,3 @@ def write_bench_report(
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
     return document
 
-
-def load_results(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Read a results document written by :func:`save_results`.
-
-    Returns plain dictionaries (not :class:`SimulationResult` objects):
-    archived results are data for analysis, not live objects.
-    """
-    document = json.loads(Path(path).read_text())
-    if document.get("format") != "repro-results":
-        raise ValueError(f"{path} is not a repro-results file")
-    return list(document["results"])

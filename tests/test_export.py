@@ -1,4 +1,4 @@
-"""Tests for result export, the bench envelope and percentile helpers."""
+"""Tests for the bench envelope and percentile helpers."""
 
 import json
 
@@ -8,15 +8,11 @@ from repro.gpu.wavefront import InstructionRecord
 from repro.stats.export import (
     BENCH_FORMAT,
     bench_environment,
-    load_results,
     percentiles,
-    result_to_dict,
-    save_results,
     walk_latency_percentiles,
     write_bench_report,
 )
 from repro.stats.formatting import format_number
-from repro.stats.metrics import SimulationResult
 
 
 class TestPercentiles:
@@ -81,51 +77,6 @@ class TestWalkLatencyPercentiles:
         assert set(result) == {50, 90, 99, 99.9}
         no_walks = walk_latency_percentiles([make_record([])])
         assert no_walks == {50: 0.0, 90: 0.0, 99: 0.0, 99.9: 0.0}
-
-
-def make_result():
-    return SimulationResult(
-        workload="MVT",
-        scheduler="simt",
-        total_cycles=1000,
-        instructions=10,
-        wavefronts=2,
-        stall_cycles=500,
-        walks_dispatched=50,
-        walk_memory_accesses=150,
-        interleaved_fraction=0.25,
-        first_walk_latency=100.0,
-        last_walk_latency=400.0,
-        wavefronts_per_epoch=8.0,
-        walk_work_fractions=[0.5, 0.5, 0, 0, 0, 0],
-        detail={"iommu": {"requests": 60}},
-    )
-
-
-class TestResultExport:
-    def test_result_to_dict_includes_derived(self):
-        data = result_to_dict(make_result())
-        assert data["workload"] == "MVT"
-        assert data["latency_gap"] == pytest.approx(300.0)
-        assert data["detail"]["iommu"]["requests"] == 60
-
-    def test_save_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "results.json"
-        save_results([make_result(), make_result()], path)
-        loaded = load_results(path)
-        assert len(loaded) == 2
-        assert loaded[0]["scheduler"] == "simt"
-
-    def test_single_result_accepted(self, tmp_path):
-        path = tmp_path / "one.json"
-        save_results(make_result(), path)
-        assert len(load_results(path)) == 1
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "foreign.json"
-        path.write_text('{"format": "nope"}')
-        with pytest.raises(ValueError):
-            load_results(path)
 
 
 class TestBenchReport:

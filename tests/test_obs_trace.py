@@ -32,8 +32,8 @@ from repro.obs.trace import (
     validate_chrome_trace,
 )
 from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.resilience.outcomes import result_to_dict
 from repro.stats.counters import BucketHistogram
-from repro.stats.export import result_to_dict
 from repro.stats.metrics import FIG3_BUCKETS, instruction_walk_histogram
 from repro.workloads.registry import get_workload
 

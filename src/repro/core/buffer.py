@@ -61,7 +61,6 @@ class PendingWalkBuffer:
         self._by_vpn: Optional[Dict[int, Dict[int, WalkBufferEntry]]] = None
         self._score_index: Optional[ScoreIndex] = None
         self.peak_occupancy = 0
-        self.total_insertions = 0
         self.total_coalesced = 0
 
     def __len__(self) -> int:
@@ -177,7 +176,6 @@ class PendingWalkBuffer:
             self._by_vpn.setdefault(entry.vpn, {})[seq] = entry
         if self._score_index is not None:
             self._push_instruction_key(instruction_id)
-        self.total_insertions += 1
         if len(entries) > self.peak_occupancy:
             self.peak_occupancy = len(entries)
         return entry

@@ -34,7 +34,6 @@ class ComputeUnit:
         self._active = 0
         self._last_change = 0
         self.stall_cycles = 0
-        self.busy_until = 0
 
     @property
     def resident_wavefronts(self) -> int:
@@ -71,7 +70,6 @@ class ComputeUnit:
             self._active -= 1
         if self._resident < 0 or self._active < 0:
             raise RuntimeError(f"CU {self.cu_id} wavefront accounting underflow")
-        self.busy_until = self._sim.now
 
     def wavefront_blocked(self) -> None:
         """A resident wavefront started waiting on memory."""

@@ -97,7 +97,6 @@ class QueuedMemoryController:
         #: Optional ``f(now) -> extra_cycles`` hook; fault injection uses
         #: it to spike access latency inside chosen cycle windows.
         self._latency_padding = latency_padding
-        self.padded_accesses = 0
         #: Optional :class:`~repro.obs.trace.Tracer` (read spans + queue
         #: depth counter track).
         self.tracer = None
@@ -216,10 +215,7 @@ class QueuedMemoryController:
             bank.open_row = request.row
         now = self._sim._now
         if self._latency_padding is not None:
-            extra = self._latency_padding(now)
-            if extra > 0:
-                latency += extra
-                self.padded_accesses += 1
+            latency += self._latency_padding(now)
         bank.busy = True
         self.reads += 1
         request.service_start = now

@@ -159,7 +159,6 @@ class Watchdog:
         self.check_interval_events = check_interval_events
         self._last_retired = -1
         self._last_progress_cycle = 0
-        self.checks = 0
 
     def install(self) -> None:
         """Attach this watchdog to the system's simulator monitor hook.
@@ -175,7 +174,6 @@ class Watchdog:
     # ------------------------------------------------------------------
 
     def check(self) -> None:
-        self.checks += 1
         violations = self._system.iommu.check_conservation()
         if violations:
             raise InvariantViolation(

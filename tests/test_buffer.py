@@ -132,7 +132,6 @@ def test_peak_occupancy_tracked():
     for entry in entries:
         buffer.remove(entry)
     assert buffer.peak_occupancy == 3
-    assert buffer.total_insertions == 3
 
 
 def test_min_score_entry_picks_lowest_score_then_oldest():

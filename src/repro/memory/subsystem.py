@@ -64,6 +64,9 @@ class MemorySubsystem:
                 latency_padding=padding,
             )
             self.controller.tracer = tracer
+            # A data line that misses L2 reaches the controller through
+            # this event, after the cache latency.
+            simulator.register("mem.ctrl_read", self.controller.read)
         self.data_accesses = 0
         self.page_table_reads = 0
         #: Always-on stage accounting for page-table reads (reservation
@@ -77,14 +80,10 @@ class MemorySubsystem:
         self.pt_read_cycles = 0
         self.pt_queue_cycles = 0
         self.pt_pad_cycles = 0
-        simulator.register("mem.ctrl_read", self._controller_read)
         # Bind the entry points straight to their implementations, so
         # hot-path calls skip the forwarding frame of the methods below.
         self.data_access = self._data_access  # type: ignore[method-assign]
         self.page_table_read = self._page_table_read  # type: ignore[method-assign]
-
-    def _controller_read(self, physical_address: int, on_complete: tuple) -> None:
-        self.controller.read(physical_address, on_complete)
 
     def data_access(
         self, cu_id: int, physical_address: int, on_complete: tuple
@@ -204,9 +203,7 @@ class MemorySubsystem:
             assert self.controller is not None
             # Tagged so the SMS batch former can QoS-prioritise walk
             # traffic; the other policies ignore the tag.
-            self.controller.read(
-                physical_address, on_complete, source=SOURCE_WALK
-            )
+            self.controller.read(physical_address, on_complete, SOURCE_WALK)
 
     def stats(self) -> Dict[str, object]:
         dram_stats = (

@@ -124,14 +124,14 @@ class PageWalkCache:
             level: self.accesses_for_hit_level(level)
             for level in (0,) + self._cached_levels
         }
-        #: Optional :class:`~repro.obs.trace.Tracer` plus the clock whose
-        #: ``now`` stamps its events, set via :meth:`attach_tracer`.
+        #: Optional :class:`~repro.obs.trace.Tracer` plus the simulator
+        #: whose clock stamps its events, set via :meth:`attach_tracer`.
         self.tracer = None
         self._trace_clock = None
 
     def attach_tracer(self, tracer, clock) -> None:
-        """Record probes into ``tracer``, stamped with ``clock.now``
-        (the simulator)."""
+        """Record probes into ``tracer``, stamped with the simulator
+        ``clock``'s current cycle."""
         self.tracer = tracer
         self._trace_clock = clock
 
@@ -184,7 +184,7 @@ class PageWalkCache:
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(
-                self._trace_clock.now, "score", vpn, level, accesses
+                self._trace_clock._now, "score", vpn, level, accesses
             )
         return accesses, pinned_levels
 
@@ -220,7 +220,7 @@ class PageWalkCache:
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(
-                self._trace_clock.now, "walk", vpn, level, accesses
+                self._trace_clock._now, "walk", vpn, level, accesses
             )
         return accesses
 

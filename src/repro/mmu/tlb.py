@@ -32,14 +32,14 @@ class TLB:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional :class:`~repro.obs.trace.Tracer` plus the clock whose
-        #: ``now`` stamps its events, set via :meth:`attach_tracer`.
+        #: Optional :class:`~repro.obs.trace.Tracer` plus the simulator
+        #: whose clock stamps its events, set via :meth:`attach_tracer`.
         self.tracer = None
         self._trace_clock = None
 
     def attach_tracer(self, tracer, clock) -> None:
-        """Record lookups into ``tracer``, stamped with ``clock.now``
-        (the simulator)."""
+        """Record lookups into ``tracer``, stamped with the simulator
+        ``clock``'s current cycle."""
         self.tracer = tracer
         self._trace_clock = clock
 
@@ -52,13 +52,13 @@ class TLB:
             self.misses += 1
             if tracer is not None and tracer.cat_tlb:
                 tracer.tlb_lookup(
-                    self._trace_clock.now, self.name, vpn, False
+                    self._trace_clock._now, self.name, vpn, False
                 )
             return None
         entries.move_to_end(vpn)
         self.hits += 1
         if tracer is not None and tracer.cat_tlb:
-            tracer.tlb_lookup(self._trace_clock.now, self.name, vpn, True)
+            tracer.tlb_lookup(self._trace_clock._now, self.name, vpn, True)
         return pfn
 
     def probe(self, vpn: int) -> bool:

@@ -252,14 +252,19 @@ def test_resume_with_reference_scheduler_instance(tmp_path):
     assert _fingerprint(resumed) == want
 
 
-def test_resume_with_sms_controller(tmp_path):
-    # The SMS batch former holds per-bank (source, credits) state and
-    # source-tagged queued requests; both must survive the round trip.
-    config = tiny_config().with_dram_controller("sms")
-    want = _fingerprint(_run("simt", config=config))
+@pytest.mark.parametrize("policy", ["fcfs", "frfcfs", "sms"])
+def test_resume_with_queued_controller(policy, tmp_path):
+    # Each bank's queue, row counts, request in service and (under sms)
+    # batch (source, credits) must survive the round trip, and so must
+    # the cadence of three monitors: the watchdog, the metrics sampler
+    # and the periodic checkpoint.
+    config = tiny_config().with_dram_controller(policy)
+    kwargs = dict(config=config, metrics=True, metrics_interval_events=200)
+    want = _fingerprint(_run("simt", **kwargs))
+    assert want["detail"]["metrics"]["samples_taken"] > 10
     cycle = want["total_cycles"] // 2
     path = tmp_path / "crash.ckpt"
-    _interrupt_at("simt", cycle, path, config=config)
+    _interrupt_at("simt", cycle, path, **kwargs)
     resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
     assert _fingerprint(resumed) == want
 

@@ -1,6 +1,7 @@
 """Tests for the queued DRAM controller (FCFS / FR-FCFS / SMS)."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -211,7 +212,13 @@ def test_sms_snapshot_restores_batch_state():
     ctrl.read(128, ("test.done",), source=SOURCE_WALK)
     # Mid-flight: bank busy, batch committed to the walk source.
     ctrl2 = pickle.loads(pickle.dumps(ctrl))
-    assert ctrl2._sms_batch == ctrl._sms_batch
+
+    def batches(controller):
+        return [(bank.batch_source, bank.batch_credits)
+                for bank in controller._banks]
+
+    assert batches(ctrl)[0] == (SOURCE_WALK, 3)
+    assert batches(ctrl2) == batches(ctrl)
     assert ctrl2.walk_reads == ctrl.walk_reads
 
 
@@ -228,11 +235,14 @@ def test_queued_requests_counts_every_queue_at_every_event(policy):
     mismatches = []
 
     def check():
-        waiting = sum(len(queue) for queue in ctrl._queues.values())
+        waiting = sum(len(bank.queue) for bank in ctrl._banks)
         if ctrl.queued_requests != waiting:
             mismatches.append(
                 (system.simulator.now, ctrl.queued_requests, waiting)
             )
+        for bank in ctrl._banks:
+            if bank.row_waiting != Counter(r.row for r in bank.queue):
+                mismatches.append((system.simulator.now, bank.row_waiting))
 
     system.simulator.add_monitor(check, interval_events=1)
     system.simulator.run()
@@ -249,3 +259,153 @@ def test_mvt_peak_queue_depth(policy, peak):
     system.simulator.run()
     assert system.gpu.finished
     assert system.memory.controller.peak_queue_depth == peak
+
+
+# ----------------------------------------------------------------------
+# Differential check against a naive twin
+# ----------------------------------------------------------------------
+
+
+class _TwinController:
+    """The queued controller written the naive way: one arrival-ordered
+    list per bank, scanned whole on every select, and every read tries
+    to issue.  It applies the same fcfs / frfcfs / sms rules and timing
+    on its own simulator."""
+
+    def __init__(self, sim, config, policy):
+        self.sim = sim
+        self.config = config
+        self.policy = policy
+        self.queues = {}
+        self.busy = set()
+        self.open_row = {}
+        self.serving = {}
+        self.batch = {}
+        self.row_hits = 0
+        sim.register("twin.complete", self._complete)
+        sim.register("twin.release", self._release)
+
+    def read(self, address, on_complete, source=SOURCE_DATA):
+        cfg = self.config
+        line = address // 64
+        per_channel = cfg.ranks_per_channel * cfg.banks_per_rank
+        bank = (line % cfg.channels) * per_channel + (
+            line // cfg.channels
+        ) % per_channel
+        row = address // (cfg.row_size_bytes * cfg.total_banks)
+        self.queues.setdefault(bank, []).append([row, source, on_complete])
+        self._try_issue(bank)
+
+    def _first_ready(self, pool, bank):
+        for request in pool:
+            if request[0] == self.open_row.get(bank, -1):
+                return request
+        return pool[0]
+
+    def _select(self, queue, bank):
+        if self.policy == "frfcfs":
+            return self._first_ready(queue, bank)
+        if self.policy == "sms":
+            batch = self.batch.get(bank)
+            if batch is not None and batch[1] > 0:
+                pool = [r for r in queue if r[1] == batch[0]]
+                if pool:
+                    batch[1] -= 1
+                    return self._first_ready(pool, bank)
+            walks = [r for r in queue if r[1] == SOURCE_WALK]
+            choice = self._first_ready(walks or queue, bank)
+            self.batch[bank] = [choice[1], self.config.sms_batch_cap - 1]
+            return choice
+        return queue[0]
+
+    def _try_issue(self, bank):
+        queue = self.queues.get(bank)
+        if bank in self.busy or not queue:
+            return
+        request = self._select(queue, bank)
+        queue.remove(request)  # a fresh list object: removed by identity
+        cfg = self.config
+        if request[0] == self.open_row.get(bank, -1):
+            latency = cfg.t_cas
+            self.row_hits += 1
+        else:
+            latency = cfg.t_rp + cfg.t_rcd + cfg.t_cas
+            self.open_row[bank] = request[0]
+        self.busy.add(bank)
+        self.serving[bank] = request
+        self.sim.post(latency, "twin.complete", bank)
+
+    def _complete(self, bank):
+        self.sim.dispatch(self.serving.pop(bank)[2])
+        self.sim.post(self.config.t_burst, "twin.release", bank)
+
+    def _release(self, bank):
+        self.busy.discard(bank)
+        self._try_issue(bank)
+
+
+def _read_script(seed):
+    """A seeded read stream on a 2-4 bank, three-row address space:
+    ``(banks, arrivals, chained)``, where ``arrivals`` holds ``(cycle,
+    address, source)`` and ``chained`` maps an arrival's index to a read
+    its completion issues at once (as a walker chains its levels)."""
+    import random
+
+    rng = random.Random(seed)
+    banks = rng.choice((2, 3, 4))
+    lines = 3 * 2048 * banks // 64
+
+    def draw():
+        return rng.randrange(lines) * 64, rng.choice((SOURCE_DATA, SOURCE_WALK))
+
+    # From a backlog of ~100 waiting reads down to a mostly idle bank.
+    span = rng.choice((600, 3000, 8000))
+    arrivals = [(rng.randrange(span), *draw()) for _ in range(120)]
+    chained = {i: draw() for i in range(len(arrivals)) if rng.random() < 0.3}
+    return banks, arrivals, chained
+
+
+def _drive(make, seed, policy):
+    """Run the seeded script through the controller ``make(sim, config,
+    policy)`` builds; returns the completions as ``(tag, cycle)`` and
+    the controller."""
+    banks, arrivals, chained = _read_script(seed)
+    sim = Simulator()
+    config = DRAMConfig(
+        channels=1, ranks_per_channel=1, banks_per_rank=banks,
+        row_size_bytes=2048, t_cas=30, t_rcd=30, t_rp=30, t_burst=8,
+        sms_batch_cap=2,
+    )
+    ctrl = make(sim, config, policy)
+    done = []
+
+    def complete(tag):
+        done.append((tag, sim.now))
+        if tag in chained:
+            address, source = chained[tag]
+            ctrl.read(address, ("test.done", f"{tag}+"), source)
+
+    sim.register("test.done", complete)
+    sim.register(
+        "test.read",
+        lambda tag, address, source: ctrl.read(
+            address, ("test.done", tag), source
+        ),
+    )
+    for tag, (cycle, address, source) in enumerate(arrivals):
+        sim.post_at(cycle, "test.read", tag, address, source)
+    sim.run()
+    return done, ctrl
+
+
+@pytest.mark.parametrize("policy", QueuedMemoryController.POLICIES)
+@pytest.mark.parametrize("seed", range(6))
+def test_issue_order_matches_the_naive_twin(policy, seed):
+    # Few rows and banks, so row hits wait behind conflicts and the
+    # first-ready search has real choices to make.
+    got, ctrl = _drive(QueuedMemoryController, seed, policy)
+    want, twin = _drive(_TwinController, seed, policy)
+    assert len(got) == len(want) > 120
+    assert got == want
+    assert ctrl.row_hits == twin.row_hits
+    assert ctrl.queued_requests == 0

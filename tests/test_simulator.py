@@ -324,3 +324,81 @@ def test_dispatch_ticks_monitor_countdowns():
     sim.post(1, "done")
     sim.run()
     assert ticks == [3]
+
+
+# ----------------------------------------------------------------------
+# Monitor cadence against a per-event countdown twin
+# ----------------------------------------------------------------------
+
+
+class _Dispatcher:
+    """Handlers for the cadence test (a class, so the simulator pickles
+    with them): each ``step`` event dispatches ``n`` completions
+    synchronously and records ``n``."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.steps = []
+        sim.register("step", self.step)
+        sim.register("noop", self.noop)
+
+    def step(self, n):
+        self.steps.append(n)
+        for _ in range(n):
+            self.sim.dispatch(("noop",))
+
+    def noop(self):
+        pass
+
+
+def _countdown_twin(steps, intervals):
+    """Monitor firing points, ``(monitor, events_processed)``, computed
+    the naive way: every fired event, queued or dispatched, ticks every
+    countdown, and at each queued event's boundary the expired ones
+    fire in order and restart."""
+    countdowns = list(intervals)
+    count = 0
+    fired = []
+    for dispatched in steps:
+        for _ in range(dispatched + 1):  # the dispatches, then the event
+            count += 1
+            countdowns = [c - 1 for c in countdowns]
+        for i, interval in enumerate(intervals):
+            if countdowns[i] <= 0:
+                countdowns[i] = interval
+                fired.append((i, count))
+    return fired
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_monitor_firing_points_match_the_countdown_twin(seed):
+    import pickle
+    import random
+
+    rng = random.Random(seed)
+    intervals = (1, 4, 9)
+    sim = Simulator()
+    _Dispatcher(sim)
+    for _ in range(300):
+        sim.post(rng.choice((0, 0, 1, 2, 5)), "step",
+                 rng.choice((0, 0, 0, 1, 2, 3)))
+    fired = []
+
+    def attach(sim):
+        for i, interval in enumerate(intervals):
+            sim.add_monitor(
+                lambda i=i: fired.append((i, sim.events_processed)),
+                interval,
+            )
+
+    attach(sim)
+    sim.run(max_events=rng.randrange(1, 300))
+    # The monitors' closures stay behind; the resumed copy takes their
+    # saved countdowns in attachment order.
+    sim = pickle.loads(pickle.dumps(sim))
+    attach(sim)
+    sim.run()
+    steps = sim._handlers["step"].__self__.steps
+    assert len(steps) == 300
+    assert fired == _countdown_twin(steps, intervals)
+    assert sim.events_processed == 300 + sum(steps)

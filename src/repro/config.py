@@ -48,6 +48,10 @@ INSTRUCTION_ID_BITS = 20
 #: Default workload footprint scale of one run (1.0 = the paper's sizes).
 DEFAULT_SCALE = 1.0
 
+#: DRAM front ends: the reservation model (:mod:`repro.memory.dram`),
+#: then the queued controller's policies (:mod:`repro.memory.controller`).
+DRAM_CONTROLLERS = ("reservation", "fcfs", "frfcfs", "sms")
+
 #: Default number of wavefronts simulated per run: 2 waves of the
 #: baseline GPU's 32 resident slots, so slot back-fill is exercised and
 #: no single wavefront's tail dominates total cycles.
@@ -248,14 +252,32 @@ class DRAMConfig:
     t_rp: int = 30
     #: Data-transfer occupancy of a bank per access.
     t_burst: int = 8
-    #: Front-end model: "reservation" (lightweight, per-bank FIFO) or a
-    #: queued controller with request scheduling ("fcfs" / "frfcfs" /
-    #: "sms" — see :mod:`repro.memory.controller`).
+    #: Front-end model, one of :data:`DRAM_CONTROLLERS`: "reservation"
+    #: (lightweight, per-bank FIFO) or a queued controller with request
+    #: scheduling ("fcfs" / "frfcfs" / "sms" — see
+    #: :mod:`repro.memory.controller`).
     controller: str = "reservation"
     #: SMS-style batch former ("sms" controller only): consecutive
     #: same-source requests a bank serves before re-arbitrating between
     #: page-walk and data traffic.
     sms_batch_cap: int = 4
+
+    def __post_init__(self) -> None:
+        values = self.__dict__
+        for name in ("channels", "ranks_per_channel", "banks_per_rank",
+                     "row_size_bytes", "sms_batch_cap"):
+            if values[name] <= 0:
+                raise ValueError(f"{name} must be positive, got {values[name]}")
+        for name in ("t_cas", "t_rcd", "t_rp", "t_burst"):
+            if values[name] < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {values[name]}"
+                )
+        if self.controller not in DRAM_CONTROLLERS:
+            raise ValueError(
+                f"unknown DRAM controller {self.controller!r}; one of "
+                f"{', '.join(DRAM_CONTROLLERS)}"
+            )
 
     @property
     def total_banks(self) -> int:

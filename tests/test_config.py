@@ -87,6 +87,25 @@ class TestValidation:
                 "line_size": line_size,
             }})
 
+    @pytest.mark.parametrize("field, value", [
+        ("channels", 0),
+        ("ranks_per_channel", 0),
+        ("banks_per_rank", 0),
+        ("row_size_bytes", 0),
+        ("sms_batch_cap", 0),
+        ("t_cas", -5),
+        ("t_rcd", -1),
+        ("t_rp", -1),
+        ("t_burst", -1),
+        ("controller", "bogus"),
+    ])
+    def test_dram_rejects_a_value_outside_its_domain(self, field, value):
+        # Each of these used to fail late (a ZeroDivisionError in the
+        # address map, an event scheduled in the past, an unknown policy
+        # inside build_system) or run silently (a batch cap of 0 as 1).
+        with pytest.raises(ValueError, match=field):
+            config_from_dict({"dram": {field: value}})
+
     def test_cache_rejects_zero_ways(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1024, associativity=0)

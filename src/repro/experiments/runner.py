@@ -776,9 +776,11 @@ def run_many_resilient(
         if telemetry is not None:
             telemetry.spec_started(index, describe_spec(specs[index]), attempt)
         if ctx is None:
+            # A spec that exits fails alone, as it does in a child
+            # process; an interrupt still stops the sweep.
             try:
                 result = _run_one_spec(exec_specs[index])
-            except Exception as exc:
+            except (Exception, SystemExit) as exc:
                 record(
                     index, attempt, STATUS_FAILED, None, type(exc).__name__,
                     str(exc), traceback_module.format_exc(),

@@ -59,6 +59,10 @@ class BrokenWorkload(Workload):
             os._exit(42)  # simulates a segfault/OOM kill: no cleanup, no report
         if self.mode == "hang" and self._should_fail():
             time.sleep(30)
+        if self.mode == "sysexit":
+            raise SystemExit(3)
+        if self.mode == "interrupt":
+            raise KeyboardInterrupt
         return [
             [[self.region.base + ((w * 7 + i) % 64) * 4096] * wavefront_size
              for i in range(2)]
@@ -153,6 +157,24 @@ def test_worker_exception_reported_with_spec_and_traceback():
     assert "synthetic workload failure" in failed.error
     assert "synthetic workload failure" in failed.traceback
     assert "build_trace" in failed.traceback
+
+
+def test_a_spec_that_exits_fails_alone_in_either_attempt_mode():
+    # In-process (jobs=1, no timeout) and child-process (a timeout)
+    # attempts must agree: the exiting spec fails, the sweep goes on.
+    specs = [_broken_spec("sysexit"), _good_spec()]
+
+    def verdicts(outcomes):
+        return [(o.status, o.error_type) for o in outcomes]
+
+    in_process = run_many_resilient(specs, jobs=1)
+    child = run_many_resilient(specs, jobs=1, timeout=60)
+    assert verdicts(in_process) == verdicts(child) == [
+        ("failed", "SystemExit"), ("ok", None),
+    ]
+    # An interrupt is not a spec failure: it still stops a serial sweep.
+    with pytest.raises(KeyboardInterrupt):
+        run_many_resilient([_broken_spec("interrupt"), _good_spec()], jobs=1)
 
 
 def test_run_many_raises_spec_execution_error_naming_the_spec():

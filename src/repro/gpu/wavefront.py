@@ -22,7 +22,7 @@ queue wholesale.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.request import TranslationRequest
 from repro.gpu.coalescer import coalesce
@@ -173,19 +173,21 @@ class Wavefront:
 
         self._outstanding += 1
         inflight = _InflightInstruction(record, num_lines)
-        # Regroup the coalescer's per-4KB-page line lists into translation
-        # units (identical under 4 KB pages; 512 pages merge per unit
-        # under 2 MB large pages).
+        # The coalescer's per-4KB-page line lists are the translation
+        # units under 4 KB pages; under 2 MB large pages, 512 pages merge
+        # per unit.
+        units = access.lines_by_page
         unit_shift = gpu.geometry.page_shift - PAGE_SHIFT
-        groups: Dict[int, List[int]] = {}
-        for page_vpn, lines in access.lines_by_page.items():
-            groups.setdefault(page_vpn >> unit_shift, []).extend(lines)
+        if unit_shift:
+            units = {}
+            for page_vpn, lines in access.lines_by_page.items():
+                units.setdefault(page_vpn >> unit_shift, []).extend(lines)
         # The coalescer/L1-TLB port handles a few unique pages per cycle,
         # so a divergent instruction's translation requests trickle out
         # over several cycles rather than appearing as one atomic burst.
         per_cycle = gpu.config.gpu.coalescer_pages_per_cycle
         post = gpu.sim.post
-        for index, (vpn, lines) in enumerate(groups.items()):
+        for index, (vpn, lines) in enumerate(units.items()):
             post(index // per_cycle, "wf.xlate", self, vpn, lines, inflight)
 
     # ------------------------------------------------------------------

@@ -16,16 +16,17 @@ DRAM                    DDR3-1600 (800 MHz bus), 2 channels, 2 ranks per
                         channel, 16 banks per rank
 ======================  =====================================================
 
-All latencies are expressed in GPU cycles (2 GHz unless configured
-otherwise).  Configurations are plain frozen-ish dataclasses: construct a
-new one (or use :func:`dataclasses.replace`) rather than mutating in place
-mid-simulation.
+All latencies are expressed in cycles of the 2 GHz GPU clock.
+Configurations are plain frozen-ish dataclasses: construct a new one (or
+use :func:`dataclasses.replace`) rather than mutating in place
+mid-simulation.  Each scalar field declares the values it accepts (its
+*domain*) in its ``field`` metadata, which :func:`validate` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.faults import FaultPlan
@@ -57,22 +58,47 @@ DRAM_CONTROLLERS = ("reservation", "fcfs", "frfcfs", "sms")
 #: no single wavefront's tail dominates total cycles.
 DEFAULT_WAVEFRONTS = 64
 
+#: Integer field domains; a tuple domain lists a field's choices instead.
+POSITIVE = "positive"
+NON_NEGATIVE = "non-negative"
+
+
+def _field(domain: Union[str, Tuple[str, ...]], default: Any = MISSING) -> Any:
+    """A dataclass field whose metadata declares its ``domain``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def validate(config: Any) -> None:
+    """Raise ``ValueError`` naming the first field of ``config`` outside
+    its declared domain (``None`` passes where it is the default)."""
+    for item in fields(config):
+        domain = item.metadata.get("domain")
+        if domain is None:
+            continue
+        value = getattr(config, item.name)
+        if isinstance(domain, tuple):
+            if value not in domain:
+                raise ValueError(
+                    f"{item.name} must be one of {', '.join(domain)}, got {value!r}"
+                )
+        elif (value is not None or item.default is not None) and (
+            type(value) is not int or value < (1 if domain == POSITIVE else 0)
+        ):
+            raise ValueError(f"{item.name} must be a {domain} integer, got {value!r}")
+
 
 @dataclass
 class GPUConfig:
     """Compute-side organisation of the GPU (paper Table I, "GPU" row)."""
 
-    clock_ghz: float = 2.0
-    num_cus: int = 8
-    simd_units_per_cu: int = 4
-    simd_width: int = 16
-    wavefront_size: int = 64
+    num_cus: int = _field(POSITIVE, 8)
+    wavefront_size: int = _field(POSITIVE, 64)
     #: Number of wavefronts that can be resident on a CU at once.  Each
     #: resident wavefront is an independent stream of SIMD instructions.
-    wavefront_slots_per_cu: int = 4
+    wavefront_slots_per_cu: int = _field(POSITIVE, 4)
     #: Cycles between consecutive instruction issues from one wavefront
     #: (models the compute/decode gap between memory instructions).
-    issue_gap_cycles: int = 20
+    issue_gap_cycles: int = _field(NON_NEGATIVE, 20)
     #: Memory instructions a wavefront may have in flight at once.  The
     #: paper's execution model (its Fig 4: ``load A`` immediately followed
     #: by ``use A``) stalls a wavefront on each memory instruction, i.e. a
@@ -81,19 +107,22 @@ class GPUConfig:
     #: instruction's last walk gates wavefront progress, which makes
     #: per-instruction SJF scoring counterproductive (see the
     #: window-depth ablation bench).
-    max_outstanding_memops: int = 1
+    max_outstanding_memops: int = _field(POSITIVE, 1)
     #: Unique-page translation requests the per-CU coalescer/L1-TLB port
     #: can emit per cycle.  A divergent instruction's requests trickle
     #: out over ``num_pages / coalescer_pages_per_cycle`` cycles.
-    coalescer_pages_per_cycle: int = 1
+    coalescer_pages_per_cycle: int = _field(POSITIVE, 1)
     #: Lookups the shared GPU L2 TLB can serve per cycle (its port is
     #: where concurrent wavefronts' request streams multiplex).
-    l2_tlb_lookups_per_cycle: int = 1
+    l2_tlb_lookups_per_cycle: int = _field(POSITIVE, 1)
     #: Cycles between consecutive wavefront launches when filling the
     #: initial CU slots.  The hardware workgroup dispatcher trickles work
     #: onto the GPU; launching everything at cycle 0 would create an
     #: artificial synchronized burst of cold-TLB misses.
-    dispatch_stagger_cycles: int = 50
+    dispatch_stagger_cycles: int = _field(NON_NEGATIVE, 50)
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def total_wavefront_slots(self) -> int:
@@ -102,34 +131,24 @@ class GPUConfig:
 
 @dataclass
 class CacheConfig:
-    """A set-associative cache (GPU L1/L2 data caches)."""
+    """A set-associative cache of 64-byte lines (GPU L1/L2 data caches)."""
 
-    size_bytes: int
-    associativity: int
-    line_size: int = LINE_SIZE
-    hit_latency: int = 0
+    size_bytes: int = _field(POSITIVE)
+    associativity: int = _field(POSITIVE)
+    hit_latency: int = _field(NON_NEGATIVE, 0)
 
     @property
     def num_lines(self) -> int:
-        return self.size_bytes // self.line_size
+        return self.size_bytes // LINE_SIZE
 
     @property
     def num_sets(self) -> int:
         return max(1, self.num_lines // self.associativity)
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("cache size must be positive")
-        if self.associativity <= 0:
-            raise ValueError("associativity must be positive")
-        if self.line_size != LINE_SIZE:
-            # Every model indexes 64-byte lines; any other value would
-            # only change the set count, not the line the cache holds.
-            raise ValueError(
-                f"line_size must be {LINE_SIZE}, got {self.line_size}"
-            )
-        if self.size_bytes % self.line_size != 0:
-            raise ValueError("cache size must be a multiple of the line size")
+        validate(self)
+        if self.size_bytes % LINE_SIZE:
+            raise ValueError(f"size_bytes must be a multiple of {LINE_SIZE}")
 
 
 @dataclass
@@ -139,18 +158,14 @@ class TLBConfig:
     ``associativity=None`` means fully associative (a single set).
     """
 
-    entries: int
-    associativity: Optional[int] = None
-    hit_latency: int = 1
+    entries: int = _field(POSITIVE)
+    associativity: Optional[int] = _field(POSITIVE, None)
+    hit_latency: int = _field(NON_NEGATIVE, 1)
 
     def __post_init__(self) -> None:
-        if self.entries <= 0:
-            raise ValueError("TLB must have at least one entry")
-        if self.associativity is not None:
-            if self.associativity <= 0:
-                raise ValueError("associativity must be positive")
-            if self.entries % self.associativity != 0:
-                raise ValueError("entries must divide evenly into sets")
+        validate(self)
+        if self.associativity and self.entries % self.associativity:
+            raise ValueError("entries must divide evenly into sets")
 
     @property
     def num_sets(self) -> int:
@@ -168,27 +183,30 @@ class PWCConfig:
     capacity of each per-level cache.
     """
 
-    entries_per_level: int = 16
-    associativity: int = 4
+    entries_per_level: int = _field(POSITIVE, 16)
+    associativity: int = _field(POSITIVE, 4)
     #: Enable the paper's 2-bit saturating counters that steer replacement
     #: away from entries pending requests were scored against (§IV).
     counter_guard: bool = True
-    counter_bits: int = 2
+    counter_bits: int = _field(POSITIVE, 2)
 
     def __post_init__(self) -> None:
-        if self.entries_per_level % self.associativity != 0:
-            raise ValueError("PWC entries must divide evenly into sets")
+        validate(self)
+        if self.entries_per_level % self.associativity:
+            raise ValueError("entries_per_level must divide evenly into sets")
 
 
 @dataclass
 class IOMMUConfig:
     """The IOMMU: TLBs, pending-walk buffer and the walker pool."""
 
-    buffer_entries: int = 256
-    num_walkers: int = 8
-    l1_tlb: TLBConfig = field(default_factory=lambda: TLBConfig(entries=32))
+    buffer_entries: int = _field(POSITIVE, 256)
+    num_walkers: int = _field(POSITIVE, 8)
+    #: The IOMMU TLBs.  A hit in either charges that level's
+    #: ``hit_latency``; a Mosaic region-TLB hit charges the L2's.
+    l1_tlb: TLBConfig = field(default_factory=lambda: TLBConfig(32, hit_latency=20))
     l2_tlb: TLBConfig = field(
-        default_factory=lambda: TLBConfig(entries=256, associativity=8)
+        default_factory=lambda: TLBConfig(256, associativity=8, hit_latency=20)
     )
     pwc: PWCConfig = field(default_factory=PWCConfig)
     #: Scheduling policy for pending page walks.  One of the names
@@ -200,7 +218,7 @@ class IOMMUConfig:
     #: two million on full-length gem5 runs; our traces are roughly three
     #: orders of magnitude shorter, so the default scales accordingly
     #: (the ratio of threshold to total walk count is comparable).
-    aging_threshold: int = 2_000
+    aging_threshold: int = _field(POSITIVE, 2_000)
     #: Seed for the random scheduler.
     scheduler_seed: int = 0
     #: Same-page walk merging across instructions (an MSHR-style feature
@@ -213,7 +231,7 @@ class IOMMUConfig:
     #:   walks.  This disproportionately benefits slow schedulers: the
     #:   longer a walk sits pending, the more sharers it captures — see
     #:   the coalescing ablation bench.
-    coalesce_walks: str = "inflight"
+    coalesce_walks: str = _field(("off", "inflight", "full"), "inflight")
     #: Extension (paper related work: inter-core cooperative TLB
     #: prefetchers): after a demand walk for page *p* completes, walk
     #: page *p+1* opportunistically — only on an otherwise-idle walker,
@@ -223,13 +241,21 @@ class IOMMUConfig:
     #: selection (paper §IV "Design Subtleties": every buffered request
     #: has already missed the whole TLB hierarchy, so a few scan cycles
     #: add little delay — the scan-latency ablation bench verifies it).
-    scan_latency_cycles: int = 0
-    #: Fixed latency (cycles) for a translation that hits in an IOMMU TLB.
-    tlb_hit_latency: int = 20
+    scan_latency_cycles: int = _field(NON_NEGATIVE, 0)
     #: Latency for a GPU-TLB-miss request to travel to the IOMMU.
-    request_latency: int = 100
+    request_latency: int = _field(NON_NEGATIVE, 100)
     #: Latency for a completed translation to travel back to the GPU.
-    response_latency: int = 100
+    response_latency: int = _field(NON_NEGATIVE, 100)
+
+    def __post_init__(self) -> None:
+        validate(self)
+        # Imported at call time: repro.core imports this module at load.
+        from repro.core.schedulers import available_schedulers
+        if self.scheduler not in available_schedulers():
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; "
+                f"available: {', '.join(available_schedulers())}"
+            )
 
 
 @dataclass
@@ -240,44 +266,30 @@ class DRAMConfig:
     2 GHz GPU clock: ~15 ns CAS / RCD / RP ≈ 30 GPU cycles each.
     """
 
-    channels: int = 2
-    ranks_per_channel: int = 2
-    banks_per_rank: int = 16
-    row_size_bytes: int = 2048
+    channels: int = _field(POSITIVE, 2)
+    ranks_per_channel: int = _field(POSITIVE, 2)
+    banks_per_rank: int = _field(POSITIVE, 16)
+    row_size_bytes: int = _field(POSITIVE, 2048)
     #: Column access latency (row-buffer hit).
-    t_cas: int = 30
+    t_cas: int = _field(NON_NEGATIVE, 30)
     #: Activate latency (row-buffer miss adds t_rp + t_rcd).
-    t_rcd: int = 30
+    t_rcd: int = _field(NON_NEGATIVE, 30)
     #: Precharge latency.
-    t_rp: int = 30
+    t_rp: int = _field(NON_NEGATIVE, 30)
     #: Data-transfer occupancy of a bank per access.
-    t_burst: int = 8
+    t_burst: int = _field(NON_NEGATIVE, 8)
     #: Front-end model, one of :data:`DRAM_CONTROLLERS`: "reservation"
     #: (lightweight, per-bank FIFO) or a queued controller with request
     #: scheduling ("fcfs" / "frfcfs" / "sms" — see
     #: :mod:`repro.memory.controller`).
-    controller: str = "reservation"
+    controller: str = _field(DRAM_CONTROLLERS, "reservation")
     #: SMS-style batch former ("sms" controller only): consecutive
     #: same-source requests a bank serves before re-arbitrating between
     #: page-walk and data traffic.
-    sms_batch_cap: int = 4
+    sms_batch_cap: int = _field(POSITIVE, 4)
 
     def __post_init__(self) -> None:
-        values = self.__dict__
-        for name in ("channels", "ranks_per_channel", "banks_per_rank",
-                     "row_size_bytes", "sms_batch_cap"):
-            if values[name] <= 0:
-                raise ValueError(f"{name} must be positive, got {values[name]}")
-        for name in ("t_cas", "t_rcd", "t_rp", "t_burst"):
-            if values[name] < 0:
-                raise ValueError(
-                    f"{name} must be non-negative, got {values[name]}"
-                )
-        if self.controller not in DRAM_CONTROLLERS:
-            raise ValueError(
-                f"unknown DRAM controller {self.controller!r}; one of "
-                f"{', '.join(DRAM_CONTROLLERS)}"
-            )
+        validate(self)
 
     @property
     def total_banks(self) -> int:
@@ -290,7 +302,7 @@ class SystemConfig:
 
     #: Translation granularity: "4K" base pages (the paper's baseline) or
     #: "2M" large pages (its §VI discussion).
-    page_size: str = "4K"
+    page_size: str = _field(("4K", "2M"), "4K")
     #: Oracle mode: translations resolve instantly and never miss —
     #: isolates address-translation overhead (the paper's motivating
     #: up-to-4x slowdowns are measured against exactly this ideal).
@@ -317,6 +329,9 @@ class SystemConfig:
     #: is bit-identical to a build without the resilience subsystem.
     faults: Optional["FaultPlan"] = None
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     def with_scheduler(self, name: str, seed: int = 0) -> "SystemConfig":
         """Return a copy of this configuration using walk scheduler ``name``."""
         return replace(
@@ -337,8 +352,6 @@ class SystemConfig:
 
     def with_page_size(self, page_size: str) -> "SystemConfig":
         """Return a copy mapping memory with "4K" or "2M" pages (§VI)."""
-        if page_size.upper() not in ("4K", "2M"):
-            raise ValueError(f"unsupported page size {page_size!r}")
         return replace(self, page_size=page_size.upper())
 
     def with_faults(self, plan: Optional["FaultPlan"]) -> "SystemConfig":
@@ -361,18 +374,18 @@ def table1_rows(config: Optional[SystemConfig] = None) -> List[Dict[str, str]]:
     config = config or baseline_config()
     gpu, dram, iommu = config.gpu, config.dram, config.iommu
     rows = {
+        # The paper's clock and SIMD organisation: no model reads them.
         "GPU": (
-            f"{gpu.clock_ghz:g}GHz, {gpu.num_cus} CUs, "
-            f"{gpu.simd_units_per_cu} SIMD per CU, "
-            f"{gpu.simd_width} SIMD width, {gpu.wavefront_size} threads per wavefront"
+            f"2GHz, {gpu.num_cus} CUs, 4 SIMD per CU, 16 SIMD width, "
+            f"{gpu.wavefront_size} threads per wavefront"
         ),
         "L1 Data Cache": (
             f"{config.l1_cache.size_bytes // 1024}KB, "
-            f"{config.l1_cache.associativity}-way, {config.l1_cache.line_size}B block"
+            f"{config.l1_cache.associativity}-way, {LINE_SIZE}B block"
         ),
         "L2 Data Cache": (
             f"{config.l2_cache.size_bytes // (1024 * 1024)}MB, "
-            f"{config.l2_cache.associativity}-way, {config.l2_cache.line_size}B block"
+            f"{config.l2_cache.associativity}-way, {LINE_SIZE}B block"
         ),
         "L1 TLB": f"{config.gpu_l1_tlb.entries} entries, Fully-associative",
         "L2 TLB": (

@@ -34,7 +34,7 @@ from repro.config import (
     SystemConfig,
     baseline_config,
 )
-from repro.core.schedulers import WalkScheduler, available_schedulers
+from repro.core.schedulers import WalkScheduler
 from repro.engine.checkpoint import (
     CheckpointError,
     load_checkpoint_file,
@@ -166,7 +166,6 @@ def _resolve_workload(
 
 
 def _validate_run_args(
-    scheduler: Optional[Union[str, WalkScheduler]],
     num_wavefronts: int,
     scale: float,
     max_cycles: int,
@@ -184,11 +183,6 @@ def _validate_run_args(
         raise ValueError(f"scale must be positive, got {scale}")
     if max_cycles <= 0:
         raise ValueError(f"max_cycles must be positive, got {max_cycles}")
-    if isinstance(scheduler, str) and scheduler not in available_schedulers():
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; "
-            f"available: {', '.join(available_schedulers())}"
-        )
     if watchdog_cycles is not None and watchdog_cycles <= 0:
         raise ValueError(
             f"watchdog_cycles must be positive, got {watchdog_cycles}"
@@ -310,7 +304,7 @@ def run_simulation(
     bit-identically after an interruption.
     """
     _validate_run_args(
-        scheduler, num_wavefronts, scale, max_cycles, watchdog_cycles,
+        num_wavefronts, scale, max_cycles, watchdog_cycles,
         trace=trace, trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
         metrics_interval_events=metrics_interval_events,
     )

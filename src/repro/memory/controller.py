@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.config import DRAM_CONTROLLERS, LINE_SIZE, DRAMConfig
+from repro.config import LINE_SIZE, DRAMConfig
 from repro.engine.simulator import Simulator
 from repro.obs.trace import PID_MEMORY
 
@@ -93,25 +93,18 @@ class _Bank:
 
 
 class QueuedMemoryController:
-    """Event-driven DRAM front end: queues, banks, a scheduling policy."""
-
-    #: The queued policies: every DRAM front end but the reservation one.
-    POLICIES = tuple(name for name in DRAM_CONTROLLERS if name != "reservation")
+    """Event-driven DRAM front end: queues, banks, a scheduling policy
+    (``config.controller``: "fcfs", "frfcfs" or "sms")."""
 
     def __init__(
         self,
         simulator: Simulator,
         config: DRAMConfig,
-        policy: str = "frfcfs",
         latency_padding: Optional[Callable[[int], int]] = None,
     ) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; one of {self.POLICIES}"
-            )
         self._sim = simulator
         self.config = config
-        self.policy = policy
+        self.policy = config.controller
         #: Optional ``f(now) -> extra_cycles`` hook; fault injection uses
         #: it to spike access latency inside chosen cycle windows.
         self._latency_padding = latency_padding

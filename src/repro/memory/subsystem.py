@@ -60,7 +60,6 @@ class MemorySubsystem:
             self.controller = QueuedMemoryController(
                 simulator,
                 config.dram,
-                policy=config.dram.controller,
                 latency_padding=padding,
             )
             self.controller.tracer = tracer

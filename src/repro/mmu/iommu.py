@@ -7,7 +7,7 @@ walk a freed walker services next.
 
 Life of a request inside the IOMMU (paper steps 5–9):
 
-5. Look up the IOMMU L1 then L2 TLB; a hit replies immediately.
+5. Look up the IOMMU L1 then L2 TLB; a hit replies after its level's latency.
 6. On a miss the request becomes (or coalesces onto) a pending walk in
    the IOMMU buffer.  If the scheduler needs scores, the request is
    scored against the PWCs (action 1-a) and its instruction's aggregate
@@ -173,15 +173,15 @@ class IOMMU:
         request.iommu_arrival_time = self._sim._now
 
         pfn = self.l1_tlb.lookup(request.vpn)
+        latency = self.config.l1_tlb.hit_latency
         if pfn is None:
             pfn = self.l2_tlb.lookup(request.vpn)
+            latency = self.config.l2_tlb.hit_latency
             if pfn is not None:
                 self.l1_tlb.insert(request.vpn, pfn)
         if pfn is not None:
             self.tlb_hits += 1
-            self._sim.post(
-                self.config.tlb_hit_latency, "iommu.reply", request, pfn, 0
-            )
+            self._sim.post(latency, "iommu.reply", request, pfn, 0)
             return
         if self._region_tlb_entries and self._region_hit(request):
             return
@@ -191,8 +191,8 @@ class IOMMU:
         """Mosaic region-TLB probe: a promoted 2 MB entry covers the page.
 
         A hit bypasses the walk machinery entirely — the region's leaf
-        mapping resolves any base page inside it, so the reply costs one
-        TLB-hit latency and no walker.  Returns True when it hit.
+        mapping resolves any base page inside it, so the reply costs the
+        L2 TLB's hit latency and no walker.  Returns True when it hit.
         """
         region = request.vpn >> self._region_shift
         if region not in self._region_tlb:
@@ -201,7 +201,7 @@ class IOMMU:
         self.region_hits += 1
         pfn = self._page_table.translate(request.vpn)
         self._sim.post(
-            self.config.tlb_hit_latency, "iommu.reply", request, pfn, 0
+            self.config.l2_tlb.hit_latency, "iommu.reply", request, pfn, 0
         )
         return True
 

@@ -62,8 +62,8 @@ def campaign_config(scheduler: str = "fcfs") -> SystemConfig:
         iommu=IOMMUConfig(
             buffer_entries=64,
             num_walkers=4,
-            l1_tlb=TLBConfig(entries=16),
-            l2_tlb=TLBConfig(entries=64, associativity=8),
+            l1_tlb=TLBConfig(entries=16, hit_latency=20),
+            l2_tlb=TLBConfig(entries=64, associativity=8, hit_latency=20),
             pwc=PWCConfig(entries_per_level=8, associativity=4),
             scheduler=scheduler,
         ),

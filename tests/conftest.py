@@ -2,45 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    GPUConfig,
-    IOMMUConfig,
-    PWCConfig,
-    SystemConfig,
-    TLBConfig,
-)
+from repro.config import SystemConfig
+from repro.resilience.campaign import campaign_config
 
 #: Run size for paper-figure sweeps in tests: tiny traces, few wavefronts.
 TINY_RUN = dict(scale=0.05, num_wavefronts=4)
 
 
 def tiny_config(scheduler: str = "fcfs") -> SystemConfig:
-    """A scaled-down machine that keeps integration tests fast.
-
-    4 CUs, 2 wavefront slots each, small TLBs/caches, 4 walkers.
-    """
-    return SystemConfig(
-        gpu=GPUConfig(num_cus=4, wavefront_slots_per_cu=2),
-        l1_cache=CacheConfig(size_bytes=8 * 1024, associativity=4, hit_latency=4),
-        l2_cache=CacheConfig(size_bytes=256 * 1024, associativity=8, hit_latency=30),
-        gpu_l1_tlb=TLBConfig(entries=16),
-        gpu_l2_tlb=TLBConfig(entries=128, associativity=8, hit_latency=10),
-        iommu=IOMMUConfig(
-            buffer_entries=64,
-            num_walkers=4,
-            l1_tlb=TLBConfig(entries=16),
-            l2_tlb=TLBConfig(entries=64, associativity=8),
-            pwc=PWCConfig(entries_per_level=8, associativity=4),
-            scheduler=scheduler,
-        ),
-        dram=DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=8),
-    )
+    """A scaled-down machine that keeps integration tests fast: the
+    fault campaign's (4 CUs, 2 wavefront slots each, small TLBs/caches,
+    4 walkers)."""
+    return campaign_config(scheduler)
 
 
 def dispatched_system(config, workload, scale=0.1, seed=0, num_wavefronts=8,

@@ -246,7 +246,15 @@ _BAD_CONFIGS = {
     "unknown_key.json": '{"walkers": 16}',
     "a_list.json": "[1]",
     "dram_not_object.json": '{"dram": 5}',
+    "zero_cus.json": '{"gpu": {"num_cus": 0}}',
+    "bogus_coalesce.json": '{"iommu": {"coalesce_walks": "bogus"}}',
+    "nope_scheduler.json": '{"iommu": {"scheduler": "nope"}}',
+    "clock.json": '{"gpu": {"clock_ghz": 2.0}}',
+    "tlb_hit_latency.json": '{"iommu": {"tlb_hit_latency": 20}}',
 }
+
+#: A run small enough to finish at once wherever a bad config loads.
+_TINY = ["--scale", "0.05", "--wavefronts", "4"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -276,6 +284,11 @@ _BAD_CONFIGS = {
     (["fleet-report", "--config", "zero_channels.json"], "--config"),
     (["service", "init", "C", "--config", "line_128.json"], "--config"),
     (["figure", "fig8", "--config", "dram_not_object.json"], "--config"),
+    (["run", "xsb", *_TINY, "--config", "zero_cus.json"], "--config"),
+    (["run", "xsb", *_TINY, "--config", "bogus_coalesce.json"], "--config"),
+    (["run", "xsb", *_TINY, "--config", "nope_scheduler.json"], "--config"),
+    (["run", "xsb", *_TINY, "--config", "clock.json"], "--config"),
+    (["run", "xsb", *_TINY, "--config", "tlb_hit_latency.json"], "--config"),
 ])
 def test_bad_input_fails_at_parse_time(argv, flag, tmp_path, tmp_path_factory,
                                        monkeypatch, capsys):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.config import DRAMConfig, baseline_config
+from repro.config import DRAM_CONTROLLERS, DRAMConfig, baseline_config
 from repro.engine.simulator import Simulator
 from repro.memory.controller import (
     SOURCE_DATA,
@@ -14,6 +14,10 @@ from repro.memory.controller import (
 )
 
 from tests.conftest import dispatched_system
+
+#: The queued controller's policies: every DRAM front end but the
+#: reservation model.
+POLICIES = DRAM_CONTROLLERS[1:]
 
 
 def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
@@ -27,9 +31,10 @@ def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
         t_rcd=30,
         t_rp=30,
         t_burst=8,
+        controller=policy,
         sms_batch_cap=sms_batch_cap,
     )
-    return sim, QueuedMemoryController(sim, config, policy=policy)
+    return sim, QueuedMemoryController(sim, config)
 
 
 def completion_recorder(sim, order):
@@ -47,7 +52,7 @@ def ignored_completion(sim):
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="controller"):
         make_controller(policy="lifo")
 
 
@@ -228,7 +233,7 @@ def _mvt_system(policy):
     return dispatched_system(config, "MVT")
 
 
-@pytest.mark.parametrize("policy", QueuedMemoryController.POLICIES)
+@pytest.mark.parametrize("policy", POLICIES)
 def test_queued_requests_counts_every_queue_at_every_event(policy):
     system = _mvt_system(policy)
     ctrl = system.memory.controller
@@ -272,10 +277,10 @@ class _TwinController:
     to issue.  It applies the same fcfs / frfcfs / sms rules and timing
     on its own simulator."""
 
-    def __init__(self, sim, config, policy):
+    def __init__(self, sim, config):
         self.sim = sim
         self.config = config
-        self.policy = policy
+        self.policy = config.controller
         self.queues = {}
         self.busy = set()
         self.open_row = {}
@@ -366,17 +371,17 @@ def _read_script(seed):
 
 
 def _drive(make, seed, policy):
-    """Run the seeded script through the controller ``make(sim, config,
-    policy)`` builds; returns the completions as ``(tag, cycle)`` and
-    the controller."""
+    """Run the seeded script through the controller ``make(sim, config)``
+    builds on a ``policy`` DRAM config; returns the completions as
+    ``(tag, cycle)`` and the controller."""
     banks, arrivals, chained = _read_script(seed)
     sim = Simulator()
     config = DRAMConfig(
         channels=1, ranks_per_channel=1, banks_per_rank=banks,
         row_size_bytes=2048, t_cas=30, t_rcd=30, t_rp=30, t_burst=8,
-        sms_batch_cap=2,
+        controller=policy, sms_batch_cap=2,
     )
-    ctrl = make(sim, config, policy)
+    ctrl = make(sim, config)
     done = []
 
     def complete(tag):
@@ -398,7 +403,7 @@ def _drive(make, seed, policy):
     return done, ctrl
 
 
-@pytest.mark.parametrize("policy", QueuedMemoryController.POLICIES)
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("seed", range(6))
 def test_issue_order_matches_the_naive_twin(policy, seed):
     # Few rows and banks, so row hits wait behind conflicts and the

@@ -24,8 +24,8 @@ def make_iommu(
     config = IOMMUConfig(
         buffer_entries=buffer_entries,
         num_walkers=num_walkers,
-        l1_tlb=TLBConfig(entries=8),
-        l2_tlb=TLBConfig(entries=16, associativity=4),
+        l1_tlb=TLBConfig(entries=8, hit_latency=20),
+        l2_tlb=TLBConfig(entries=16, associativity=4, hit_latency=20),
         pwc=PWCConfig(entries_per_level=8, associativity=4),
         scheduler=scheduler,
         coalesce_walks=coalesce,

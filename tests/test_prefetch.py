@@ -15,8 +15,8 @@ def make_iommu(prefetch=True, num_walkers=2, latency=10):
     config = IOMMUConfig(
         buffer_entries=8,
         num_walkers=num_walkers,
-        l1_tlb=TLBConfig(entries=8),
-        l2_tlb=TLBConfig(entries=16, associativity=4),
+        l1_tlb=TLBConfig(entries=8, hit_latency=20),
+        l2_tlb=TLBConfig(entries=16, associativity=4, hit_latency=20),
         pwc=PWCConfig(entries_per_level=8, associativity=4),
         prefetch_next_page=prefetch,
     )

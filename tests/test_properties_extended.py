@@ -60,8 +60,8 @@ class TestControllerProperties:
         sim = Simulator()
         controller = QueuedMemoryController(
             sim,
-            DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=4),
-            policy=policy,
+            DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=4,
+                       controller=policy),
         )
         completions = []
         sim.register("test.done", completions.append)
@@ -80,8 +80,8 @@ class TestControllerProperties:
         sim = Simulator()
         controller = QueuedMemoryController(
             sim,
-            DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=2),
-            policy="frfcfs",
+            DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=2,
+                       controller="frfcfs"),
         )
         sim.register("test.ignore", lambda: None)
         for line in line_numbers:

@@ -14,7 +14,10 @@ see ``docs/PERFORMANCE.md`` and the differential tests):
   sequence, so coalescing lookups and removals are O(1);
 * a lazy min-heap over ``(score, oldest_seq, instruction)`` keys (see
   :class:`~repro.core.scoring.ScoreIndex`) answers the shortest-job-first
-  query in amortised O(log n) instead of an O(n) rescan.
+  query in amortised O(log n) instead of an O(n) rescan.  Mutations only
+  note which instructions changed; :meth:`~PendingWalkBuffer.min_score_entry`
+  pushes one fresh key for each of them before it reads the heap, so
+  batching picks, which never ask, cost the heap nothing.
 
 Only the arrival and per-instruction deques are kept from the start.
 Each other index is built from the live entries by the first query that
@@ -28,7 +31,7 @@ which measured no slower than maintaining one on every add and remove.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from repro.core.request import TranslationRequest, WalkBufferEntry
 from repro.core.scoring import ScoreIndex, ScoreKey, ScoreTable
@@ -60,6 +63,9 @@ class PendingWalkBuffer:
         # by arrival sequence; insertion order keeps the oldest first.
         self._by_vpn: Optional[Dict[int, Dict[int, WalkBufferEntry]]] = None
         self._score_index: Optional[ScoreIndex] = None
+        #: Instructions whose ``(score, oldest_seq)`` may have changed
+        #: since the score index last caught up; None until it exists.
+        self._changed: Optional[Set[int]] = None
         self.peak_occupancy = 0
         self.total_coalesced = 0
 
@@ -82,15 +88,19 @@ class PendingWalkBuffer:
     # Index plumbing
     # ------------------------------------------------------------------
 
-    def _push_instruction_key(self, instruction_id: int) -> None:
-        """Refresh the global score-index truth for an instruction."""
-        entry = self.oldest_for_instruction(instruction_id)
-        if entry is None:
+    def _push_changed_keys(self, index: ScoreIndex) -> None:
+        """Push the current key of every instruction changed since the
+        last query (stale keys expire lazily), then bound the heap."""
+        changed = self._changed
+        if not changed:
             return
-        index = self._score_index
-        size = index.push(
-            self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
-        )
+        score_of = self._scores.score_of
+        for instruction_id in changed:
+            entry = self.oldest_for_instruction(instruction_id)
+            if entry is not None:
+                index.push(score_of(instruction_id), entry.arrival_seq, instruction_id)
+        changed.clear()
+        size = len(index)
         if size > _INDEX_MIN and size > _INDEX_SLACK * len(self._by_instruction):
             index.rebuild(self._current_keys())
 
@@ -124,6 +134,7 @@ class PendingWalkBuffer:
     def _build_score_index(self) -> ScoreIndex:
         index = self._score_index = ScoreIndex()
         index.rebuild(self._current_keys())
+        self._changed = set()
         return index
 
     def _build_vpn_index(self) -> Dict[int, Dict[int, WalkBufferEntry]]:
@@ -174,8 +185,9 @@ class PendingWalkBuffer:
             queue.append(entry)
         if self._by_vpn is not None:
             self._by_vpn.setdefault(entry.vpn, {})[seq] = entry
-        if self._score_index is not None:
-            self._push_instruction_key(instruction_id)
+        changed = self._changed
+        if changed is not None:
+            changed.add(instruction_id)
         if len(entries) > self.peak_occupancy:
             self.peak_occupancy = len(entries)
         return entry
@@ -206,10 +218,10 @@ class PendingWalkBuffer:
             del same_vpn[seq]
             if not same_vpn:
                 del by_vpn[entry.vpn]
-        # The instruction's oldest pending entry may have changed;
-        # refresh its index truths (stale keys expire lazily).
-        if self._score_index is not None:
-            self._push_instruction_key(entry.instruction_id)
+        # The instruction's oldest pending entry may have changed.
+        changed = self._changed
+        if changed is not None:
+            changed.add(entry.instruction_id)
 
     def account_direct_dispatch(
         self, instruction_id: int, estimated_accesses: int
@@ -221,9 +233,10 @@ class PendingWalkBuffer:
         """
         self._scores.add(instruction_id, estimated_accesses)
         # The score changed while the instruction may have buffered
-        # entries (possible when a scan is in progress): refresh.
-        if self._score_index is not None:
-            self._push_instruction_key(instruction_id)
+        # entries (possible when a scan is in progress).
+        changed = self._changed
+        if changed is not None:
+            changed.add(instruction_id)
 
     def complete_walk(self, instruction_id: int) -> None:
         """Release one walk's score accounting (after the walk finishes)."""
@@ -282,13 +295,17 @@ class PendingWalkBuffer:
 
         Bit-identical to ``min(buffer, key=lambda e: (score_of(e),
         e.arrival_seq))`` but amortised O(log n) via the lazy score
-        index.
+        index, which first catches up on the instructions changed since
+        the last call: every live instruction then has its current key
+        in the heap.
         """
         if not self._entries:
             return None
         index = self._score_index
         if index is None:
             index = self._build_score_index()
+        else:
+            self._push_changed_keys(index)
         key = index.peek_valid(self._key_is_current)
         if key is None:
             raise RuntimeError("score index out of sync with buffer")

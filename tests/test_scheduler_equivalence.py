@@ -194,8 +194,10 @@ def test_indexed_queries_match_linear_scans(fuzz_seed):
                     victim = entry
         return victim
 
+    last = None  # the batch pointer: instruction of the last dispatch
     for _ in range(600):
         op = rng.random()
+        choice = None
         if (op < 0.5 or buffer.is_empty) and not buffer.is_full:
             iid = rng.randrange(6)
             app = rng.randrange(2)
@@ -215,6 +217,12 @@ def test_indexed_queries_match_linear_scans(fuzz_seed):
                 iid = rng.choice(candidates)
                 buffer.complete_walk(iid)
                 in_flight[iid] -= 1
+        elif op < 0.85 and buffer.oldest_for_instruction(last) is not None:
+            # A batching hit, as SIMT's second tier makes: no SJF query,
+            # so adds, removes and direct dispatches pile up between two
+            # ``min_score_entry`` calls.
+            choice = buffer.oldest_for_instruction(last)
+            assert choice is naive_oldest_for_instruction(buffer, last)
         else:
             # Dispatch: first verify every indexed query against scans.
             assert buffer.oldest() is naive_oldest(buffer)
@@ -226,6 +234,7 @@ def test_indexed_queries_match_linear_scans(fuzz_seed):
             starving = aging.starving(buffer)
             assert starving is naive_starving()
             choice = starving or buffer.min_score_entry()
+        if choice is not None:
             for entry in buffer:
                 if entry.arrival_seq < choice.arrival_seq:
                     shadow_bypasses[entry] += 1
@@ -235,6 +244,7 @@ def test_indexed_queries_match_linear_scans(fuzz_seed):
             in_flight[choice.instruction_id] = (
                 in_flight.get(choice.instruction_id, 0) + 1
             )
+            last = choice.instruction_id
     # Drain what's left, still cross-checking the SJF minimum.
     while not buffer.is_empty:
         choice = buffer.min_score_entry()

@@ -223,3 +223,25 @@ def test_score_table_ends_empty_under_every_policy(name):
     assert system.gpu.finished
     scores = system.iommu.buffer._scores
     assert (len(scores), scores._active) == (0, {})
+
+
+def test_conservation_holds_after_every_event_on_a_small_buffer():
+    """MVT/simt on a 16-entry buffer keeps up to 975 requests in the
+    overflow queue.  After every event the conservation check passes,
+    including its rule that nothing overflows while the buffer has a
+    free slot: a walk completion frees no slot, so only the dispatches
+    that follow it drain the queue."""
+    config = baseline_config("simt").with_iommu_buffer(16)
+    system = dispatched_system(config, "MVT", scale=0.05, num_wavefronts=16)
+    iommu = system.iommu
+    overflowed = []
+
+    def check():
+        assert iommu.check_conservation() == []
+        overflowed.append(iommu.overflow_queued > 0)
+
+    system.simulator.add_monitor(check, interval_events=1)
+    system.simulator.run()
+    assert system.gpu.finished
+    assert len(overflowed) == system.simulator.events_processed
+    assert sum(overflowed) > len(overflowed) // 2

@@ -9,6 +9,13 @@ footprints in microseconds.
 Interior nodes are real objects with physical addresses, so a page-table
 walker can compute the exact DRAM address of every PTE it fetches; those
 addresses then exercise the DRAM bank/row model just like data accesses.
+
+Every page under one leaf table (the 512 consecutive units one
+lowest-level table maps) shares the walk's upper ``(level, address)``
+pairs, so the table descends from the root once per leaf table, not
+once per page: the first page of a leaf table creates the missing
+nodes, root first, and records the pairs beside the leaf table's base
+address.  A walk's path is then those pairs plus one leaf entry.
 """
 
 from __future__ import annotations
@@ -81,10 +88,10 @@ class PageTable:
         #: Leaf mappings: unit number -> pfn (unit-sized frame number).
         self._mappings: Dict[int, int] = {}
         self._interior_nodes = 1
-        #: Memoised walk paths: once a unit is mapped, its PTE addresses
-        #: never change (interior nodes are only ever added), so the
-        #: root-to-leaf address list is computed once per vpn.
-        self._walk_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: Leaf table number (unit >> 9) -> the walk's upper ``(level,
+        #: address)`` pairs and the leaf table's base address.  Interior
+        #: nodes are only ever added, so both are fixed once recorded.
+        self._leaf_tables: Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]] = {}
 
     def _allocate_node_address(self) -> int:
         return self._allocator.allocate() << PAGE_SHIFT
@@ -105,48 +112,46 @@ class PageTable:
         """Return the physical frame number for ``vpn``, mapping on demand."""
         pfn = self._mappings.get(vpn)
         if pfn is None:
-            pfn = self._map(vpn)
+            if vpn >> BITS_PER_LEVEL not in self._leaf_tables:
+                self._descend(vpn >> BITS_PER_LEVEL)
+            pfn = self._mappings[vpn] = self._allocator.allocate()
         return pfn
 
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the PFN for ``vpn`` or None if unmapped (no side effects)."""
         return self._mappings.get(vpn)
 
-    def _map(self, vpn: int) -> int:
+    def _descend(self, table: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+        """Walk from the root to leaf table ``table``, creating missing
+        nodes root first; record and return its upper pairs and base."""
         leaf = self.geometry.leaf_level
+        upper: List[Tuple[int, int]] = []
         node = self._root
         for level in range(PAGE_TABLE_LEVELS, leaf, -1):
-            index = (vpn >> (BITS_PER_LEVEL * (level - leaf))) & LEVEL_MASK
+            index = (table >> (BITS_PER_LEVEL * (level - leaf - 1))) & LEVEL_MASK
+            upper.append((level, node.base_address + index * PTE_SIZE))
             child = node.children.get(index)
             if child is None:
                 child = _Node(self._allocate_node_address())
                 node.children[index] = child
                 self._interior_nodes += 1
             node = child
-        pfn = self._allocator.allocate()
-        self._mappings[vpn] = pfn
-        return pfn
+        found = self._leaf_tables[table] = (tuple(upper), node.base_address)
+        return found
 
     def walk_addresses(self, vpn: int) -> Tuple[Tuple[int, int], ...]:
         """The ``(level, pte_physical_address)`` pairs a full walk touches.
 
         Ordered root-first: level 4 down to the geometry's leaf level.
-        Ensures the mapping exists (allocating if needed) so that the
-        addresses are defined.  Each level's radix index and PTE address
-        is computed inline (see :func:`~repro.mmu.address.pte_address`).
+        Ensures the mapping exists (allocating if needed, in the order
+        :meth:`translate` would) so that the addresses are defined.
         """
-        cached = self._walk_cache.get(vpn)
-        if cached is not None:
-            return cached
-        self.translate(vpn)
-        leaf = self.geometry.leaf_level
-        addresses: List[Tuple[int, int]] = []
-        node = self._root
-        for level in range(PAGE_TABLE_LEVELS, leaf, -1):
-            index = (vpn >> (BITS_PER_LEVEL * (level - leaf))) & LEVEL_MASK
-            addresses.append((level, node.base_address + index * PTE_SIZE))
-            node = node.children[index]
-        addresses.append((leaf, node.base_address + (vpn & LEVEL_MASK) * PTE_SIZE))
-        path = tuple(addresses)
-        self._walk_cache[vpn] = path
-        return path
+        found = self._leaf_tables.get(vpn >> BITS_PER_LEVEL)
+        if found is None:
+            found = self._descend(vpn >> BITS_PER_LEVEL)
+        if vpn not in self._mappings:
+            self._mappings[vpn] = self._allocator.allocate()
+        upper, base = found
+        return upper + (
+            (self.geometry.leaf_level, base + (vpn & LEVEL_MASK) * PTE_SIZE),
+        )

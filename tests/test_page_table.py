@@ -1,8 +1,12 @@
 """Unit tests for the radix page table and frame allocator."""
 
+import random
+
 import pytest
 
-from repro.config import PAGE_SIZE, PAGE_TABLE_LEVELS
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
+from repro.mmu.address import LEVEL_MASK, PAGE_SHIFT, PTE_SIZE
+from repro.mmu.geometry import BASE_4K, LARGE_2M
 from repro.mmu.page_table import FrameAllocator, PageTable
 
 
@@ -98,3 +102,65 @@ class TestPageTable:
 
     def test_root_address_is_page_aligned(self):
         assert PageTable().root_address % PAGE_SIZE == 0
+
+
+class _PerPageTwin:
+    """A page table that descends from the root for every page: on the
+    first translation of a page, and again on every walk."""
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self.allocator = FrameAllocator()
+        # A node is (base address, {index: child node}).
+        self.root = (self.allocator.allocate() << PAGE_SHIFT, {})
+        self.mappings = {}
+        self.interior_nodes = 1
+
+    def _indexes(self, vpn):
+        leaf = self.geometry.leaf_level
+        for level in range(PAGE_TABLE_LEVELS, leaf, -1):
+            yield level, (vpn >> (BITS_PER_LEVEL * (level - leaf))) & LEVEL_MASK
+
+    def translate(self, vpn):
+        if vpn not in self.mappings:
+            node = self.root
+            for _, index in self._indexes(vpn):
+                if index not in node[1]:
+                    node[1][index] = (self.allocator.allocate() << PAGE_SHIFT, {})
+                    self.interior_nodes += 1
+                node = node[1][index]
+            self.mappings[vpn] = self.allocator.allocate()
+        return self.mappings[vpn]
+
+    def walk_addresses(self, vpn):
+        self.translate(vpn)
+        path = []
+        node = self.root
+        for level, index in self._indexes(vpn):
+            path.append((level, node[0] + index * PTE_SIZE))
+            node = node[1][index]
+        leaf_entry = node[0] + (vpn & LEVEL_MASK) * PTE_SIZE
+        return tuple(path) + ((self.geometry.leaf_level, leaf_entry),)
+
+
+@pytest.mark.parametrize("geometry", [BASE_4K, LARGE_2M], ids=["4k", "2m"])
+@pytest.mark.parametrize("seed", range(3))
+def test_interleaved_walks_and_translations_match_a_per_page_twin(geometry, seed):
+    """Pages cluster in a few leaf tables under a few upper tables, so a
+    stream mixes first touches by either call, repeat walks and new
+    leaf tables under existing upper nodes."""
+    rng = random.Random(seed)
+    table = PageTable(geometry=geometry)
+    twin = _PerPageTwin(geometry)
+    upper_bits = BITS_PER_LEVEL * (PAGE_TABLE_LEVELS - geometry.leaf_level)
+    regions = [rng.randrange(1 << upper_bits) << BITS_PER_LEVEL for _ in range(4)]
+    regions += [region ^ (1 << 2 * BITS_PER_LEVEL) for region in regions[:2]]
+    for _ in range(3000):
+        vpn = rng.choice(regions) + rng.randrange(3 << BITS_PER_LEVEL)
+        if rng.random() < 0.5:
+            assert table.walk_addresses(vpn) == twin.walk_addresses(vpn)
+        else:
+            assert table.translate(vpn) == twin.translate(vpn)
+        assert table.interior_nodes == twin.interior_nodes
+        assert table.mapped_pages == len(twin.mappings)
+    assert twin.interior_nodes > len(regions)

@@ -1,8 +1,10 @@
 """Tests for configuration (de)serialisation."""
 
+from operator import attrgetter
+
 import pytest
 
-from repro.config import SystemConfig, baseline_config
+from repro.config import CacheConfig, SystemConfig, TLBConfig, baseline_config
 from repro.config_io import (
     config_from_dict,
     config_to_dict,
@@ -17,11 +19,23 @@ def test_round_trip_identity():
     assert rebuilt == config
 
 
-def test_partial_dict_keeps_defaults():
-    config = config_from_dict({"iommu": {"scheduler": "simt"}})
-    assert config.iommu.scheduler == "simt"
-    assert config.iommu.buffer_entries == 256  # default preserved
-    assert config.gpu.num_cus == 8
+@pytest.mark.parametrize("data, expected", [
+    ({"iommu": {"scheduler": "simt"}},
+     {"iommu.scheduler": "simt", "iommu.buffer_entries": 256, "gpu.num_cus": 8}),
+    # A partial section keeps the machine's values, not its class's.
+    ({"gpu_l2_tlb": {"entries": 1024}},
+     {"gpu_l2_tlb": TLBConfig(entries=1024, associativity=16, hit_latency=10)}),
+    ({"iommu": {"l1_tlb": {"entries": 16}}},
+     {"iommu.l1_tlb": TLBConfig(entries=16, associativity=None, hit_latency=20),
+      "iommu.scheduler": "fcfs"}),
+    ({"l1_cache": {"hit_latency": 8}},
+     {"l1_cache": CacheConfig(size_bytes=32 * 1024, associativity=16, hit_latency=8)}),
+], ids=["iommu-scheduler", "gpu_l2_tlb-entries", "iommu-l1_tlb-entries",
+        "l1_cache-hit_latency"])
+def test_partial_dict_keeps_defaults(data, expected):
+    config = config_from_dict(data)
+    for path, value in expected.items():
+        assert attrgetter(path)(config) == value
 
 
 def test_nested_overrides():

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.config import LINE_SIZE, DRAMConfig
+from repro.config import DRAM_CONTROLLERS, LINE_SIZE, DRAMConfig
 from repro.engine.simulator import Simulator
 from repro.obs.trace import PID_MEMORY
 
@@ -102,6 +102,11 @@ class QueuedMemoryController:
         config: DRAMConfig,
         latency_padding: Optional[Callable[[int], int]] = None,
     ) -> None:
+        if config.controller not in DRAM_CONTROLLERS[1:]:
+            raise ValueError(
+                f"a queued controller needs controller in "
+                f"{DRAM_CONTROLLERS[1:]}, got {config.controller!r}"
+            )
         self._sim = simulator
         self.config = config
         self.policy = config.controller
@@ -173,28 +178,45 @@ class QueuedMemoryController:
         waiting page-walk batch priority over data.  Within either
         stage, first-ready (open-row) wins, then the oldest."""
         if bank.batch_credits > 0:
-            source = bank.batch_source
-            pool = [r for r in queue if r.source == source]
-            if pool:
+            choice = self._first_ready_of(queue, bank, bank.batch_source)
+            if choice is not None:
                 bank.batch_credits -= 1
-                return self._first_ready(pool, bank)
-        walks = [r for r in queue if r.source == SOURCE_WALK]
-        choice = self._first_ready(walks or queue, bank)
+                return choice
+        choice = self._first_ready_of(queue, bank, SOURCE_WALK)
+        if choice is None:
+            choice = self._first_ready(queue, bank)
         bank.batch_source = choice.source
         bank.batch_credits = self.config.sms_batch_cap - 1
         return choice
 
     @staticmethod
-    def _first_ready(pool: List[_Request], bank: _Bank) -> _Request:
-        """The oldest request in ``pool`` (the bank's queue, or part of
-        it) that hits the open row, else the oldest.  The queue is
-        scanned only when the bank's row counts say a hit waits in it."""
+    def _first_ready(queue: List[_Request], bank: _Bank) -> _Request:
+        """The oldest request in the bank's queue that hits the open
+        row, else the oldest.  The queue is scanned only when the bank's
+        row counts say a hit waits in it."""
         open_row = bank.open_row
         if open_row in bank.row_waiting:
-            for request in pool:
+            for request in queue:
                 if request.row == open_row:
                     return request
-        return pool[0]
+        return queue[0]
+
+    @staticmethod
+    def _first_ready_of(
+        queue: List[_Request], bank: _Bank, source: int
+    ) -> Optional[_Request]:
+        """:meth:`_first_ready` among the requests from ``source`` only,
+        in one pass that copies nothing; None when none of them waits."""
+        open_row = bank.open_row
+        hit_waiting = open_row in bank.row_waiting
+        oldest = None
+        for request in queue:
+            if request.source == source:
+                if not hit_waiting or request.row == open_row:
+                    return request
+                if oldest is None:
+                    oldest = request
+        return oldest
 
     def _issue(self, bank_index: int, bank: _Bank) -> None:
         """Start serving the idle bank's next request (its queue is not

@@ -51,9 +51,12 @@ def ignored_completion(sim):
     return ("test.ignore",)
 
 
-def test_unknown_policy_rejected():
+@pytest.mark.parametrize("policy", ["lifo", "reservation"])
+def test_unknown_policy_rejected(policy):
+    # "lifo" is outside DRAMConfig's domain; "reservation" is a valid
+    # front end but not a queued controller's policy.
     with pytest.raises(ValueError, match="controller"):
-        make_controller(policy="lifo")
+        make_controller(policy=policy)
 
 
 def test_single_read_completes_with_activate_latency():

@@ -182,7 +182,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_many
+    from repro.experiments.runner import run_many_resilient
     from repro.obs.aggregate import sweep_specs
 
     specs = sweep_specs(
@@ -192,12 +192,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         scale=args.scale,
     )
     with _telemetry(args) as telemetry:
-        outcomes = run_many(
+        outcomes = run_many_resilient(
             specs,
             jobs=args.jobs,
             timeout=args.timeout,
             retries=args.retries,
-            return_outcomes=True,
             telemetry=telemetry,
         )
     baseline = outcomes[0].result if outcomes[0].ok else None

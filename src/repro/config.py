@@ -40,6 +40,9 @@ BITS_PER_LEVEL = 9
 #: Number of levels in an x86-64-style page table.
 PAGE_TABLE_LEVELS = 4
 
+#: Size of one page-table entry in bytes (512 entries fill a 4 KB node).
+PTE_SIZE = 8
+
 #: Cache line size in bytes.
 LINE_SIZE = 64
 

@@ -14,36 +14,10 @@ from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Type, TypeVar, Union
 
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    GPUConfig,
-    IOMMUConfig,
-    PWCConfig,
-    SystemConfig,
-    TLBConfig,
-)
+from repro.config import SystemConfig
 from repro.resilience.faults import FaultEvent, FaultPlan
 
 T = TypeVar("T")
-
-#: Nested dataclass field types of the configuration tree, by owner.
-_NESTED: Dict[Type, Dict[str, Type]] = {
-    SystemConfig: {
-        "gpu": GPUConfig,
-        "l1_cache": CacheConfig,
-        "l2_cache": CacheConfig,
-        "gpu_l1_tlb": TLBConfig,
-        "gpu_l2_tlb": TLBConfig,
-        "iommu": IOMMUConfig,
-        "dram": DRAMConfig,
-    },
-    IOMMUConfig: {
-        "l1_tlb": TLBConfig,
-        "l2_tlb": TLBConfig,
-        "pwc": PWCConfig,
-    },
-}
 
 #: Fields rebuilt by hand rather than plain nested-dataclass recursion:
 #: a fault plan's ``events`` is a *list* of dataclasses.
@@ -60,7 +34,8 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
 def _build(cls: Type[T], data: Dict[str, Any], base: Optional[T]) -> T:
     """A ``cls`` from ``data``: the given keys overlaid on ``base`` with
     ``dataclasses.replace``, or passed to the constructor when ``base``
-    is None.  A nested section overlays the same section of ``base``."""
+    is None.  A key whose ``base`` value is a dataclass names a nested
+    section, which overlays that value."""
     if not isinstance(data, dict):
         raise ValueError(
             f"{cls.__name__} must be a JSON object, got {type(data).__name__}"
@@ -71,15 +46,15 @@ def _build(cls: Type[T], data: Dict[str, Any], base: Optional[T]) -> T:
         raise ValueError(
             f"unknown {cls.__name__} keys: {', '.join(sorted(unknown))}"
         )
-    nested = _NESTED.get(cls, {})
     kwargs: Dict[str, Any] = {}
     for key, value in data.items():
-        if cls is SystemConfig and key == _FAULT_FIELD and isinstance(value, dict):
-            kwargs[key] = _build_fault_plan(value)
-        elif key in nested and not isinstance(value, nested[key]):
-            kwargs[key] = _build(nested[key], value, getattr(base, key))
-        else:
-            kwargs[key] = value
+        section = getattr(base, key, None)
+        if cls is SystemConfig and key == _FAULT_FIELD:
+            if isinstance(value, dict):
+                value = _build_fault_plan(value)
+        elif is_dataclass(section) and not isinstance(value, type(section)):
+            value = _build(type(section), value, section)
+        kwargs[key] = value
     return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 

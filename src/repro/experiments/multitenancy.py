@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.config import SystemConfig, baseline_config
-from repro.experiments.runner import MAX_CYCLES, build_system, run_simulation
+from repro.experiments.runner import (
+    MAX_CYCLES,
+    _resolve_workload,
+    _run_to_end,
+    build_system,
+    run_simulation,
+)
 from repro.workloads.base import Workload
-from repro.workloads.registry import get_workload
 
 
 @dataclass
@@ -65,12 +70,6 @@ class MultiAppResult:
         )
 
 
-def _resolve(workload: Union[str, Workload], scale: float, seed: int) -> Workload:
-    if isinstance(workload, Workload):
-        return workload
-    return get_workload(workload, scale=scale, seed=seed)
-
-
 def run_multi_simulation(
     workloads: Sequence[Union[str, Workload]],
     config: Optional[SystemConfig] = None,
@@ -85,7 +84,8 @@ def run_multi_simulation(
     Each app contributes ``wavefronts_per_app`` wavefronts; dispatch
     interleaves apps round-robin so they contend from the start.  Solo
     baselines (for slowdowns) run each app alone under the same
-    configuration and scheduler.
+    configuration and scheduler.  A shared run that cannot finish raises
+    the single run's :class:`RuntimeError`, which states why.
     """
     if len(workloads) < 2:
         raise ValueError("a multi-app run needs at least two workloads")
@@ -93,7 +93,8 @@ def run_multi_simulation(
     if scheduler is not None:
         config = config.with_scheduler(scheduler, seed=seed)
 
-    benches = [_resolve(w, scale, seed) for w in workloads]
+    benches = [_resolve_workload(w, scale, seed) for w in workloads]
+    names = [bench.abbrev for bench in benches]
     traces_per_app = [
         bench.build_trace(
             num_wavefronts=wavefronts_per_app,
@@ -111,9 +112,9 @@ def run_multi_simulation(
 
     system = build_system(config)
     system.gpu.dispatch(interleaved, app_ids=app_ids)
-    system.simulator.run(until=max_cycles)
-    if not system.gpu.finished:
-        raise RuntimeError("shared run did not finish within the cycle budget")
+    shared = _run_to_end(
+        system, None, None, {"workload": "+".join(names)}, max_cycles
+    )
 
     solo = {
         app: run_simulation(
@@ -125,13 +126,12 @@ def run_multi_simulation(
         ).total_cycles
         for app, bench in enumerate(benches)
     }
-    assert system.gpu.completion_time is not None
     return MultiAppResult(
-        scheduler=system.iommu.scheduler.name,
-        total_cycles=system.gpu.completion_time,
+        scheduler=shared.scheduler,
+        total_cycles=shared.total_cycles,
         app_cycles=dict(system.gpu.app_completion_time),
         solo_cycles=solo,
-        workloads=[bench.abbrev for bench in benches],
+        workloads=names,
     )
 
 

@@ -903,12 +903,12 @@ def run_many(
     By default this returns plain :class:`SimulationResult`\\ s and
     raises :class:`~repro.resilience.outcomes.SpecExecutionError` —
     naming the failing spec and attaching the worker traceback — if any
-    job ultimately fails.  Pass ``return_outcomes=True`` (or use
-    :func:`run_many_resilient` directly) to receive one
-    :class:`~repro.resilience.outcomes.RunOutcome` per spec instead,
-    with failures recorded rather than raised.  ``timeout``, ``retries``,
-    ``checkpoint`` and ``telemetry`` are forwarded to the resilient
-    executor.
+    job ultimately fails.  ``timeout``, ``retries``, ``checkpoint`` and
+    ``telemetry`` are forwarded to :func:`run_many_resilient`, which the
+    program calls directly for one
+    :class:`~repro.resilience.outcomes.RunOutcome` per spec.
+    ``return_outcomes=True`` returns those outcomes unchanged; it stays
+    for callers written against it (perfbench's run loop).
     """
     outcomes = run_many_resilient(
         specs, jobs=jobs, timeout=timeout, retries=retries,

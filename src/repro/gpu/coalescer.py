@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.config import LINE_SIZE
-from repro.mmu.address import PAGE_SHIFT
+from repro.mmu.geometry import PAGE_SHIFT
 
 #: ``address & LINE_MASK`` is the address of the line holding ``address``.
 LINE_MASK = -LINE_SIZE

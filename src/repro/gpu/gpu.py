@@ -23,7 +23,6 @@ from repro.engine.simulator import Simulator
 from repro.gpu.cu import ComputeUnit
 from repro.gpu.wavefront import InstructionRecord, Wavefront
 from repro.memory.subsystem import MemorySubsystem
-from repro.mmu.geometry import geometry_by_name
 from repro.mmu.iommu import IOMMU
 from repro.mmu.tlb import TLB
 
@@ -47,7 +46,8 @@ class GPU:
         self.config = config
         self.memory = memory
         self.iommu = iommu
-        self.geometry = geometry_by_name(config.page_size)
+        #: The IOMMU's translation geometry, resolved once by the builder.
+        self.geometry = iommu.geometry
         #: Set by the system builder; used only in perfect-translation
         #: (oracle MMU) runs.
         self.page_table = None

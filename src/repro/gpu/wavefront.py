@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.request import TranslationRequest
 from repro.gpu.coalescer import coalesce
-from repro.mmu.address import PAGE_SHIFT
+from repro.mmu.geometry import PAGE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.gpu import GPU

@@ -52,20 +52,6 @@ class DRAM:
         #: Optional :class:`~repro.obs.trace.Tracer` (access spans).
         self.tracer = None
 
-    def _map(self, address: int) -> tuple:
-        """Map a physical address to (bank index, row).
-
-        Low-order line bits pick the channel (striping consecutive lines
-        across channels), the next bits the bank, the rest the row —
-        a common baseline interleaving.
-        """
-        line = address // LINE_SIZE
-        channel = line % self._channels
-        bank_in_channel = (line // self._channels) % self._banks_per_channel
-        bank_index = channel * self._banks_per_channel + bank_in_channel
-        row = address // self._row_stride
-        return bank_index, row
-
     def access(self, address: int, now: int) -> int:
         """Perform one read at ``address`` starting no earlier than ``now``.
 
@@ -74,6 +60,9 @@ class DRAM:
         """
         if now < 0:
             raise ValueError("time must be non-negative")
+        # Address map: low-order line bits pick the channel (striping
+        # consecutive lines across channels), the next bits the bank,
+        # the rest the row — a common baseline interleaving.
         line = address // LINE_SIZE
         channels = self._channels
         banks_per_channel = self._banks_per_channel

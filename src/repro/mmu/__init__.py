@@ -1,12 +1,5 @@
 """Address-translation substrate: page tables, TLBs, PWCs, walkers, IOMMU."""
 
-from repro.mmu.address import (
-    level_index,
-    page_offset,
-    pte_address,
-    vpn_of,
-    vpn_prefix,
-)
 from repro.mmu.page_table import FrameAllocator, PageTable
 from repro.mmu.tlb import TLB
 from repro.mmu.pwc import PageWalkCache
@@ -20,9 +13,4 @@ __all__ = [
     "PageTableWalker",
     "PageWalkCache",
     "TLB",
-    "level_index",
-    "page_offset",
-    "pte_address",
-    "vpn_of",
-    "vpn_prefix",
 ]

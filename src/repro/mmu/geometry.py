@@ -1,5 +1,11 @@
 """Translation geometry: base (4 KB) vs large (2 MB) pages.
 
+The one home of the page arithmetic.  A virtual address splits into a
+page offset and four :data:`~repro.config.BITS_PER_LEVEL`-bit radix
+indices above it, level 4 (the root, PML4) highest and level 1 (the
+leaf PTEs) lowest.  Each table node is one base page of 512 eight-byte
+entries.  ``config`` states those numbers; this module derives the rest.
+
 The paper's §VI discusses — and dismisses — large pages as a fix for
 translation overheads.  To let the repository test that argument, every
 translation-path component is parameterised by a
@@ -22,8 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import BITS_PER_LEVEL, PAGE_TABLE_LEVELS
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
 
+#: log2 of the base page size: ``address >> PAGE_SHIFT`` is its 4 KB vpn.
+PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+#: Mask of one level's radix index (0x1FF).
 LEVEL_MASK = (1 << BITS_PER_LEVEL) - 1
 
 
@@ -32,7 +41,7 @@ class PageGeometry:
     """Size and page-table depth of one translation unit."""
 
     name: str
-    #: log2 of the unit size (12 → 4 KB, 21 → 2 MB).
+    #: log2 of the unit size (``PAGE_SHIFT`` for 4 KB, nine more for 2 MB).
     page_shift: int
     #: Radix level whose entry maps the unit (1 = PT leaf, 2 = PD leaf).
     leaf_level: int
@@ -76,7 +85,12 @@ class PageGeometry:
         return (vpn >> (BITS_PER_LEVEL * (level - self.leaf_level))) & LEVEL_MASK
 
     def vpn_prefix(self, vpn: int, level: int) -> int:
-        """The unit-number bits shared by all units under one ``level`` entry."""
+        """The unit-number bits shared by all units under one ``level`` entry.
+
+        Two units with the same prefix at level *n* are mapped through
+        the same level-*n* entry, so a page-walk-cache hit there for one
+        serves the other too.
+        """
         if not self.leaf_level <= level <= PAGE_TABLE_LEVELS:
             raise ValueError(
                 f"level must be {self.leaf_level}..{PAGE_TABLE_LEVELS}"
@@ -89,8 +103,11 @@ class PageGeometry:
         return tuple(range(PAGE_TABLE_LEVELS, self.leaf_level, -1))
 
 
-BASE_4K = PageGeometry(name="4K", page_shift=12, leaf_level=1)
-LARGE_2M = PageGeometry(name="2M", page_shift=21, leaf_level=2)
+BASE_4K = PageGeometry(name="4K", page_shift=PAGE_SHIFT, leaf_level=1)
+#: One level-2 entry maps the 512 base pages under it.
+LARGE_2M = PageGeometry(
+    name="2M", page_shift=PAGE_SHIFT + BITS_PER_LEVEL, leaf_level=2
+)
 
 _BY_NAME = {"4K": BASE_4K, "2M": LARGE_2M}
 

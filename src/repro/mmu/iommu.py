@@ -36,7 +36,7 @@ from repro.core.request import (
 )
 from repro.core.schedulers import WalkScheduler, make_scheduler
 from repro.engine.simulator import Simulator
-from repro.mmu.geometry import BASE_4K, PageGeometry
+from repro.mmu.geometry import BASE_4K, LARGE_2M, PageGeometry
 from repro.mmu.page_table import PageTable
 from repro.mmu.pwc import PageWalkCache
 from repro.mmu.tlb import TLB
@@ -91,6 +91,9 @@ class IOMMU:
         ]
         self._overflow: Deque[TranslationRequest] = deque()
         self._scan_in_progress = False
+        #: Set while a finished scan's one selection is owed (see
+        #: :meth:`_finish_scan`).
+        self._scan_paid = False
 
         # --- Scheduler-zoo knobs, read off the policy instance ---------
         # Every WalkScheduler defines all five, with integer defaults.
@@ -110,7 +113,7 @@ class IOMMU:
         # Mosaic: promote a 2 MB region into the region TLB once enough
         # distinct base pages inside it have been walked.  Meaningless
         # when the geometry already maps 2 MB units, so it disables.
-        self._region_shift = max(0, 21 - geometry.page_shift)
+        self._region_shift = max(0, LARGE_2M.page_shift - geometry.page_shift)
         self._promote_threshold = (
             scheduler.promote_threshold if self._region_shift else 0
         )
@@ -458,11 +461,15 @@ class IOMMU:
             if walker is None:
                 return
             if scan_latency > 0:
-                if self._scan_in_progress:
+                if self._scan_paid:
+                    # The scan that just finished paid for this selection.
+                    self._scan_paid = False
+                elif self._scan_in_progress:
                     return
-                self._scan_in_progress = True
-                self._sim.post(scan_latency, "iommu.finish_scan")
-                return
+                else:
+                    self._scan_in_progress = True
+                    self._sim.post(scan_latency, "iommu.finish_scan")
+                    return
             entry = self.scheduler.select(self.buffer)
             if entry is None:
                 return
@@ -473,20 +480,12 @@ class IOMMU:
                 self._drain_overflow()
 
     def _finish_scan(self) -> None:
-        """Complete one delayed scheduler scan and dispatch its pick."""
+        """Complete one delayed scheduler scan: its selection runs now."""
         self._scan_in_progress = False
-        walker = self._idle_walker()
-        if walker is None or self.buffer.is_empty:
-            return
-        entry = self.scheduler.select(self.buffer)
-        if entry is None:
-            return
-        self.buffer.remove(entry)
-        self.scheduler.resync(self.buffer)
-        self._dispatch(walker, entry)
-        if self._overflow:
-            self._drain_overflow()
+        self._scan_paid = True
         self._schedule_next()
+        # Unspent when no walker or no walk was left to pick.
+        self._scan_paid = False
 
     def _maybe_prefetch(self, vpn: int) -> None:
         """Walk ``vpn`` opportunistically on an idle walker (extension).

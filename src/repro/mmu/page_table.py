@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
-from repro.mmu.address import LEVEL_MASK, PAGE_SHIFT, PTE_SIZE
-from repro.mmu.geometry import BASE_4K, PageGeometry
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS, PTE_SIZE
+from repro.mmu.geometry import BASE_4K, LEVEL_MASK, PAGE_SHIFT, PageGeometry
 
 
 class FrameAllocator:

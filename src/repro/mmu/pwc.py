@@ -31,11 +31,6 @@ from typing import Dict, List, Tuple
 from repro.config import BITS_PER_LEVEL, PAGE_TABLE_LEVELS, PWCConfig
 from repro.mmu.geometry import BASE_4K, PageGeometry
 
-#: Page-table levels the PWC caches under the default 4 KB geometry
-#: (the leaf level is the TLB's job).  With 2 MB pages only levels 4
-#: and 3 are cached — level 2 holds the leaves.
-CACHED_LEVELS: Tuple[int, ...] = BASE_4K.pwc_levels
-
 
 class _Entry:
     __slots__ = ("counter",)
@@ -84,7 +79,12 @@ class _LevelCache:
 
 
 class PageWalkCache:
-    """The bundle of per-level page walk caches."""
+    """The bundle of per-level page walk caches.
+
+    One cache per level of ``geometry.pwc_levels``: levels 4, 3 and 2
+    under 4 KB pages, and only 4 and 3 under 2 MB pages, whose level 2
+    holds the leaves.
+    """
 
     def __init__(self, config: PWCConfig, geometry: PageGeometry = BASE_4K) -> None:
         self.config = config

@@ -12,45 +12,40 @@ class BucketHistogram:
     Used for the paper's Fig 3 ("number of memory accesses for page
     walks per instruction", buckets 1-16, 17-32, ... 81-256).
 
-    When the buckets are sorted and non-overlapping (the usual case),
-    ``add`` locates the bucket by binary search over the lower bounds;
-    otherwise it falls back to a linear scan in declaration order, which
-    preserves first-match semantics for overlapping buckets.
+    Buckets are sorted and disjoint (the constructor raises
+    :class:`ValueError` otherwise), so ``add`` locates a sample's bucket
+    by binary search over the lower bounds.
     """
 
     def __init__(self, buckets: Sequence[Tuple[int, int]]) -> None:
         if not buckets:
             raise ValueError("at least one bucket is required")
-        for low, high in buckets:
-            if low > high:
-                raise ValueError(f"bucket ({low}, {high}) is inverted")
         # Normalised to tuples so merges compare equal regardless of
         # whether bounds arrived as tuples or (JSON) lists.
         self._buckets = [(low, high) for low, high in buckets]
+        previous_high = None
+        for low, high in self._buckets:
+            if low > high:
+                raise ValueError(f"bucket ({low}, {high}) is inverted")
+            if previous_high is not None and low <= previous_high:
+                raise ValueError(
+                    f"buckets must be sorted and disjoint: ({low}, {high}) "
+                    f"follows a bucket ending at {previous_high}"
+                )
+            previous_high = high
+        self._lows = [low for low, _ in self._buckets]
         self._counts = [0] * len(buckets)
         self.total = 0
         self.out_of_range = 0
-        self._sorted = all(
-            self._buckets[i][1] < self._buckets[i + 1][0]
-            for i in range(len(self._buckets) - 1)
-        )
-        self._lows = [low for low, _ in self._buckets] if self._sorted else None
 
     def add(self, value: int) -> None:
         """Record one sample."""
         self.total += 1
-        if self._lows is not None:
-            index = bisect_right(self._lows, value) - 1
-            if index >= 0 and value <= self._buckets[index][1]:
-                self._counts[index] += 1
-                return
+        index = bisect_right(self._lows, value) - 1
+        if index >= 0 and value <= self._buckets[index][1]:
+            self._counts[index] += 1
+        else:
             self.out_of_range += 1
-            return
-        for index, (low, high) in enumerate(self._buckets):
-            if low <= value <= high:
-                self._counts[index] += 1
-                return
-        self.out_of_range += 1
 
     def merge(self, other: "BucketHistogram") -> None:
         """Fold ``other``'s samples into this histogram in place.
@@ -90,44 +85,6 @@ class BucketHistogram:
         histogram.out_of_range = int(out_of_range)
         histogram.total = sum(histogram._counts) + histogram.out_of_range
         return histogram
-
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        """Estimated quantile values from the bucketed counts.
-
-        The true samples are gone — only per-bucket counts remain — so
-        each quantile is reconstructed by locating the bucket holding
-        the target rank and interpolating linearly inside it (samples
-        are assumed uniform within a bucket, the standard estimator for
-        pre-bucketed data).  Out-of-range samples are excluded: they
-        have no reconstructable value.
-
-        Edge cases, pinned by tests: a single sample interpolates
-        within its bucket (``q=0`` gives the bucket's low bound, ``q=1``
-        its high bound); empty buckets are skipped, never divided by;
-        a histogram with no in-range samples raises :class:`ValueError`
-        (there is no distribution to summarise).
-        """
-        in_range = self.total - self.out_of_range
-        if in_range <= 0:
-            raise ValueError("quantiles of a histogram with no in-range samples")
-        for q in qs:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quantile {q} outside 0..1")
-        out: List[float] = []
-        for q in qs:
-            rank = q * in_range
-            cumulative = 0
-            value: float = float(self._buckets[-1][1])
-            for (low, high), count in zip(self._buckets, self._counts):
-                if count == 0:
-                    continue
-                if rank <= cumulative + count:
-                    fraction = (rank - cumulative) / count
-                    value = low + fraction * (high - low)
-                    break
-                cumulative += count
-            out.append(value)
-        return out
 
     def cdf_points(self) -> List[Tuple[int, float]]:
         """The empirical CDF as ``(bucket upper bound, cumulative fraction)``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+from repro.config import PAGE_SIZE
 from repro.workloads.base import Trace, WavefrontTrace, Workload
 from repro.workloads.synthetic import coalesced
 
@@ -42,7 +43,7 @@ class _CSRGraphWorkload(Workload):
         iterations = self.scaled(self.iterations_per_wavefront)
         node_elements = self.nodes.size // INT
         edge_elements = self.edges.size // INT
-        span_elements = self.edge_span_pages * 4096 // INT
+        span_elements = self.edge_span_pages * PAGE_SIZE // INT
         # Consecutive gathers advance a fraction of a span: mostly the
         # same pages as the previous step (CSR edge lists of consecutive
         # frontier nodes are contiguous), so translations almost always

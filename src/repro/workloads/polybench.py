@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.config import PAGE_SIZE
 from repro.workloads.base import MemoryRegion, Trace, WavefrontTrace, Workload
 from repro.workloads.synthetic import coalesced, row_strided
 
@@ -51,7 +52,7 @@ class _RowDotWorkload(Workload):
         bimodal translation-work distribution of the paper's Fig 3
         (many nearly-free steps, periodic 64-walk steps).
         """
-        elements_per_page = 4096 // DOUBLE
+        elements_per_page = PAGE_SIZE // DOUBLE
         return ((self.n + elements_per_page - 1) // elements_per_page) * (
             elements_per_page
         )

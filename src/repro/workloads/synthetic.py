@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.config import PAGE_SIZE
 from repro.workloads.base import (
     LaneAddresses,
     MemoryRegion,
@@ -172,8 +173,8 @@ class ParametricWorkload(Workload):
                 addresses: LaneAddresses = []
                 for lane in range(wavefront_size):
                     page = visible[lane % len(visible)]
-                    offset = (lane * 64) % 4096
-                    addresses.append(self.data.base + page * 4096 + offset)
+                    offset = (lane * 64) % PAGE_SIZE
+                    addresses.append(self.data.base + page * PAGE_SIZE + offset)
                 wavefront.append(addresses)
             trace.append(wavefront)
         return trace

@@ -21,11 +21,11 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.config import PAGE_SIZE
 from repro.workloads.base import Trace, WavefrontTrace, Workload
 from repro.workloads.synthetic import coalesced
 
 DOUBLE = 8
-PAGE = 4096
 
 #: Binary-search probe levels: (distinct pages per instruction,
 #: hot-set size in pages).  Level k of a binary search over the grid can
@@ -87,7 +87,7 @@ class XSBench(Workload):
                 page = (slot * stride) % total_pages
                 current_page = page
             addresses.append(
-                self.grid.base + current_page * PAGE + (lane * 64) % PAGE
+                self.grid.base + current_page * PAGE_SIZE + (lane * 64) % PAGE_SIZE
             )
         return addresses
 
@@ -126,8 +126,8 @@ class XSBench(Workload):
                 stream.append(
                     [
                         self.grid.base
-                        + pages[lane % GATHER_PAGES] * PAGE
-                        + (lane * 64) % PAGE
+                        + pages[lane % GATHER_PAGES] * PAGE_SIZE
+                        + (lane * 64) % PAGE_SIZE
                         for lane in range(wavefront_size)
                     ]
                 )

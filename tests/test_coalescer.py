@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import LINE_SIZE, PAGE_SIZE
 from repro.gpu.coalescer import coalesce
-from repro.mmu.address import vpn_of
+from repro.mmu.geometry import BASE_4K
 from repro.workloads.registry import get_workload, workload_names
 
 
@@ -93,7 +93,7 @@ def naive_coalesce(lane_addresses):
         if line_address in seen_lines:
             continue
         seen_lines[line_address] = None
-        lines_by_page.setdefault(vpn_of(address), []).append(line_address)
+        lines_by_page.setdefault(BASE_4K.vpn(address), []).append(line_address)
     return lines_by_page, num_lanes
 
 

@@ -59,10 +59,10 @@ def test_labels_and_dict():
 
 
 def test_bisect_agrees_with_linear_scan_on_every_edge():
-    """Exhaustive differential check of the bisect fast path."""
+    """Exhaustive differential check of the bisect path against a
+    test-local linear scan."""
     buckets = [(1, 16), (17, 32), (40, 40), (41, 64)]
     fast = BucketHistogram(buckets)
-    assert fast._lows is not None  # sorted buckets take the bisect path
     for value in range(-2, 70):
         fast.add(value)
     slow_counts = [0] * len(buckets)
@@ -85,12 +85,15 @@ def test_gap_between_buckets_is_out_of_range():
     assert histogram.counts() == [0, 0]
 
 
-def test_overlapping_buckets_fall_back_to_first_match():
-    histogram = BucketHistogram([(1, 20), (10, 30)])
-    assert histogram._lows is None  # overlap disables the bisect path
-    histogram.add(15)  # in both; first declared bucket wins
-    histogram.add(25)
-    assert histogram.counts() == [1, 1]
+@pytest.mark.parametrize("buckets", [
+    [(1, 20), (10, 30)],
+    [(20, 30), (1, 10)],
+], ids=["overlapping", "unsorted"])
+def test_overlapping_or_unsorted_buckets_rejected(buckets):
+    with pytest.raises(ValueError, match="sorted and disjoint"):
+        BucketHistogram(buckets)
+    with pytest.raises(ValueError, match="sorted and disjoint"):
+        BucketHistogram.from_counts(buckets, [0, 0])
 
 
 def test_merge_sums_counts():
@@ -115,52 +118,7 @@ def test_merge_rejects_different_buckets():
         a.merge(b)
 
 
-# -- quantiles / CDF export (figure pipeline) ---------------------------
-
-
-def test_quantiles_interpolate_within_bucket():
-    histogram = BucketHistogram([(0, 9), (10, 19), (20, 29)])
-    for value in (0, 5, 12, 15, 25):
-        histogram.add(value)
-    q0, median, q1 = histogram.quantiles([0.0, 0.5, 1.0])
-    assert q0 == 0.0  # low bound of the first non-empty bucket
-    assert q1 == 29.0  # high bound of the last non-empty bucket
-    assert 10.0 <= median <= 19.0  # rank 2.5 of 5 lands in the middle bucket
-
-
-def test_quantiles_single_sample():
-    histogram = BucketHistogram([(0, 9), (10, 19)])
-    histogram.add(12)
-    low, mid, high = histogram.quantiles([0.0, 0.5, 1.0])
-    # One sample: the whole distribution is its bucket, interpolated.
-    assert low == 10.0
-    assert high == 19.0
-    assert 10.0 <= mid <= 19.0
-
-
-def test_quantiles_skip_empty_buckets():
-    histogram = BucketHistogram([(0, 9), (10, 19), (20, 29)])
-    histogram.add(1)
-    histogram.add(25)  # middle bucket stays empty
-    values = histogram.quantiles([0.0, 1.0])
-    assert values[0] == 0.0
-    assert values[1] == 29.0
-
-
-def test_quantiles_empty_histogram_raises():
-    histogram = BucketHistogram([(0, 9)])
-    with pytest.raises(ValueError, match="no in-range samples"):
-        histogram.quantiles([0.5])
-    histogram.add(100)  # out of range only: still no distribution
-    with pytest.raises(ValueError, match="no in-range samples"):
-        histogram.quantiles([0.5])
-
-
-def test_quantiles_reject_out_of_unit_interval():
-    histogram = BucketHistogram([(0, 9)])
-    histogram.add(5)
-    with pytest.raises(ValueError, match="outside 0..1"):
-        histogram.quantiles([1.5])
+# -- CDF export (figure pipeline) --------------------------------------
 
 
 def test_cdf_points_monotone_and_complete():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import DRAMConfig
 from repro.memory.dram import DRAM
+from repro.obs.trace import TraceConfig, Tracer
 
 
 def make_dram(**kwargs):
@@ -84,7 +85,20 @@ def test_queue_delay_tracked():
     assert dram.total_queue_delay > 0
 
 
+def banks_of_consecutive_lines(dram, lines):
+    """The bank each of ``lines`` consecutive lines lands on, read from
+    the tracer's timing receipt of each access."""
+    dram.tracer = Tracer(TraceConfig(categories=frozenset({"walk"})))
+    banks = []
+    for line in range(lines):
+        dram.access(line * 64, now=0)
+        banks.append(dram.tracer.last_dram_access[2])
+    return banks
+
+
 def test_bank_mapping_covers_all_banks():
     dram = make_dram(banks_per_rank=4)
-    banks = {dram._map(line * 64)[0] for line in range(16)}
-    assert banks == {0, 1, 2, 3}
+    assert banks_of_consecutive_lines(dram, 16) == [0, 1, 2, 3] * 4
+    # With two channels, consecutive lines alternate channels first.
+    two_channels = make_dram(channels=2, banks_per_rank=2)
+    assert banks_of_consecutive_lines(two_channels, 4) == [0, 2, 1, 3]

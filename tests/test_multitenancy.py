@@ -124,6 +124,15 @@ class TestMultiAppRunner:
         assert 0 < result.fairness <= 1.0
         assert 0 < result.system_throughput <= 2.0 + 1e-9
 
+    def test_unfinished_shared_run_states_why(self):
+        with pytest.raises(RuntimeError, match="still running after max_cycles"):
+            run_multi_simulation(
+                [small_app(1), small_app(2)],
+                config=tiny_config(),
+                wavefronts_per_app=4,
+                max_cycles=100,
+            )
+
     def test_sharing_slows_apps_down(self):
         result = run_multi_simulation(
             [small_app(1), small_app(2)],

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
-from repro.mmu.address import LEVEL_MASK, PAGE_SHIFT, PTE_SIZE
-from repro.mmu.geometry import BASE_4K, LARGE_2M
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS, PTE_SIZE
+from repro.mmu.geometry import BASE_4K, LARGE_2M, LEVEL_MASK, PAGE_SHIFT
 from repro.mmu.page_table import FrameAllocator, PageTable
 
 

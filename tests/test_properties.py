@@ -9,7 +9,7 @@ from repro.core.request import TranslationRequest
 from repro.core.schedulers import make_scheduler
 from repro.core.scoring import ScoreTable
 from repro.gpu.coalescer import coalesce
-from repro.mmu.address import level_index, page_offset, vpn_of, vpn_prefix
+from repro.mmu.geometry import BASE_4K
 from repro.mmu.page_table import PageTable
 from repro.mmu.tlb import TLB
 
@@ -20,21 +20,21 @@ addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
 class TestAddressProperties:
     @given(addresses)
     def test_vpn_and_offset_reconstruct_address(self, address):
-        assert vpn_of(address) * PAGE_SIZE + page_offset(address) == address
+        assert BASE_4K.vpn(address) * PAGE_SIZE + BASE_4K.offset(address) == address
 
     @given(vpns)
     def test_level_indices_reconstruct_vpn(self, vpn):
         rebuilt = 0
         for level in (4, 3, 2, 1):
-            rebuilt = (rebuilt << 9) | level_index(vpn, level)
+            rebuilt = (rebuilt << 9) | BASE_4K.level_index(vpn, level)
         assert rebuilt == vpn
 
     @given(vpns, st.integers(min_value=1, max_value=4))
     def test_prefix_is_monotone_in_level(self, vpn, level):
         # A shallower (higher-level) prefix is a prefix of the deeper one.
-        deeper = vpn_prefix(vpn, level)
+        deeper = BASE_4K.vpn_prefix(vpn, level)
         for shallower_level in range(level + 1, 5):
-            shallower = vpn_prefix(vpn, shallower_level)
+            shallower = BASE_4K.vpn_prefix(vpn, shallower_level)
             shift = 9 * (shallower_level - level)
             assert deeper >> shift == shallower
 
@@ -97,13 +97,13 @@ class TestCoalescerProperties:
     @given(st.lists(addresses, min_size=1, max_size=64))
     def test_every_touched_page_appears(self, lane_addresses):
         access = coalesce(lane_addresses)
-        assert set(access.lines_by_page) == {vpn_of(a) for a in lane_addresses}
+        assert set(access.lines_by_page) == {BASE_4K.vpn(a) for a in lane_addresses}
 
     @given(st.lists(addresses, min_size=1, max_size=64))
     def test_lines_belong_to_their_page(self, lane_addresses):
         access = coalesce(lane_addresses)
         for page, lines in access.lines_by_page.items():
-            assert all(vpn_of(line) == page for line in lines)
+            assert all(BASE_4K.vpn(line) == page for line in lines)
 
 
 class TestScoreTableProperties:

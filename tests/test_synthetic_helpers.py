@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.config import PAGE_SIZE
-from repro.mmu.address import vpn_of
+from repro.mmu.geometry import BASE_4K
 from repro.workloads.base import VirtualAddressSpace
 from repro.workloads.synthetic import coalesced, random_lanes, row_strided
 
@@ -23,14 +23,14 @@ def test_coalesced_addresses_are_consecutive(region):
 
 def test_coalesced_stays_on_few_pages(region):
     addresses = coalesced(region, 0, 64, 8)
-    pages = {vpn_of(a) for a in addresses}
+    pages = {BASE_4K.vpn(a) for a in addresses}
     assert len(pages) <= 2  # 512 bytes never spans more than 2 pages
 
 
 def test_row_strided_hits_distinct_pages_for_big_rows(region):
     row_elements = PAGE_SIZE  # 4096 × 8 B = 8 pages per row
     addresses = row_strided(region, 0, row_elements, column=5, lanes=16)
-    pages = {vpn_of(a) for a in addresses}
+    pages = {BASE_4K.vpn(a) for a in addresses}
     assert len(pages) == 16
 
 
@@ -60,7 +60,7 @@ def test_random_lanes_deterministic_per_seed(region):
 def test_random_lanes_spread_across_pages(region):
     rng = random.Random(1)
     addresses = random_lanes(region, rng, 64)
-    pages = {vpn_of(a) for a in addresses}
+    pages = {BASE_4K.vpn(a) for a in addresses}
     assert len(pages) > 32  # 2048-page region: collisions are rare
 
 

@@ -46,7 +46,7 @@ from repro.core.zoo import (
     MosaicScheduler,
     WaSPScheduler,
 )
-from repro.experiments.runner import run_many, run_simulation
+from repro.experiments.runner import run_many, run_many_resilient, run_simulation
 from repro.obs.aggregate import fleet_report, sweep_specs
 from repro.obs.figures import CampaignData, build_figures
 from tests.conftest import tiny_config
@@ -315,7 +315,7 @@ def zoo_figures():
         **COMPARISON,
     )
     report = fleet_report(
-        specs, run_many(specs, return_outcomes=True), baseline_scheduler="fcfs"
+        specs, run_many_resilient(specs), baseline_scheduler="fcfs"
     )
     data = CampaignData.from_reports([("zoo", report)])
     figures, skipped = build_figures(data, list(ZOO_GOLDENS))

@@ -349,6 +349,7 @@ def run_simulation(
         system, watchdog, registry, meta, max_cycles,
         trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
         checkpoint_path=checkpoint_path,
+        hint="; pass watchdog_cycles= for a structured diagnosis",
     )
 
 
@@ -381,10 +382,12 @@ def _run_to_end(
     trace_path: Optional[str] = None,
     trace_jsonl_path: Optional[str] = None,
     checkpoint_path: Optional[str] = None,
+    hint: str = "",
 ) -> SimulationResult:
     """Shared run path: the event loop, completion checks, result
     assembly and exports.  A watchdog trip leaves a crash checkpoint
-    behind when the run checkpoints."""
+    behind when the run checkpoints.  ``hint`` ends an unfinished run's
+    error; only an entry point that takes ``watchdog_cycles`` names it."""
     wall_start = time.perf_counter()
     try:
         system.simulator.run(until=max_cycles)
@@ -408,8 +411,7 @@ def _run_to_end(
             raise WatchdogError(diagnosis)
         raise RuntimeError(
             f"simulation of {meta['workload']} did not finish: {reason} "
-            f"({system.simulator.pending_events} events pending; pass "
-            f"watchdog_cycles= for a structured diagnosis)"
+            f"({system.simulator.pending_events} events pending{hint})"
         )
     if watchdog is not None:
         # Success path: one last conservation sweep so silent model bugs

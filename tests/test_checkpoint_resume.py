@@ -176,6 +176,23 @@ def test_resume_before_checkpoint_cycle_is_refused(baselines, tmp_path):
     assert path.read_bytes() == before
 
 
+def test_unfinished_resume_names_no_keyword_it_lacks(baselines, tmp_path):
+    # Neither run has a watchdog.  run_simulation's error suggests
+    # watchdog_cycles=; resume_simulation takes no such keyword, so its
+    # error must not.
+    cycle = baselines("fcfs")["total_cycles"] // 2
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(RuntimeError, match="pass watchdog_cycles="):
+        run_simulation(
+            WORKLOAD, scheduler="fcfs", config=tiny_config(),
+            num_wavefronts=WAVEFRONTS, scale=SCALE, seed=0, max_cycles=cycle,
+            checkpoint_every=EVERY, checkpoint_path=str(path),
+        )
+    with pytest.raises(RuntimeError, match="still running") as resumed:
+        resume_simulation(str(path), max_cycles=cycle)
+    assert "watchdog_cycles" not in str(resumed.value)
+
+
 # ----------------------------------------------------------------------
 # Orthogonal subsystems survive the round trip
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.request import TranslationRequest
 from repro.core.reference import NaiveFairShareScheduler
 from repro.core.schedulers import FairShareScheduler
 from repro.experiments.multitenancy import MultiAppResult, run_multi_simulation
+from repro.experiments.runner import run_simulation
 from repro.workloads.synthetic import ParametricWorkload
 from tests.conftest import tiny_config
 
@@ -130,6 +131,23 @@ class TestMultiAppRunner:
                 [small_app(1), small_app(2)],
                 config=tiny_config(),
                 wavefronts_per_app=4,
+                max_cycles=100,
+            )
+
+    def test_unfinished_shared_run_names_no_keyword_it_lacks(self):
+        # run_multi_simulation takes no watchdog_cycles, so its error
+        # must not suggest one; run_simulation's still does.
+        with pytest.raises(RuntimeError, match="events pending") as shared:
+            run_multi_simulation(
+                [small_app(1), small_app(2)],
+                config=tiny_config(),
+                wavefronts_per_app=4,
+                max_cycles=100,
+            )
+        assert "watchdog_cycles" not in str(shared.value)
+        with pytest.raises(RuntimeError, match="pass watchdog_cycles="):
+            run_simulation(
+                small_app(1), config=tiny_config(), num_wavefronts=4,
                 max_cycles=100,
             )
 

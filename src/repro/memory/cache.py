@@ -7,23 +7,25 @@ per-CU L1 data caches and the GPU-shared L2 data cache.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List
 
 from repro.config import CacheConfig
 
 
 class SetAssociativeCache:
-    """Caches 64-byte lines addressed by physical line number."""
+    """Caches 64-byte lines addressed by physical line number.
+
+    Each set is a plain dict of lines in insertion order, least- to
+    most-recently used, kept the way :class:`~repro.mmu.tlb.TLB` keeps
+    its sets.
+    """
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
         self._num_sets = config.num_sets
         self._ways = config.associativity
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        self._sets: List[Dict[int, None]] = [{} for _ in range(self._num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -32,7 +34,8 @@ class SetAssociativeCache:
         """Look up a line; returns True on hit.  Misses do NOT auto-fill."""
         entries = self._sets[line % self._num_sets]
         if line in entries:
-            entries.move_to_end(line)
+            del entries[line]
+            entries[line] = None
             self.hits += 1
             return True
         self.misses += 1
@@ -42,10 +45,11 @@ class SetAssociativeCache:
         """Install a line fetched from the next level."""
         entries = self._sets[line % self._num_sets]
         if line in entries:
-            entries.move_to_end(line)
-            return
-        if len(entries) >= self._ways:
-            entries.popitem(last=False)
+            del entries[line]
+        elif len(entries) >= self._ways:
+            for victim in entries:  # the first key is the LRU line
+                break
+            del entries[victim]
             self.evictions += 1
         entries[line] = None
 

@@ -7,7 +7,6 @@ TLB levels.  Fully-associative TLBs are the single-set special case.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.config import TLBConfig
@@ -16,9 +15,10 @@ from repro.config import TLBConfig
 class TLB:
     """Caches ``vpn -> pfn`` translations.
 
-    Each set is an :class:`~collections.OrderedDict` ordered from
-    least- to most-recently used, which gives O(1) lookup, insertion
-    and LRU eviction.
+    Each set is a plain dict in insertion order, least- to most-recently
+    used: a hit pops its key and re-inserts it, an eviction deletes the
+    first key.  That is O(1) lookup, insertion and LRU eviction, and a
+    dict of ints is never tracked by the cyclic garbage collector.
     """
 
     def __init__(self, config: TLBConfig, name: str = "tlb") -> None:
@@ -26,9 +26,7 @@ class TLB:
         self.name = name
         self._num_sets = config.num_sets
         self._ways = config.entries // self._num_sets
-        self._sets: List["OrderedDict[int, int]"] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(self._num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -46,7 +44,7 @@ class TLB:
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the cached PFN for ``vpn`` (updating LRU) or None."""
         entries = self._sets[vpn % self._num_sets]
-        pfn = entries.get(vpn)
+        pfn = entries.pop(vpn, None)
         tracer = self.tracer
         if pfn is None:
             self.misses += 1
@@ -55,7 +53,7 @@ class TLB:
                     self._trace_clock._now, self.name, vpn, False
                 )
             return None
-        entries.move_to_end(vpn)
+        entries[vpn] = pfn
         self.hits += 1
         if tracer is not None and tracer.cat_tlb:
             tracer.tlb_lookup(self._trace_clock._now, self.name, vpn, True)
@@ -69,11 +67,11 @@ class TLB:
         """Install a translation, evicting the set's LRU entry if full."""
         entries = self._sets[vpn % self._num_sets]
         if vpn in entries:
-            entries[vpn] = pfn
-            entries.move_to_end(vpn)
-            return
-        if len(entries) >= self._ways:
-            entries.popitem(last=False)
+            del entries[vpn]
+        elif len(entries) >= self._ways:
+            for victim in entries:  # the first key is the LRU entry
+                break
+            del entries[victim]
             self.evictions += 1
         entries[vpn] = pfn
 

@@ -68,6 +68,11 @@ class PendingWalkBuffer:
         self._changed: Optional[Set[int]] = None
         self.peak_occupancy = 0
         self.total_coalesced = 0
+        #: Occupancy flags, plain attributes that :meth:`add` and
+        #: :meth:`remove` keep current: the IOMMU and the schedulers
+        #: test them once or more per walk.
+        self.is_empty = True
+        self.is_full = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -75,14 +80,6 @@ class PendingWalkBuffer:
     def __iter__(self) -> Iterator[WalkBufferEntry]:
         """Iterate entries in arrival order."""
         return iter(self._entries.values())
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._entries
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -166,7 +163,8 @@ class PendingWalkBuffer:
         check :attr:`is_full` and apply back-pressure.
         """
         entries = self._entries
-        if len(entries) >= self.capacity:
+        size = len(entries) + 1
+        if size > self.capacity:
             raise OverflowError("IOMMU buffer is full")
         seq = self._arrival_seq
         self._arrival_seq = seq + 1
@@ -188,8 +186,10 @@ class PendingWalkBuffer:
         changed = self._changed
         if changed is not None:
             changed.add(instruction_id)
-        if len(entries) > self.peak_occupancy:
-            self.peak_occupancy = len(entries)
+        self.is_empty = False
+        self.is_full = size >= self.capacity
+        if size > self.peak_occupancy:
+            self.peak_occupancy = size
         return entry
 
     def attach(self, entry: WalkBufferEntry, request: TranslationRequest) -> None:
@@ -212,6 +212,8 @@ class PendingWalkBuffer:
         if self._entries.get(seq) is not entry:
             raise KeyError(f"entry {entry!r} is not in the buffer")
         del self._entries[seq]
+        self.is_empty = not self._entries
+        self.is_full = False
         by_vpn = self._by_vpn
         if by_vpn is not None:
             same_vpn = by_vpn[entry.vpn]

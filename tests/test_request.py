@@ -6,7 +6,6 @@ from repro.core.request import (
     INSTRUCTION_ID_SPACE,
     TranslationRequest,
     WalkBufferEntry,
-    tag_instruction_id,
 )
 
 
@@ -21,9 +20,12 @@ def make_request(vpn=0x10, instruction_id=1, wavefront_id=0):
 
 
 def test_instruction_id_folds_to_20_bits():
-    assert tag_instruction_id(0) == 0
-    assert tag_instruction_id(INSTRUCTION_ID_SPACE) == 0
-    assert tag_instruction_id(INSTRUCTION_ID_SPACE + 7) == 7
+    def tag(global_id):
+        return make_request(instruction_id=global_id).instruction_id
+
+    assert tag(0) == 0
+    assert tag(INSTRUCTION_ID_SPACE) == 0
+    assert tag(INSTRUCTION_ID_SPACE + 7) == 7
 
 
 def test_request_latency_unset_until_complete():

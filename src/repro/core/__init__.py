@@ -21,18 +21,23 @@ from repro.core.schedulers import (
     available_schedulers,
     make_scheduler,
 )
+# Registers the zoo's three policies with ``make_scheduler``.
+from repro.core.zoo import IRUScheduler, MosaicScheduler, WaSPScheduler
 
 __all__ = [
     "AgingPolicy",
     "BatchScheduler",
     "FCFSScheduler",
     "FairShareScheduler",
+    "IRUScheduler",
+    "MosaicScheduler",
     "PendingWalkBuffer",
     "RandomScheduler",
     "SJFScheduler",
     "SIMTAwareScheduler",
     "ScoreTable",
     "TranslationRequest",
+    "WaSPScheduler",
     "WalkBufferEntry",
     "WalkScheduler",
     "available_schedulers",

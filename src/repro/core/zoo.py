@@ -37,16 +37,12 @@ memory-controller policy ``"sms"`` (``DRAMConfig.controller``).
 
 All knobs are fixed class attributes read by the IOMMU at construction
 (see ``mmu/iommu.py``), and the naive twins in ``core/reference.py``
-mirror them; they are configuration, not run state.
+read theirs from these classes; they are configuration, not run state.
 """
 
 from __future__ import annotations
 
-from repro.core.schedulers import (
-    _FACTORIES,
-    SIMTAwareScheduler,
-    SJFScheduler,
-)
+from repro.core.schedulers import _REGISTRY, SIMTAwareScheduler, SJFScheduler
 
 
 class WaSPScheduler(SIMTAwareScheduler):
@@ -72,17 +68,8 @@ class MosaicScheduler(SIMTAwareScheduler):
     region_tlb_entries = 16
 
 
-# Self-registration: importing this module (which
-# ``schedulers._ensure_zoo`` does on every registry access) makes the
-# zoo selectable by name everywhere a baseline policy is.
-_FACTORIES.update(
-    wasp=lambda **kw: WaSPScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000)
-    ),
-    iru=lambda **kw: IRUScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000)
-    ),
-    mosaic=lambda **kw: MosaicScheduler(
-        aging_threshold=kw.get("aging_threshold", 2_000_000)
-    ),
+# Importing this module, which :mod:`repro.core` does, makes the zoo
+# selectable by name everywhere a baseline policy is.
+_REGISTRY.update(
+    (cls.name, cls) for cls in (WaSPScheduler, IRUScheduler, MosaicScheduler)
 )

@@ -51,7 +51,10 @@ SCALE = 0.2
 WAVEFRONTS = 16
 
 
-def _run_with_system(workload_name, scheduler, seed, config=None, trace=None):
+def _run_with_system(
+    workload_name, scheduler, seed, config=None, trace=None,
+    scale=SCALE, wavefronts=WAVEFRONTS,
+):
     """Mirror of ``run_simulation`` that also exposes the system.
 
     ``scheduler`` is a registry name or a WalkScheduler instance.
@@ -62,10 +65,10 @@ def _run_with_system(workload_name, scheduler, seed, config=None, trace=None):
         config = config.with_scheduler(scheduler, seed=seed)
     else:
         instance = scheduler
-    bench = get_workload(workload_name, scale=SCALE, seed=seed)
+    bench = get_workload(workload_name, scale=scale, seed=seed)
     system = build_system(config, scheduler=instance, trace=trace)
     traces = bench.build_trace(
-        num_wavefronts=WAVEFRONTS, wavefront_size=config.gpu.wavefront_size
+        num_wavefronts=wavefronts, wavefront_size=config.gpu.wavefront_size
     )
     system.gpu.dispatch(traces)
     system.simulator.run()
@@ -110,16 +113,10 @@ def test_tracing_preserves_golden_pins(key, trace):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_FACTORIES))
-@pytest.mark.parametrize("workload", ["MVT", "XSB"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_reference_twin_identical(name, workload, seed):
-    fast_result, fast_iommu = _run_with_system(
-        workload, make_scheduler(name), seed
-    )
-    ref_result, ref_iommu = _run_with_system(
-        workload, make_reference_scheduler(name), seed
-    )
+def _assert_same_run(fast, ref):
+    """Two ``_run_with_system`` returns dispatched every walk in the
+    same order and agree on every deterministic statistic."""
+    (fast_result, fast_iommu), (ref_result, ref_iommu) = fast, ref
     # The full walker dispatch interleaving, not just the totals.
     assert fast_iommu.dispatches_by_instruction == ref_iommu.dispatches_by_instruction
     assert fast_result.total_cycles == ref_result.total_cycles
@@ -129,6 +126,46 @@ def test_reference_twin_identical(name, workload, seed):
     assert fast_result.first_walk_latency == ref_result.first_walk_latency
     assert fast_result.last_walk_latency == ref_result.last_walk_latency
     assert fast_result.detail["iommu"] == ref_result.detail["iommu"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FACTORIES))
+@pytest.mark.parametrize("workload", ["MVT", "XSB"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reference_twin_identical(name, workload, seed):
+    _assert_same_run(
+        _run_with_system(workload, make_scheduler(name), seed),
+        _run_with_system(workload, make_reference_scheduler(name), seed),
+    )
+
+
+def _nw_run(scheduler, seed=0):
+    """NW at scale 0.1 with 32 wavefronts: long enough that every
+    policy that ages promotes walks at the configured threshold (the
+    MVT and XSB runs above make none)."""
+    return _run_with_system(
+        "NW", scheduler, seed, scale=0.1, wavefronts=32
+    )
+
+
+@pytest.mark.parametrize("name", ["sjf", "simt", "fairshare", "wasp", "iru"])
+def test_reference_twin_identical_while_aging(name):
+    threshold = baseline_config().iommu.aging_threshold
+    fast = _nw_run(make_scheduler(name, aging_threshold=threshold))
+    ref = _nw_run(make_reference_scheduler(name, aging_threshold=threshold))
+    promotions = fast[1].scheduler.aging.promotions
+    assert promotions > 0
+    assert ref[1].scheduler.aging.promotions == promotions
+    _assert_same_run(fast, ref)
+
+
+@pytest.mark.parametrize("name", ["simt", "sjf"])
+def test_policy_runs_the_same_by_name_or_as_an_object(name):
+    """A policy object built without arguments, optimized or naive,
+    ages at the threshold the IOMMU uses for the policy's name."""
+    by_name = _nw_run(name)
+    assert by_name[1].scheduler.aging.promotions > 0
+    _assert_same_run(_nw_run(make_scheduler(name)), by_name)
+    _assert_same_run(_nw_run(make_reference_scheduler(name)), by_name)
 
 
 def test_fairshare_twin_identical_multi_app():

@@ -315,11 +315,13 @@ def test_pwc_matches_list_twin(geometry, guard, entries, ways):
 
 
 def test_lru_sets_of_ints_are_invisible_to_the_collector():
-    """A baseline system's TLB, data-cache and region-TLB sets hold only
-    ints, so the cyclic collector never tracks them: 4,426 containers it
-    would otherwise walk on every full collection.  (PWC sets hold
-    counter objects and are tracked once filled.)"""
+    """A baseline system's TLB and data-cache sets hold only ints, so
+    the cyclic collector never tracks them: 4,425 containers it would
+    otherwise walk on every full collection.  (PWC sets hold counter
+    objects and are tracked once filled.)  A Mosaic IOMMU's region TLB
+    is one more such set; other policies build none."""
     system = build_system(baseline_config())
+    assert system.iommu.region_tlb is None
     tlbs = [cu.l1_tlb for cu in system.gpu.cus] + [
         system.gpu.l2_tlb, system.iommu.l1_tlb, system.iommu.l2_tlb,
     ]
@@ -329,6 +331,10 @@ def test_lru_sets_of_ints_are_invisible_to_the_collector():
     for cache in caches:
         cache.fill(7)
     sets = [entries for owner in tlbs + caches for entries in owner._sets]
-    sets.append(system.iommu._region_tlb)
-    assert len(sets) == 4426
+    assert len(sets) == 4425
     assert not any(gc.is_tracked(entries) for entries in sets)
+
+    region_tlb = build_system(baseline_config("mosaic")).iommu.region_tlb
+    region_tlb.insert(7, True)
+    assert len(region_tlb._sets) == 1
+    assert not gc.is_tracked(region_tlb._sets[0])

@@ -18,6 +18,7 @@ def make_iommu(
     buffer_entries=4,
     latency=10,
     coalesce="inflight",
+    scan_latency=0,
 ):
     sim = Simulator()
     table = PageTable()
@@ -29,6 +30,7 @@ def make_iommu(
         pwc=PWCConfig(entries_per_level=8, associativity=4),
         scheduler=scheduler,
         coalesce_walks=coalesce,
+        scan_latency_cycles=scan_latency,
     )
     iommu = IOMMU(
         sim, config, table, lambda addr, cb: sim.at(sim.now + latency, cb)

@@ -119,7 +119,8 @@ class TestCounterGuard:
         counters = {}
         for level in (2, 3, 4):
             tag = pwc.geometry.vpn_prefix(sibling, level)
-            counters[level] = pwc._levels[level]._set_for(tag)[tag].counter
+            cache = pwc._levels[level]
+            counters[level] = cache._sets[tag % cache._num_sets][tag].counter
         assert counters == {2: 1, 3: 1, 4: 1}  # request B's pins intact
 
     def test_no_guard_evicts_pinned(self):

@@ -10,15 +10,8 @@ from tests.conftest import dispatched_system
 from tests.test_iommu import make_iommu, make_request
 
 
-def make_iommu_with_scan(scan_latency, **kwargs):
-    sim, table, iommu = make_iommu(**kwargs)
-    # IOMMUConfig is a plain dataclass; adjust the knob directly.
-    iommu.config.scan_latency_cycles = scan_latency
-    return sim, table, iommu
-
-
 def test_zero_scan_latency_dispatches_back_to_back():
-    sim, _, iommu = make_iommu_with_scan(0, num_walkers=1, latency=10)
+    sim, _, iommu = make_iommu(num_walkers=1, latency=10, scan_latency=0)
     for vpn in range(3):
         iommu.translate(make_request(vpn))
     sim.run()
@@ -29,8 +22,8 @@ def test_zero_scan_latency_dispatches_back_to_back():
 
 def test_scan_latency_delays_scheduled_dispatches():
     def completion_time(scan):
-        sim, _, iommu = make_iommu_with_scan(
-            scan, scheduler="simt", num_walkers=1, latency=10
+        sim, _, iommu = make_iommu(
+            scheduler="simt", num_walkers=1, latency=10, scan_latency=scan
         )
         for vpn in range(4):
             iommu.translate(make_request(vpn))
@@ -44,7 +37,7 @@ def test_scan_latency_delays_scheduled_dispatches():
 
 def test_fifo_policies_pay_no_scan_cost():
     def completion_time(scan):
-        sim, _, iommu = make_iommu_with_scan(scan, num_walkers=1, latency=10)
+        sim, _, iommu = make_iommu(num_walkers=1, latency=10, scan_latency=scan)
         for vpn in range(4):
             iommu.translate(make_request(vpn))
         sim.run()
@@ -58,8 +51,8 @@ def test_direct_dispatch_skips_the_scan():
     # An idle-walker arrival never pays scan latency (paper: "If a free
     # page table walker is immediately available, the scheduler plays no
     # role and no scanning is involved").
-    sim, _, iommu = make_iommu_with_scan(
-        50, scheduler="simt", num_walkers=2, latency=10
+    sim, _, iommu = make_iommu(
+        scheduler="simt", num_walkers=2, latency=10, scan_latency=50
     )
     iommu.translate(make_request(0x1))
     sim.run()
@@ -67,8 +60,8 @@ def test_direct_dispatch_skips_the_scan():
 
 
 def test_all_requests_still_serviced_under_scan_latency():
-    sim, _, iommu = make_iommu_with_scan(
-        7, scheduler="simt", num_walkers=2, latency=10
+    sim, _, iommu = make_iommu(
+        scheduler="simt", num_walkers=2, latency=10, scan_latency=7
     )
     done = []
     for vpn in range(8):

@@ -126,8 +126,8 @@ def build_system(
     config = config or baseline_config()
     geometry = geometry_by_name(config.page_size)
     simulator = Simulator()
-    injector = build_injector(config.faults)
     tracer = build_tracer(trace)
+    injector = build_injector(config.faults, tracer=tracer)
     page_table = PageTable(FrameAllocator(), geometry=geometry)
     memory = MemorySubsystem(simulator, config, injector=injector, tracer=tracer)
     iommu = IOMMU(
@@ -152,7 +152,6 @@ def build_system(
         tracer=tracer,
     )
     if injector is not None:
-        injector.tracer = tracer
         injector.arm(system)
     return system
 

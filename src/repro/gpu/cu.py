@@ -27,7 +27,10 @@ class ComputeUnit:
     ) -> None:
         self.cu_id = cu_id
         self._sim = simulator
-        self.l1_tlb = TLB(config.gpu_l1_tlb, name=f"gpu_l1_tlb[{cu_id}]")
+        self.l1_tlb = TLB(
+            config.gpu_l1_tlb, name=f"gpu_l1_tlb[{cu_id}]",
+            tracer=tracer, clock=simulator,
+        )
         #: Optional :class:`~repro.obs.trace.Tracer` (stall-interval spans).
         self.tracer = tracer
         self._resident = 0

@@ -57,11 +57,9 @@ class GPU:
             ComputeUnit(cu_id, simulator, config, tracer=tracer)
             for cu_id in range(config.gpu.num_cus)
         ]
-        self.l2_tlb = TLB(config.gpu_l2_tlb, name="gpu_l2_tlb")
-        if tracer is not None:
-            self.l2_tlb.attach_tracer(tracer, simulator)
-            for cu in self.cus:
-                cu.l1_tlb.attach_tracer(tracer, simulator)
+        self.l2_tlb = TLB(
+            config.gpu_l2_tlb, name="gpu_l2_tlb", tracer=tracer, clock=simulator
+        )
 
         self.instruction_records: List[InstructionRecord] = []
         #: Dynamic instructions retired so far — the watchdog's

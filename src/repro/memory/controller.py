@@ -101,6 +101,7 @@ class QueuedMemoryController:
         simulator: Simulator,
         config: DRAMConfig,
         latency_padding: Optional[Callable[[int], int]] = None,
+        tracer=None,
     ) -> None:
         if config.controller not in DRAM_CONTROLLERS[1:]:
             raise ValueError(
@@ -115,7 +116,7 @@ class QueuedMemoryController:
         self._latency_padding = latency_padding
         #: Optional :class:`~repro.obs.trace.Tracer` (read spans + queue
         #: depth counter track).
-        self.tracer = None
+        self.tracer = tracer
         total_banks = config.total_banks
         self._banks: List[_Bank] = [_Bank() for _ in range(total_banks)]
         # Address-mapping and timing constants, hoisted once.

@@ -31,7 +31,7 @@ _VECTOR_MIN_BATCH = 12
 class DRAM:
     """Channel/rank/bank DRAM with open-row policy."""
 
-    def __init__(self, config: DRAMConfig) -> None:
+    def __init__(self, config: DRAMConfig, tracer=None) -> None:
         self.config = config
         total_banks = config.total_banks
         #: Per-bank state: the cycle the bank frees, and its open row.
@@ -50,7 +50,7 @@ class DRAM:
         self.total_latency = 0
         self.total_queue_delay = 0
         #: Optional :class:`~repro.obs.trace.Tracer` (access spans).
-        self.tracer = None
+        self.tracer = tracer
 
     def access(self, address: int, now: int) -> int:
         """Perform one read at ``address`` starting no earlier than ``now``.

@@ -52,17 +52,16 @@ class MemorySubsystem:
         ]
         self.l2_cache = SetAssociativeCache(config.l2_cache, name="l2d")
         if config.dram.controller == "reservation":
-            self.dram: Optional[DRAM] = DRAM(config.dram)
+            self.dram: Optional[DRAM] = DRAM(config.dram, tracer=tracer)
             self.controller: Optional[QueuedMemoryController] = None
-            self.dram.tracer = tracer
         else:
             self.dram = None
             self.controller = QueuedMemoryController(
                 simulator,
                 config.dram,
                 latency_padding=padding,
+                tracer=tracer,
             )
-            self.controller.tracer = tracer
             # A data line that misses L2 reaches the controller through
             # this event, after the cache latency.
             simulator.register("mem.ctrl_read", self.controller.read)

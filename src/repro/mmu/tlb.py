@@ -21,7 +21,9 @@ class TLB:
     dict of ints is never tracked by the cyclic garbage collector.
     """
 
-    def __init__(self, config: TLBConfig, name: str = "tlb") -> None:
+    def __init__(
+        self, config: TLBConfig, name: str = "tlb", tracer=None, clock=None
+    ) -> None:
         self.config = config
         self.name = name
         self._num_sets = config.num_sets
@@ -30,14 +32,8 @@ class TLB:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional :class:`~repro.obs.trace.Tracer` plus the simulator
-        #: whose clock stamps its events, set via :meth:`attach_tracer`.
-        self.tracer = None
-        self._trace_clock = None
-
-    def attach_tracer(self, tracer, clock) -> None:
-        """Record lookups into ``tracer``, stamped with the simulator
-        ``clock``'s current cycle."""
+        #: Optional :class:`~repro.obs.trace.Tracer` recording lookups,
+        #: stamped with the simulator ``clock``'s current cycle.
         self.tracer = tracer
         self._trace_clock = clock
 

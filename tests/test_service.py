@@ -516,13 +516,16 @@ def test_sigkilled_worker_resumes_mid_spec_on_another_worker(tmp_path):
 def test_chaos_gate_survives_kills_and_full_restart(tmp_path):
     from tests.chaos import run_chaos
 
+    # Three seeds (six specs, the gate's own default count) keep the
+    # campaign running past the seeded kill at 86 ms; with two specs a
+    # fast host can finish both first, and then no drill runs.
     summary = run_chaos(
         tmp_path / "chaos",
         seed=3,
         workers=2,
         workloads=("MVT",),
         schedulers=("fcfs", "simt"),
-        seeds=1,
+        seeds=3,
         scale=0.1,
         num_wavefronts=8,
         max_kills=1,

@@ -110,6 +110,25 @@ class TestL2TLBPort:
         system.simulator.run()
         assert system.gpu.l2_tlb_port_delay() == 0
 
+    @pytest.mark.parametrize("rate", [3, 5])
+    def test_each_cycle_serves_exactly_its_rate(self, rate):
+        # The port clock counts whole lookup slots: a float clock that
+        # adds 1/rate per lookup rounds down and lets one cycle serve
+        # rate + 1 lookups.
+        config = tiny_config()
+        config = replace(
+            config, gpu=replace(config.gpu, l2_tlb_lookups_per_cycle=rate)
+        )
+        system = build_system(config)
+        waits = [system.gpu.l2_tlb_port_delay() for _ in range(3 * rate + 1)]
+        assert waits == [0] * rate + [1] * rate + [2] * rate + [3]
+        system.simulator.register("test.noop", lambda: None)
+        system.simulator.post(2, "test.noop")
+        system.simulator.run()
+        # At cycle 2 the backlog still holds cycle 2 and the first slot
+        # of cycle 3, so the next lookup waits one cycle.
+        assert system.gpu.l2_tlb_port_delay() == 1
+
 
 class TestOverflowIntegration:
     def test_tiny_buffer_exercises_overflow_without_loss(self):

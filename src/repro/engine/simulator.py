@@ -12,7 +12,11 @@ drives, and the unpickled copy replays bit-identically.
 An event is scheduled by :meth:`post` (relative) or :meth:`post_at`
 (absolute); a component that hands a completion target to another
 stores it as a ``(kind, *payload)`` tuple, which :meth:`at` schedules
-and :meth:`dispatch` fires at once.  There is no other event shape.
+and :meth:`dispatch` fires at once.  A component that fixes an event's
+place in the order before it knows whether to schedule it takes a
+sequence number with :meth:`reserve` and schedules the target at that
+``(time, sequence)`` later with :meth:`at_reserved`.  There is no other
+event shape.
 
 Monitors (watchdog, metrics sampler, periodic checkpoints) count fired
 events and run at event boundaries, after the handler that brought them
@@ -113,10 +117,9 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    # The three scheduling entry points push onto the queue's heap
-    # directly: they run once per event, and a call frame per push is
-    # measurable on the hot path.  Nothing may be scheduled before
-    # ``now``.
+    # The scheduling entry points push onto the queue's heap directly:
+    # they run once per event, and a call frame per push is measurable
+    # on the hot path.  Nothing may be scheduled before ``now``.
 
     def post_at(self, time: int, kind: str, *payload: Any) -> None:
         """Schedule event ``kind`` at absolute cycle ``time``.
@@ -152,6 +155,35 @@ class Simulator:
         queue = self._queue
         heappush(queue._heap, (time, queue._sequence, target[0], target[1:]))
         queue._sequence += 1
+
+    def reserve(self) -> int:
+        """Take the next sequence number now, for an event that
+        :meth:`at_reserved` schedules later.
+
+        The counter advances exactly as a post would advance it, so
+        every other event keeps its place in ``(time, sequence)`` order
+        whether or not the reserved one is ever scheduled.
+        """
+        queue = self._queue
+        sequence = queue._sequence
+        queue._sequence = sequence + 1
+        return sequence
+
+    def at_reserved(self, time: int, sequence: int, target: tuple) -> None:
+        """Schedule a stored completion target at absolute cycle
+        ``time`` with a ``sequence`` number taken by :meth:`reserve`.
+
+        Each reserved number may be scheduled at most once.  The event
+        fires where one posted with that number would have fired, so
+        its ``(time, sequence)`` must sort after every event already
+        fired.  The engine checks the time: one before ``now`` is an
+        error, as for :meth:`at`.
+        """
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule event at {time}, current time is {self._now}"
+            )
+        heappush(self._queue._heap, (time, sequence, target[0], target[1:]))
 
     def dispatch(self, target: tuple) -> None:
         """Fire a stored completion target immediately (same cycle).

@@ -24,8 +24,10 @@ class MemorySubsystem:
         completion event.
 
     ``data_access_batch``
-        The accesses of one page, in order, counted off by completions
-        that carry how many accesses they finish (wavefronts use this).
+        The accesses of one page, in order (wavefronts use this).  On
+        the reservation DRAM model it returns when the last of them is
+        ready and posts nothing; the queued controller completes each
+        access on its own.
 
     ``page_table_access``
         A page-table read from an IOMMU walker.  Walkers sit in the CPU
@@ -42,7 +44,6 @@ class MemorySubsystem:
         tracer=None,
     ) -> None:
         self._sim = simulator
-        self._config = config
         #: Optional fault injector; supplies DRAM latency spikes.
         self._injector = injector
         padding = injector.dram_padding if injector is not None else None
@@ -78,6 +79,9 @@ class MemorySubsystem:
         self.pt_read_cycles = 0
         self.pt_queue_cycles = 0
         self.pt_pad_cycles = 0
+        #: Cycles from issue until an L1 hit, and an L2 hit, is ready.
+        self._l1_latency = config.l1_cache.hit_latency
+        self._l2_latency = self._l1_latency + config.l2_cache.hit_latency
         # Bind the entry points straight to their implementations, so
         # hot-path calls skip the forwarding frame of the methods below.
         self.data_access = self._data_access  # type: ignore[method-assign]
@@ -93,58 +97,31 @@ class MemorySubsystem:
     def _data_access(
         self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> None:
-        ready = self._lookup(cu_id, (physical_address,), 1, on_complete)
+        ready = self.data_access_batch(cu_id, (physical_address,), on_complete)
         if ready >= 0:
             self._sim.at(ready, on_complete)
 
     def data_access_batch(
         self, cu_id: int, physical_addresses: Sequence[int], on_complete: tuple
-    ) -> None:
-        """Issue one coalesced data access per address, in list order.
-
-        ``on_complete`` is an event tuple ``(kind, *payload)``; it fires
-        with one more argument, the number of the accesses it completes.
-        The reservation DRAM model knows every access's ready time at
-        issue, so the batch posts one completion, at the latest of them,
-        carrying ``len(physical_addresses)``.  That event takes the
-        first of the sequence numbers the per-access events would have
-        taken back to back, so it fires at the place in (time, sequence)
-        order where the last of them would have fired.  The queued
-        controller resolves reads later, so there every access completes
-        on its own, carrying 1.
-        """
-        count = len(physical_addresses)
-        if self.dram is None:
-            self._lookup(cu_id, physical_addresses, count, on_complete + (1,))
-            return
-        latest = self._lookup(cu_id, physical_addresses, count, on_complete)
-        if latest >= 0:
-            self._sim.at(latest, on_complete + (count,))
-
-    def _lookup(
-        self,
-        cu_id: int,
-        physical_addresses: Sequence[int],
-        count: int,
-        on_complete: tuple,
     ) -> int:
-        """Look each of the ``count`` lines up through L1 → L2 → DRAM, in
-        list order.
+        """Look each address up through L1 → L2 → DRAM, in list order.
 
-        On the reservation DRAM model, returns the cycle the last of the
-        lines is ready (-1 for no lines) and fires nothing.  On the
-        queued controller, fires ``on_complete`` once per line, at its
-        ready cycle for a cache hit and when the controller serves it
-        for a DRAM read, and returns -1.
+        The reservation DRAM model knows every access's ready time at
+        issue, so it returns the cycle the last of them is ready (-1
+        for no addresses) and posts nothing: the caller schedules the
+        one completion it needs.  The queued controller resolves reads
+        later, so there ``on_complete``, an event tuple
+        ``(kind, *payload)``, fires once per access, at its ready cycle
+        for a cache hit and when the controller serves it for a DRAM
+        read, and the call returns -1.
         """
-        self.data_accesses += count
-        config = self._config
+        self.data_accesses += len(physical_addresses)
         sim = self._sim
         l1 = self.l1_caches[cu_id]
         l2 = self.l2_cache
         dram = self.dram
-        l1_ready = sim._now + config.l1_cache.hit_latency
-        l2_latency = config.l1_cache.hit_latency + config.l2_cache.hit_latency
+        l2_latency = self._l2_latency
+        l1_ready = sim._now + self._l1_latency
         l2_ready = sim._now + l2_latency
         latest = -1
         for physical_address in physical_addresses:

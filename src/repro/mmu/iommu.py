@@ -403,7 +403,7 @@ class IOMMU:
         # No overflow drain here: the buffer lost no entry, so it is
         # still full if anything overflowed (``check_conservation``).
         self._schedule_next()
-        if not prefetch:
+        if self._prefetch_distance and not prefetch:
             # WaSP-style distance-ahead walk prefetch (distance 1 is the
             # legacy ``prefetch_next_page`` behaviour).  Each step
             # re-checks for an idle walker, so demand traffic still

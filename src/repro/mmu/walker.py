@@ -75,8 +75,6 @@ class PageTableWalker:
         self._path: Tuple[Tuple[int, int], ...] = ()
         self._reads_left = 0
         self._total_accesses = 0
-        #: ``(pfn, accesses)`` held back by a delayed-completion fault.
-        self._pending: Optional[Tuple[int, int]] = None
         #: Cycles completions spent held back by delay faults (the
         #: ``deliver_hold`` attribution stage), counted always-on.
         self.held_cycles = 0
@@ -207,15 +205,12 @@ class PageTableWalker:
                 self.wedged = True
                 return
             if action == "delay" and extra > 0:
-                self._pending = (pfn, accesses)
-                self._sim.post(extra, self._deliver_kind)
+                # The deliver event carries the held-back result.
+                self._sim.post(extra, self._deliver_kind, pfn, accesses)
                 return
-        self._pending = (pfn, accesses)
-        self._deliver_pending()
+        self._deliver_pending(pfn, accesses)
 
-    def _deliver_pending(self) -> None:
-        pfn, accesses = self._pending
-        self._pending = None
+    def _deliver_pending(self, pfn: int, accesses: int) -> None:
         entry = self._current
         now = self._sim._now
         self.walks_completed += 1

@@ -332,13 +332,16 @@ def test_closure_event_makes_the_dump_fail(tmp_path):
 
 
 class _EachPayload:
-    """A batch handler that hands each payload to a scalar handler."""
+    """A batch handler that hands each payload to a scalar handler and
+    counts the payloads."""
 
     def __init__(self, handler):
         self.handler = handler
+        self.payloads = 0
 
     def __call__(self, payloads):
         for payload in payloads:
+            self.payloads += 1
             self.handler(*payload)
 
 
@@ -361,9 +364,16 @@ def test_a_system_with_a_batch_handler_round_trips():
     plain.simulator.run()
     batched = system()
     sim = batched.simulator
-    for kind in ("wf.line", "iommu.xlate"):
-        sim.register_batch(kind, _EachPayload(sim._handlers[kind]))
+    # ``wf.complete`` carries the instruction completions on this
+    # (reservation) DRAM model.
+    batch_handlers = {
+        kind: _EachPayload(sim._handlers[kind])
+        for kind in ("wf.complete", "iommu.xlate")
+    }
+    for kind, handler in batch_handlers.items():
+        sim.register_batch(kind, handler)
     sim.run(max_events=plain.simulator.events_processed // 2)
+    assert all(handler.payloads for handler in batch_handlers.values())
     resumed = pickle.loads(pickle.dumps(batched))
     resumed.simulator.run()
     assert resumed.gpu.finished

@@ -1,17 +1,19 @@
 """Unit tests for event ordering, stability and pickling.
 
 Events go in through the simulator's scheduling entry points (``post``,
-``post_at``, ``at``) and come out through ``run`` and ``step``: the
-heap code under test is the heap code every simulation runs.  Alongside
-the unit tests there is a differential fuzz section firing events
-against a bare ``heapq`` reference twin — same-cycle ties, interleaved
-scheduling and firing, and pickle round trips mid-stream included.
+``post_at``, ``at``, and ``reserve`` with ``at_reserved``) and come out
+through ``run`` and ``step``: the heap code under test is the heap code
+every simulation runs.  Alongside the unit tests there is a differential
+fuzz section firing events against a bare ``heapq`` reference twin —
+same-cycle ties, interleaved scheduling and firing, sequence numbers
+reserved now and scheduled later, and pickle round trips mid-stream
+included.
 """
 
 import functools
 import pickle
 import random
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
 
 import pytest
 
@@ -130,11 +132,14 @@ def test_push_below_drained_time_raises():
     recorder = _Recorder(sim, ("a", "b", "late", "same-cycle-ok"))
     sim.post_at(10, "a")
     sim.post_at(20, "b")
+    sequence = sim.reserve()
     sim.step()  # fires the cycle-10 event; the clock is now 10
     with pytest.raises(ValueError):
         sim.post_at(9, "late")
     with pytest.raises(ValueError):
         sim.at(9, ("late",))
+    with pytest.raises(ValueError):
+        sim.at_reserved(9, sequence, ("late",))
     sim.post_at(10, "same-cycle-ok")  # the clock itself stays legal
     sim.step()
     assert recorder.log[-1] == (10, "same-cycle-ok", ())
@@ -177,35 +182,73 @@ def _schedule(rng, sim, twin, delay, kind, payload):
     twin.push(time, kind, payload)
 
 
+def _schedule_reserved(sim, reserved, bound):
+    """Schedule every reserved ``(time, sequence, kind, payload)`` whose
+    ``(time, sequence)`` is at most ``bound``, in reservation order."""
+    for event in [event for event in reserved if event[:2] <= bound]:
+        reserved.remove(event)
+        time, sequence, kind, payload = event
+        sim.at_reserved(time, sequence, (kind, *payload))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_matches_heap_reference(seed):
-    """Interleaved scheduling and firing, dense same-cycle ties."""
+    """Interleaved scheduling and firing, dense same-cycle ties.
+
+    Some events reserve their sequence number when they are drawn and
+    go in at a later step; the twin pushes them when they are drawn.
+    Each goes in before the simulator could fire anything after it, so
+    both must fire the same stream.
+    """
     rng = random.Random(seed)
     sim, twin = Simulator(), _HeapTwin()
     recorder = _Recorder(sim)
     expected = []
+    #: Reserved in the simulator, not scheduled yet: ``(time, sequence,
+    #: kind, payload)``, already pushed on the twin at that sequence.
+    reserved = []
     for step in range(2_000):
         roll = rng.random()
         if twin and roll < 0.35:
+            _schedule_reserved(sim, reserved, twin._heap[0][:2])
             sim.step()
             expected.append(twin.pop())
         elif twin and roll < 0.45:
             count = rng.randrange(1, 6)
+            _schedule_reserved(sim, reserved, nsmallest(count, twin._heap)[-1][:2])
             sim.run(max_events=count)
             for _ in range(min(count, len(twin))):
                 expected.append(twin.pop())
         elif twin and roll < 0.5:
             until = sim.now + rng.randrange(4)
+            _schedule_reserved(sim, reserved, (until, twin._sequence))
             sim.run(until=until)
             while twin and twin._heap[0][0] <= until:
                 expected.append(twin.pop())
+        elif sim.now and roll < 0.52:
+            # A reserved number cannot go in before the clock.
+            sequence = sim.reserve()
+            twin._sequence += 1
+            with pytest.raises(ValueError):
+                sim.at_reserved(sim.now - 1, sequence, ("a", step))
         else:
             # Mostly near-future times with heavy collisions, plus the
             # occasional far-future outlier.
             delay = rng.choice((0, 0, 0, 1, 1, 2, 3, rng.randrange(500)))
-            _schedule(rng, sim, twin, delay, rng.choice("abc"), (step,))
+            kind = rng.choice("abc")
+            if rng.random() < 0.3:
+                sequence = sim.reserve()
+                assert sequence == twin._sequence
+                reserved.append((sim.now + delay, sequence, kind, (step,)))
+                twin.push(sim.now + delay, kind, (step,))
+            else:
+                _schedule(rng, sim, twin, delay, kind, (step,))
+            if reserved and rng.random() < 0.3:
+                # Early, out of reservation order: any bound will do.
+                _schedule_reserved(sim, reserved, rng.choice(reserved)[:2])
         assert recorder.log[-3:] == expected[-3:]
-        assert sim.pending_events == len(twin)
+        assert sim.pending_events + len(reserved) == len(twin)
+    _schedule_reserved(sim, reserved, (float("inf"), 0))
     sim.run()
     while twin:
         expected.append(twin.pop())
